@@ -103,7 +103,9 @@ class Report:
         LP-wall attribution for this run (:mod:`repro.lp.stats` fields:
         ``lp_solves``, ``assembly_seconds``, ``reuse_hits``,
         ``coalesced_batches``, ``coalesced_solves``), summed across worker
-        chunks.  ``None`` on legacy paths that did not collect it.
+        chunks; the ``coalesced_*`` pair counts ``lp_reuse="subset"``
+        batches only and stays 0 in exact mode.  ``None`` on legacy paths
+        that did not collect it.
     kernel:
         The resolved kernel backend (:func:`repro.kernels.kernel_info`
         keys: ``requested``, ``active``, ``numba_available``,

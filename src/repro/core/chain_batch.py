@@ -60,7 +60,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.phased import RoundScheduleCache
+from repro.core.phased import RoundScheduleCache, active_lp_reuse
 from repro.core.suu_i_sem import paper_round_count
 from repro.errors import ReproError
 from repro.kernels import _stepimpl, active_backend
@@ -591,15 +591,19 @@ class ChainCursorBatch:
         cur.step = 0
 
     def _warm_sem_boundary(self, sem: np.ndarray, state) -> None:
-        """Coalesce the segment-SEM round solves due at this boundary.
+        """Coalesce the segment-SEM round solves due at this boundary
+        under ``lp_reuse="subset"``.
 
         Collects every member trial about to start a new doubling round and
         hands the distinct (target, survivor set) misses to
-        ``RoundScheduleCache.ensure_many`` — concurrent solves, and under
-        ``lp_reuse="subset"`` a shared union-anchor solve most members then
-        derive from.  Purely cache-warming: the serial ``_sem_key`` walk
-        that follows produces identical keys whether or not this ran.
+        ``RoundScheduleCache.ensure_many``: one shared union-anchor solve
+        most members then derive from.  Purely cache-warming: the serial
+        ``_sem_key`` walk that follows produces identical keys whether or
+        not this ran.  In exact mode it returns at once — each miss is
+        solved where the walk first needs it.
         """
+        if active_lp_reuse() != "subset":
+            return
         requests = []
         for b in sem.tolist():
             if self.sem_left[b] <= 0:

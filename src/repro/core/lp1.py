@@ -19,6 +19,7 @@ realized allocation is feasible for it).
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,22 +41,27 @@ MASS_EPS: float = 2.0**-60
 #: on the job subset.  Entries are frozen read-only so sharing is safe.
 _CAPPED_CACHE: dict[tuple[str, float], np.ndarray] = {}
 _CAPPED_CACHE_MAX = 128
+#: Guards eviction and insertion: threads that find the memo full at once
+#: (the request server solves lower bounds on its handler threads) would
+#: otherwise both pick the same oldest key, and the second pop would fail.
+_CAPPED_LOCK = threading.Lock()
 
 
 def cached_capped_logmass(instance: SUUInstance, target: float) -> np.ndarray:
     """``min(instance.ell, target)`` memoized per (instance digest, target).
 
     Returns a read-only array shared across calls; callers must not write
-    to it (LP builders and the rounding only read).
+    to it (LP builders and the rounding only read).  Thread-safe.
     """
     key = (instance.digest(), float(target))
     cached = _CAPPED_CACHE.get(key)
     if cached is None:
         cached = capped_logmass(instance.ell, float(target))
         cached.setflags(write=False)
-        while len(_CAPPED_CACHE) >= _CAPPED_CACHE_MAX:
-            _CAPPED_CACHE.pop(next(iter(_CAPPED_CACHE)))
-        _CAPPED_CACHE[key] = cached
+        with _CAPPED_LOCK:
+            while len(_CAPPED_CACHE) >= _CAPPED_CACHE_MAX:
+                _CAPPED_CACHE.pop(next(iter(_CAPPED_CACHE)))
+            cached = _CAPPED_CACHE.setdefault(key, cached)
     return cached
 
 

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
@@ -356,9 +355,6 @@ class RoundScheduleCache:
 
     #: Donor survivor sets kept per target for subset reuse, most recent last.
     MAX_DONORS_PER_TARGET = 64
-    #: Thread-pool width for coalesced boundary solves (HiGHS releases the
-    #: GIL inside scipy, so a small pool overlaps real solver work).
-    COALESCE_WORKERS = 4
 
     def __init__(self, instance, scale: int):
         self.instance = instance
@@ -544,25 +540,22 @@ class RoundScheduleCache:
     def ensure_many(self, requests) -> None:
         """Warm the caches for several upcoming ``(target, jobs)`` lookups.
 
-        Called by ``begin_step`` pre-passes when a lock-step boundary is
-        about to request multiple distinct survivor-set schedules.  Purely
-        a cache-warming step — the subsequent serial :meth:`schedule_id`
-        calls assign ids and produce identical results whether or not this
-        ran (the solve pipeline is deterministic), so correctness and v1
-        bit-identity are untouched.
+        Called by ``begin_step`` pre-passes under ``lp_reuse="subset"``
+        when a lock-step boundary is about to request multiple distinct
+        survivor-set schedules.  Purely a cache-warming step — the
+        subsequent serial :meth:`schedule_id` calls assign ids and produce
+        identical results whether or not this ran.
 
-        Misses are handled by mode:
-
-        * ``subset`` — per target, the *union* of the missing survivor
-          sets is solved once and registered as a donor (its composition
-          is much closer to this round's sets than the canonical full-set
-          anchor, so restrictions from it pass the quality gate more
-          often); every miss then warms through the donor machinery, with
-          gate failures falling back to their own solves.
-        * ``exact`` — misses at one boundary solve concurrently on a
-          small thread pool (scipy's HiGHS releases the GIL).  The solves
-          are the same deterministic pipelines, merely overlapped.
+        Per target, the *union* of the missing survivor sets is solved
+        once and registered as a donor (its composition is much closer to
+        this round's sets than the canonical full-set anchor, so
+        restrictions from it pass the quality gate more often); every miss
+        then warms through the donor machinery, with gate failures falling
+        back to their own solves.  In exact mode there is nothing to warm:
+        each miss is solved where the serial walk first needs it.
         """
+        if active_lp_reuse() != "subset":
+            return
         pending: dict = {}
         for target, jobs in requests:
             jobs = np.ascontiguousarray(jobs, dtype=np.int64)
@@ -572,65 +565,47 @@ class RoundScheduleCache:
         if not pending:
             return
         shared = shared_solve_cache()
-        subset = active_lp_reuse() == "subset"
-        eps = lp_reuse_eps() if subset else 0.0
+        eps = lp_reuse_eps()
 
         misses: dict = {}
         for key, jobs in pending.items():
             hit = shared.peek(self._shared_key(key))
             if hit is not None:
-                if subset:
-                    self._register_donor(key[0], jobs, hit)
+                self._register_donor(key[0], jobs, hit)
                 continue
-            if subset and shared.peek(self._sub_key(key, eps)) is not None:
+            if shared.peek(self._sub_key(key, eps)) is not None:
                 continue
             misses[key] = jobs
         if not misses:
             return
 
-        if subset:
-            by_target: dict = {}
-            for key, jobs in misses.items():
-                by_target.setdefault(key[0], []).append((key, jobs))
-            for target, group in by_target.items():
-                if len(group) < 2:
-                    continue
-                # One union-anchor solve per boundary group: a donor whose
-                # composition is much closer to this round's survivor sets
-                # than the canonical full-set anchor, so restrictions from
-                # it pass the quality gate more often.
-                union = group[0][1]
-                for _, jobs in group[1:]:
-                    union = np.union1d(union, jobs)
-                union = np.ascontiguousarray(union, dtype=np.int64)
-                ukey = (target, union.tobytes())
-                schedule = shared.lookup(
-                    self._shared_key(ukey), lambda u=union, t=target: self._solve(t, u)
-                )
-                self._register_donor(target, union, schedule)
-                self.coalesced_batches += 1
-                self.coalesced_solves += len(group)
-                LP_STATS.add("coalesced_batches")
-                LP_STATS.add("coalesced_solves", len(group))
-            # Every miss then warms serially through the donor machinery;
-            # gate-failing restrictions fall back to their own solves.
-            for key in misses:
-                self._obtain(key, count=False)
-            return
-
-        solo = misses
-        if len(solo) > 1:
-            keys = list(solo)
-            with ThreadPoolExecutor(max_workers=self.COALESCE_WORKERS) as pool:
-                solved = list(
-                    pool.map(lambda k: self._solve(k[0], solo[k]), keys)
-                )
-            for key, schedule in zip(keys, solved):
-                shared.lookup(self._shared_key(key), lambda s=schedule: s)
+        by_target: dict = {}
+        for key, jobs in misses.items():
+            by_target.setdefault(key[0], []).append((key, jobs))
+        for target, group in by_target.items():
+            if len(group) < 2:
+                continue
+            # One union-anchor solve per boundary group: a donor whose
+            # composition is much closer to this round's survivor sets
+            # than the canonical full-set anchor, so restrictions from
+            # it pass the quality gate more often.
+            union = group[0][1]
+            for _, jobs in group[1:]:
+                union = np.union1d(union, jobs)
+            union = np.ascontiguousarray(union, dtype=np.int64)
+            ukey = (target, union.tobytes())
+            schedule = shared.lookup(
+                self._shared_key(ukey), lambda u=union, t=target: self._solve(t, u)
+            )
+            self._register_donor(target, union, schedule)
             self.coalesced_batches += 1
-            self.coalesced_solves += len(keys)
+            self.coalesced_solves += len(group)
             LP_STATS.add("coalesced_batches")
-            LP_STATS.add("coalesced_solves", len(keys))
+            LP_STATS.add("coalesced_solves", len(group))
+        # Every miss then warms serially through the donor machinery;
+        # gate-failing restrictions fall back to their own solves.
+        for key in misses:
+            self._obtain(key, count=False)
 
     def schedule(self, sid: int) -> FiniteObliviousSchedule:
         """The schedule registered under ``sid``."""

@@ -31,6 +31,7 @@ from repro.core.lp1 import solve_lp1
 from repro.core.phased import (
     RoundScheduleCache,
     SemCursor,
+    active_lp_reuse,
     sem_advance,
     sem_phase_key,
     sem_row_for_key,
@@ -205,15 +206,19 @@ class SUUISemPolicy(PhasedPolicy):
         self._all_machines = np.empty(instance.n_machines, dtype=np.int64)
 
     def begin_step(self, state) -> None:
-        """Boundary pre-pass: warm the round-schedule cache for every trial
-        about to start a new round this step.
+        """Boundary pre-pass under ``lp_reuse="subset"``: warm the
+        round-schedule cache for every trial about to start a new round
+        this step.
 
         Purely cache-warming (see ``RoundScheduleCache.ensure_many``):
         distinct survivor-set misses discovered at one lock-step boundary
-        solve coalesced — concurrently, and under ``lp_reuse="subset"``
-        through a shared union-anchor solve — instead of one by one inside
-        the serial ``phase_key`` walk.
+        derive from one shared union-anchor solve instead of solving one
+        by one inside the serial ``phase_key`` walk.  In exact mode there
+        is nothing to coalesce — each miss is solved where the walk first
+        needs it — so the pre-pass returns at once.
         """
+        if active_lp_reuse() != "subset":
+            return
         requests = []
         for k, cursor in enumerate(self._cursors):
             if cursor.mode != "rounds":

@@ -1,9 +1,10 @@
 """Incremental sparse LP builder.
 
 Both LP1 and LP2 are built column-by-column over ``(machine, job)`` pairs;
-this builder accumulates sparse inequality rows and hands a CSR matrix to
-the solver.  It intentionally supports only what the paper's programs need:
-minimization, ``<=`` / ``>=`` / ``==`` rows, and per-variable bounds.
+this builder accumulates sparse constraint rows and hands HiGHS the
+column-wise (CSC) arrays it consumes.  It intentionally supports only what
+the paper's programs need: minimization, ``<=`` / ``>=`` / ``==`` rows, and
+per-variable bounds.
 
 Rows arrive through two surfaces with identical semantics:
 
@@ -14,11 +15,15 @@ Rows arrive through two surfaces with identical semantics:
   LP1/LP2 builders use.  One call appends thousands of rows with no
   per-coefficient Python work.
 
-Internally every surface appends *blocks* of COO triplets; duplicate
-coefficients within a row sum (exactly the dict API's merge) when the
-blocks are concatenated into the final CSR matrices by
-:meth:`LinearProgram.build_arrays`, which is fully vectorized and reports
-its wall-clock into :data:`repro.lp.stats.LP_STATS` (``assembly_seconds``).
+Internally every surface appends *blocks* of COO triplets.
+:meth:`LinearProgram.build_arrays` turns them into a
+:class:`~repro.lp.solver.CSCModel` with one stable column-major sort —
+no scipy.sparse objects, no per-call bounds list — summing duplicate
+coefficients within a row (exactly the dict API's merge).  It is fully
+vectorized and reports its wall-clock into :data:`repro.lp.stats.LP_STATS`
+(``assembly_seconds``).  :meth:`LinearProgram.solve` passes the model to
+this module's ``solve_lp`` (:func:`repro.lp.solver.solve_lp`): assembly
+and the solver call stay two separately timeable seams.
 """
 
 from __future__ import annotations
@@ -27,9 +32,8 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
-from repro.lp.solver import LPSolution, solve_lp
+from repro.lp.solver import CSCModel, LPSolution, solve_lp
 from repro.lp.stats import LP_STATS
 
 __all__ = ["LinearProgram"]
@@ -178,14 +182,17 @@ class LinearProgram:
         self._n_rows += n_rows
 
     # ------------------------------------------------------------------
-    def build_arrays(self):
-        """Assemble ``(c, A_ub, b_ub, A_eq, b_eq, bounds)`` for the solver.
+    def build_arrays(self) -> CSCModel:
+        """Assemble the column-wise model HiGHS consumes (a :class:`CSCModel`).
 
-        Fully vectorized: blocks concatenate into one COO triplet set,
-        rows split by sense (``>=`` rows negate into ``<=`` form, matching
-        scipy's ``A_ub x <= b_ub`` convention), and duplicate coefficients
-        within a row sum during CSR conversion.  Wall-clock spent here is
-        accumulated into ``LP_STATS.assembly_seconds``.
+        Fully vectorized, with no scipy.sparse objects: blocks concatenate
+        into one triplet set; ``<=`` and ``>=`` rows (the latter negated
+        into ``<=`` form) take the leading rows in insertion order and
+        ``==`` rows follow, the row order of ``linprog``'s
+        ``vstack((A_ub, A_eq))``.  One stable column-major sort then
+        yields the CSC arrays; duplicate coefficients within a row sum in
+        insertion order.  Wall-clock spent here is accumulated into
+        ``LP_STATS.assembly_seconds``.
         """
         t0 = time.perf_counter()
         nv = self.n_variables
@@ -203,45 +210,46 @@ class LinearProgram:
             vals = rhs = np.empty(0, dtype=np.float64)
             sense = np.empty(0, dtype=np.int8)
 
+        n_rows = rhs.size
         is_eq = sense == _SENSE_CODE["=="]
-        n_eq = int(is_eq.sum())
-        n_ub = rhs.size - n_eq
-        # Per-family row indices, preserving insertion order within each.
-        family_index = np.where(is_eq, np.cumsum(is_eq) - 1, np.cumsum(~is_eq) - 1)
+        n_ub = n_rows - int(is_eq.sum())
+        # Final position of every added row: inequalities, then equalities.
+        final_row = np.where(is_eq, n_ub + np.cumsum(is_eq) - 1, np.cumsum(~is_eq) - 1)
         row_sign = np.where(sense == _SENSE_CODE[">="], -1.0, 1.0)
 
-        ent_eq = is_eq[rows]
-        A_ub = None
-        b_ub = np.asarray([], dtype=np.float64)
-        if n_ub:
-            um = ~ent_eq
-            A_ub = sp.csr_matrix(
-                (vals[um] * row_sign[rows[um]], (family_index[rows[um]], cols[um])),
-                shape=(n_ub, nv),
-            )
-            b_ub = (rhs * row_sign)[~is_eq]
-        A_eq = None
-        b_eq = np.asarray([], dtype=np.float64)
-        if n_eq:
-            A_eq = sp.csr_matrix(
-                (vals[ent_eq], (family_index[rows[ent_eq]], cols[ent_eq])),
-                shape=(n_eq, nv),
-            )
-            b_eq = rhs[is_eq]
+        # One stable column-major sort: entries in CSC order, duplicates of
+        # one (row, column) adjacent in insertion order.
+        row = final_row[rows]
+        order = np.argsort(cols * n_rows + row, kind="stable")
+        col, row = cols[order], row[order]
+        value = (vals * row_sign[rows])[order]
+        if col.size > 1:
+            dup = (col[1:] == col[:-1]) & (row[1:] == row[:-1])
+            if dup.any():
+                first = np.flatnonzero(np.concatenate(([True], ~dup)))
+                value = np.add.reduceat(value, first)
+                col, row = col[first], row[first]
+        start = np.zeros(nv + 1, dtype=np.int32)
+        start[1:] = np.cumsum(np.bincount(col, minlength=nv))
 
-        c = np.asarray(self._objective, dtype=np.float64)
-        bounds = list(zip(self._lb, [None if np.isinf(u) else u for u in self._ub]))
+        row_upper = np.empty(n_rows, dtype=np.float64)
+        row_upper[final_row] = rhs * row_sign
+        row_lower = np.full(n_rows, -np.inf)
+        row_lower[n_ub:] = row_upper[n_ub:]
+        model = CSCModel(
+            c=np.array(self._objective, dtype=np.float64),
+            lb=np.array(self._lb, dtype=np.float64),
+            ub=np.array(self._ub, dtype=np.float64),
+            start=start,
+            index=row.astype(np.int32),
+            value=value,
+            row_lower=row_lower,
+            row_upper=row_upper,
+            n_ub=n_ub,
+        )
         LP_STATS.add("assembly_seconds", time.perf_counter() - t0)
-        return c, A_ub, b_ub, A_eq, b_eq, bounds
+        return model
 
     def solve(self) -> LPSolution:
-        """Solve the LP with the HiGHS backend."""
-        c, A_ub, b_ub, A_eq, b_eq, bounds = self.build_arrays()
-        return solve_lp(
-            c,
-            A_ub=A_ub,
-            b_ub=b_ub if A_ub is not None else None,
-            A_eq=A_eq,
-            b_eq=b_eq if A_eq is not None else None,
-            bounds=bounds,
-        )
+        """Solve the LP with HiGHS (see :mod:`repro.lp.solver`)."""
+        return solve_lp(self.build_arrays())

@@ -12,16 +12,19 @@ holds those counters in one process-wide, thread-safe object:
   reuse modes reduce *this* number, never just their own hit counters.
 * ``assembly_seconds`` — wall-clock spent in
   :meth:`repro.lp.model.LinearProgram.build_arrays` turning accumulated
-  rows into the CSR matrices HiGHS consumes.
+  rows into the CSC arrays HiGHS consumes.
 * ``reuse_hits`` — schedules derived by survivor-set *subset reuse*
   (``lp_reuse="subset"``) instead of a fresh solve.
-* ``coalesced_batches`` / ``coalesced_solves`` — lock-step boundaries at
-  which multiple distinct survivor-set misses were solved together, and
-  how many solves those batches covered.
+* ``coalesced_batches`` / ``coalesced_solves`` — subset-mode lock-step
+  boundaries whose distinct survivor-set misses were served by one
+  union-anchor solve (or by the full-set anchor), and how many misses
+  those batches covered.  Exact mode never coalesces, so both stay 0
+  there.
 
-Thread safety matters because coalesced solving runs HiGHS on a small
-thread pool (scipy releases the GIL); the counters are the only mutable
-state those threads share.
+Thread safety matters because LPs are solved on several threads at once:
+the request server's handler threads and the trial-shard threads of
+:mod:`repro.sim.batch` each drive their own HiGHS instance, and these
+counters are the state they share.
 
 The counters are cumulative per process.  Callers that want per-run
 attribution snapshot before and diff after (:meth:`LPWallStats.snapshot`

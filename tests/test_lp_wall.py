@@ -14,9 +14,13 @@ Four layers of the LP-wall work are pinned here:
   surface through ``simulate()`` reports and ``GET /healthz``.
 """
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+import repro.core.lp1 as lp1_module
 from repro.api import SimConfig, simulate
 from repro.core.lp1 import MASS_EPS, cached_capped_logmass, solve_lp1
 from repro.core.lp2 import solve_lp2
@@ -283,6 +287,26 @@ class TestSubsetReuseCollapse:
         assert abs(s - e) <= 0.05 * e
 
 
+class TestExactModeNeverCoalesces:
+    def test_boundary_pre_passes_return_before_warming(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            RoundScheduleCache, "ensure_many", lambda self, requests: calls.append(requests)
+        )
+        sem_instance = lpwall_instance(n_jobs=16, n_machines=2)
+        chain_instance = lpwall_instance(n_jobs=12, n_machines=2, chain_length=3, rng=4)
+        clear_solve_cache()
+        reset_lp_stats()
+        _sem_batch(sem_instance, 32, lp_reuse="exact")
+        run_policy_batch(
+            chain_instance, SUUCPolicy, 16, rng=5, discipline="v2", lp_reuse="exact"
+        )
+        assert calls == []
+        stats = lp_stats_snapshot()
+        assert stats["coalesced_batches"] == stats["coalesced_solves"] == 0
+        assert stats["lp_solves"] > 0
+
+
 class TestRestrictProperties:
     def test_restriction_preserves_mass_and_respects_length_gate(self):
         instance = lpwall_instance(n_jobs=32, n_machines=3, rng=7)
@@ -343,3 +367,31 @@ class TestCounterSurfacing:
         solve_cache = payload["executor"]["solve_cache"]
         for key in LP_COUNTER_KEYS:
             assert key in solve_cache
+
+
+class TestCappedLogmassMemo:
+    def test_concurrent_eviction_at_capacity(self, monkeypatch):
+        # Two threads find the memo full at once.  The stalling pop makes
+        # both pick the oldest key before either evicts it, unless
+        # eviction is serialized (then the barrier times out and the
+        # second thread evicts the next-oldest key instead).
+        barrier = threading.Barrier(2)
+
+        class StallingMemo(dict):
+            def pop(self, key, *default):
+                try:
+                    barrier.wait(timeout=1.0)
+                except threading.BrokenBarrierError:
+                    pass
+                return super().pop(key, *default)
+
+        memo = StallingMemo({("filler", float(k)): np.zeros(1) for k in range(2)})
+        monkeypatch.setattr(lp1_module, "_CAPPED_CACHE", memo)
+        monkeypatch.setattr(lp1_module, "_CAPPED_CACHE_MAX", 2)
+        instances = [lpwall_instance(n_jobs=4, n_machines=2, rng=seed) for seed in (1, 2)]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [pool.submit(cached_capped_logmass, inst, 1.0) for inst in instances]
+            out = [f.result(timeout=30) for f in futures]
+        assert sorted(memo) == sorted((inst.digest(), 1.0) for inst in instances)
+        for inst, capped in zip(instances, out):
+            assert capped is memo[(inst.digest(), 1.0)]
