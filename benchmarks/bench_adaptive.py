@@ -18,16 +18,17 @@ The ``*_v2_1000`` pairs measure the RNG-discipline-v2 chain algorithms:
 ``suu-c``/``suu-t`` through the array-cursor path of
 :mod:`repro.core.chain_batch` (one shared LP per distinct (target,
 survivor set) instead of one per trial) against the same pre-batch scalar
-loop.  Under discipline v1 those policies are pinned to per-trial
-replicas by bit-identity and stay ~1x (the retained ``suuc_100`` pair
-documents that); v2's acceptance floor is a >= 5x speedup at 1000 trials.
+loop.  Under discipline v1 bit-identity pins those policies to per-trial
+dispatch — one scalar policy per trial, lock-stepped through the batch
+engine — and they stay ~1x (the retained ``suuc_100`` pair times exactly
+that path); v2's acceptance floor is a >= 5x speedup at 1000 trials.
 
 The newly covered v2 configurations get their own gated pairs:
 
-* ``suuc_obl_v2_300`` — the ``inner="obl"`` ablation (was a replica-path
-  decline before the obl-repeat inner cursors landed);
+* ``suuc_obl_v2_300`` — the ``inner="obl"`` ablation (declined the v2
+  path before the obl-repeat inner cursors landed);
 * ``suuc_prelude_v2_200`` — a ``t_LP2 > nm`` instance whose plan carries
-  solo preludes (``unit > 1``; previously declined to replicas);
+  solo preludes (``unit > 1``; previously declined the v2 path);
 * ``suuc_wide_v2_1000`` — the chain-heavy, no-segmentation configuration
   where superstep boundaries dominate: the pair that measures
   signature-grouped boundary stepping (PR 4's per-trial boundary walk
@@ -240,7 +241,7 @@ def test_batch_kernel_suut_v2_1000(benchmark, forest_instance_fix):
 
 
 # ----------------------------------------------------------------------
-# Newly covered v2 configurations (no replica fallback remains)
+# Newly covered v2 configurations (every configuration runs on array cursors)
 # ----------------------------------------------------------------------
 #: Trial counts scaled so each pair's scalar side stays benchable; both
 #: sides of a pair always run the same count, so the ratio is meaningful.

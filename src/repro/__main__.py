@@ -27,7 +27,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 
 from repro.analysis.bounds import lower_bound
 from repro.analysis.tables import format_table
@@ -43,19 +42,6 @@ from repro.instance import load_instance, save_instance
 from repro.kernels import KERNELS
 from repro.sim.engine import run_policy
 from repro.sim.trace import TracingPolicy, render_gantt
-
-
-def __getattr__(name: str):
-    if name == "POLICIES":
-        # The PR-1 deprecation shim is gone; the registry is the only
-        # source of truth.  (Raising AttributeError makes `from
-        # repro.__main__ import POLICIES` fail with an ImportError too.)
-        raise AttributeError(
-            "repro.__main__.POLICIES was removed: the policy table lives in "
-            "repro.api.registry — use repro.api.get_policy(name) / "
-            "repro.api.list_policies()"
-        )
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _scenario_from_args(args) -> Scenario:
@@ -74,17 +60,6 @@ def _cmd_generate(args) -> int:
     save_instance(inst, args.out)
     print(f"wrote {inst} to {args.out}")
     return 0
-
-
-def _default_policy_for(inst) -> str:
-    """Deprecated alias for :func:`repro.api.registry.default_policy_for`."""
-    warnings.warn(
-        "repro.__main__._default_policy_for moved to "
-        "repro.api.default_policy_for",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return default_policy_for(inst)
 
 
 def _cmd_run(args) -> int:

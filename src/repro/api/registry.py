@@ -92,7 +92,8 @@ class PolicyInfo:
 
         Phased (adaptive) policies run through the same batch kernel, with
         live trials partitioned by phase key and one ``assign_group`` call
-        per distinct key each step.
+        per distinct key each step — under the RNG disciplines their
+        ``phased_disciplines`` declares (see :attr:`dispatch_detail`).
         """
         from repro.schedule.base import supports_phased  # deferred: layer-free
 
@@ -104,8 +105,8 @@ class PolicyInfo:
 
         ``"vectorized"`` (one broadcast call for all trials),
         ``"phased"`` (grouped dispatch by phase key), or ``"fallback"``
-        (per-trial scalar loop).  This is what the ``repro policies``
-        CLI's "batched" column shows.
+        (one scalar policy per trial, lock-stepped).  This is what the
+        ``repro policies`` CLI's "batched" column shows.
         """
         if self.vectorized:
             return "vectorized"
@@ -115,23 +116,18 @@ class PolicyInfo:
 
     @property
     def dispatch_detail(self) -> str:
-        """The "batched" column text: kernel path plus grouping structure.
-
-        Phased policies append their phase-grouping structure, and — when
-        it differs — the structure under RNG discipline v2.  SUU-C/SUU-T
-        read ``phased (replica; keyed under v2)``: replica dispatch under
-        v1 (pinned by bit-identity), array-cursor keyed grouping under v2
-        for *every* configuration (preludes and obl/repeat inners
-        included — no replica fallback remains on that path).
+        """The "batched" column text: kernel path plus, for phased
+        policies whose grouped dispatch covers only some RNG disciplines,
+        the ones it covers.  SUU-C/SUU-T read ``phased (v2)``: under v1
+        they run one scalar policy per trial.
         """
+        from repro.util.rng import DISCIPLINES  # deferred: layer-free
+
         base = self.batch_dispatch
-        if base != "phased":
-            return base
-        g1 = getattr(self.cls, "phase_grouping", "keyed")
-        g2 = getattr(self.cls, "phase_grouping_v2", None)
-        if g2 and g2 != g1:
-            return f"phased ({g1}; {g2} under v2)"
-        return f"phased ({g1})"
+        covered = tuple(getattr(self.cls, "phased_disciplines", DISCIPLINES))
+        if base == "phased" and covered != DISCIPLINES:
+            return f"phased ({', '.join(covered)})"
+        return base
 
     @property
     def summary(self) -> str:

@@ -172,7 +172,7 @@ def run_trial_batch(
 
     The trial-vectorized kernel owns all dispatch: batch-capable policies
     drive the whole chunk at once, phased (adaptive) policies go through
-    grouped dispatch, the rest loop the scalar engine.  Under discipline
+    grouped dispatch, the rest run per trial.  Under discipline
     v1 the kernel replays this chunk's RNG streams exactly, so chunking,
     backends, and dispatch mode all produce bit-identical samples; under
     v2 the chunk reads its global rows of the run's batch streams
@@ -376,16 +376,11 @@ def _map_chunks(pool, n_workers, instance, factory, rngs, config,
 def _fast_path_eligible(factory, discipline: str = "v1") -> bool:
     """True when small batches of this policy should skip the pool.
 
-    Only policies for which in-process batching genuinely amortizes:
-    vectorized ones and *keyed* phased ones (trials share rows and LP
-    solves).  Fallback-dispatch policies gain nothing from in-process
-    batching — for them ``run_trial_batch`` is literally the old scalar
-    loop — and replica-phased ones (``phase_grouping == "replica"``, e.g.
-    SUU-C under discipline v1) only share their start-up work, so an
-    explicit process request stands for both.  Under discipline v2 a
-    policy's ``phase_grouping_v2`` wins: SUU-C/SUU-T become keyed
-    (array-based cursors share rows), so their small batches stay
-    in-process too.
+    Only policies whose trials share rows in-process: vectorized ones and
+    phased ones whose grouped dispatch covers ``discipline``.  The rest
+    run one scalar policy per trial (neither protocol, or SUU-C/SUU-T
+    under discipline v1), so in-process batching shares no work and an
+    explicit process request stands for them.
     """
     from repro.schedule.base import supports_batch, supports_phased
 
@@ -393,23 +388,7 @@ def _fast_path_eligible(factory, discipline: str = "v1") -> bool:
         probe = factory()
     except Exception:
         return False
-    if supports_batch(probe):
-        return True
-    if not supports_phased(probe):
-        return False
-    grouping = getattr(probe, "phase_grouping", "keyed")
-    if discipline == "v2":
-        # phase_grouping_v2 only counts when this configuration will
-        # actually take the v2 path.  Since the array cursors gained
-        # prelude solo rows and obl/repeat inner cursors, every SUU-C /
-        # SUU-T configuration does (accepts_discipline_v2 is True across
-        # the board); the probe is still consulted so a third-party
-        # phased policy that declines v2 keeps its explicit process
-        # request.
-        accepts = getattr(probe, "accepts_discipline_v2", None)
-        if accepts is None or accepts():
-            grouping = getattr(probe, "phase_grouping_v2", None) or grouping
-    return grouping != "replica"
+    return supports_batch(probe) or supports_phased(probe, discipline)
 
 
 def _small_batch(config: SimConfig) -> bool:
@@ -426,8 +405,8 @@ def _spec_fast_path_eligible(spec, discipline: str = "v1") -> bool:
     """Fast-path eligibility for a policy *spec* as :func:`evaluate_grid`
     receives it (registry name, ``"auto"``, class, or factory).
 
-    ``"auto"`` resolves per scenario — some precedence-class defaults are
-    replica-phased under discipline v1 (suu-c, suu-t) — so it
+    ``"auto"`` resolves per scenario — some precedence-class defaults run
+    per trial under discipline v1 (suu-c, suu-t) — so it
     conservatively reports False: the sweep builds its shared pool, and
     cells that do take the fast path simply never touch it.
     """
@@ -488,8 +467,8 @@ def _run_batched(
     # Serial-batch fast path: for fast-path-eligible policies, small
     # batches lose more to pool dispatch than they gain from parallelism.
     # Identical samples either way — only the transport changes.
-    # Fallback- and replica-dispatch policies keep their explicit process
-    # request regardless of size.
+    # Per-trial-dispatch policies keep their explicit process request
+    # regardless of size.
     if backend == "serial" or (
         not force_transport
         and _small_batch(config)
@@ -684,7 +663,7 @@ def evaluate_grid(
     )
     pool_cm = nullcontext(injected_pool)
     # Skip the shared pool only when *every* cell will take the serial-
-    # batch fast path; one fallback/replica-dispatch policy in the sweep
+    # batch fast path; one per-trial-dispatch policy in the sweep
     # keeps the single shared pool (per-cell pools would pay spawn-method
     # worker start-up once per cell).  Workers get the process-wide solve
     # cache installed up front, so the round-1 LPs shared by a sweep's

@@ -1,12 +1,11 @@
 """Array-based chain cursors: batch-native SUU-C execution (discipline v2).
 
-Under RNG discipline v1, SUU-C and SUU-T run grouped batch dispatch with
-*per-trial scalar replicas* (:class:`~repro.core.phased.
-ReplicaGroupedDispatch`): bit-identity with the serial path forces each
-trial to replay its own ``_ChainState`` objects, so a batch of ``B``
-trials pays ``B`` full Python policy steps per timestep and — the real
-cost — ``B`` independent LP1 solves for every segment SEM run.  That is
-why BENCH_3 measured ``suu-c`` at ~1x while ``sem`` hit 25x.
+Under RNG discipline v1, SUU-C and SUU-T run *per trial*: bit-identity
+with the serial path forces each trial to replay its own scalar policy
+and ``_ChainState`` objects (see :mod:`repro.sim.batch`), so a batch of
+``B`` trials pays ``B`` full Python policy steps per timestep and — the
+real cost — ``B`` independent LP1 solves for every segment SEM run.  That
+is why BENCH_3 measured ``suu-c`` at ~1x while ``sem`` hit 25x.
 
 Discipline v2 drops the bit-identity constraint (statistical equivalence
 only), which unlocks the batch-native layout this module implements:
@@ -51,9 +50,9 @@ preludes, same pause registration segments, same fallback triggers, same
 inner-subroutine control flow — so that given equal delays and equal
 thresholds, array cursors and object cursors produce *identical*
 executions (the test suite checks exactly this), and under fresh v2
-randomness the makespan distribution matches v1's.  No configuration
-falls back to per-trial replicas anymore: preludes, ``inner="obl"`` and
-``inner="repeat"`` all run on this path.
+randomness the makespan distribution matches v1's.  Every configuration
+— preludes, ``inner="obl"`` and ``inner="repeat"`` included — runs on
+this path under v2.
 """
 
 from __future__ import annotations

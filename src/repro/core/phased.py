@@ -41,7 +41,7 @@ import numpy as np
 from repro.core.lp1 import cached_capped_logmass, solve_lp1
 from repro.core.rounding import round_assignment
 from repro.lp.stats import LP_STATS
-from repro.schedule.base import IDLE, SimulationState
+from repro.schedule.base import IDLE
 from repro.schedule.oblivious import FiniteObliviousSchedule
 
 __all__ = [
@@ -55,7 +55,6 @@ __all__ = [
     "lp_reuse_eps",
     "lp_reuse_context",
     "RoundScheduleCache",
-    "ReplicaGroupedDispatch",
     "SemCursor",
     "sem_phase_key",
     "sem_row_for_key",
@@ -610,39 +609,6 @@ class RoundScheduleCache:
     def schedule(self, sid: int) -> FiniteObliviousSchedule:
         """The schedule registered under ``sid``."""
         return self.schedules[sid]
-
-
-class ReplicaGroupedDispatch:
-    """``phase_key``/``assign_group`` via per-trial scalar replicas.
-
-    The degenerate end of the phased protocol, for policies whose
-    assignment rows depend on per-trial randomness (SUU-C's chain delays):
-    every trial keeps a full scalar policy replica, phase keys are the
-    trial indices, and the batch win comes from the shared ``start_phased``
-    preparation plus the vectorized engine — not from row sharing.
-
-    A policy mixes this in and calls :meth:`_init_replica_dispatch` with
-    its started replicas at the end of ``start_phased``.
-    """
-
-    phase_grouping = "replica"
-
-    def _init_replica_dispatch(self, replicas) -> None:
-        self._replicas = list(replicas)
-        self._pending_rows = [None] * len(self._replicas)
-
-    def phase_key(self, trial: int, state):
-        view = SimulationState(
-            t=state.t,
-            remaining=state.remaining[trial],
-            eligible=state.eligible[trial],
-            mass_accrued=state.mass_accrued[trial],
-        )
-        self._pending_rows[trial] = self._replicas[trial].assign(view)
-        return trial
-
-    def assign_group(self, state, trials) -> np.ndarray:
-        return self._pending_rows[trials[0]]
 
 
 class SemCursor:

@@ -41,7 +41,7 @@ from repro.core.chain_batch import (
     prelude_rows,
 )
 from repro.core.lp2 import round_lp2, solve_lp2
-from repro.core.phased import ReplicaGroupedDispatch, shared_solve_cache
+from repro.core.phased import shared_solve_cache
 from repro.core.rounding import PAPER_SCALE
 from repro.core.suu_i_sem import SUUISemPolicy
 from repro.errors import ReproError
@@ -59,7 +59,8 @@ class _ChainPlan:
 
     The LP2 solve, Lemma 6 rounding, and chain-program compilation depend
     only on the instance and the policy's configuration — no randomness —
-    so lock-stepped trials share one plan instead of re-solving per trial.
+    so trials and batches share one plan through the process solve cache
+    (:meth:`SUUCPolicy.prepare_plan`) instead of re-solving per trial.
     """
 
     chains: tuple
@@ -99,7 +100,7 @@ class _ChainState:
 
 
 @register_policy("suu-c", default_for=("chains",))
-class SUUCPolicy(ReplicaGroupedDispatch, PhasedPolicy):
+class SUUCPolicy(PhasedPolicy):
     """The chains algorithm of Theorem 9 as an adaptive policy.
 
     Parameters
@@ -134,12 +135,17 @@ class SUUCPolicy(ReplicaGroupedDispatch, PhasedPolicy):
     stats:
         Per-execution diagnostics (congestion profile, superstep count,
         number of SEM segment runs, fallback trigger), populated as the
-        execution proceeds; read by the experiment harness.  Under grouped
-        batch dispatch the driving policy object never executes itself —
-        per-trial diagnostics live on its replicas.
+        execution proceeds; read by the experiment harness.  Under
+        discipline v2 grouped dispatch these are the array cursors'
+        batch-wide stats.
+
+    Grouped batch dispatch covers discipline v2 only: v1 rows depend on
+    each trial's own chain delays, so the batch kernel runs one scalar
+    policy per trial there (see :mod:`repro.sim.batch`).
     """
 
     name = "SUU-C"
+    phased_disciplines = ("v2",)
 
     def __init__(
         self,
@@ -167,9 +173,6 @@ class SUUCPolicy(ReplicaGroupedDispatch, PhasedPolicy):
         self.explicit_chains = chains
         self.stats: dict = {}
         self._instance = None
-        #: Precomputed :class:`_ChainPlan` installed by grouped dispatch so
-        #: lock-stepped trial replicas skip the per-trial LP2 solve.
-        self._shared_plan: _ChainPlan | None = None
         #: Array-cursor engine under RNG discipline v2 (None on v1 paths).
         self._v2: ChainCursorBatch | None = None
 
@@ -271,9 +274,7 @@ class SUUCPolicy(ReplicaGroupedDispatch, PhasedPolicy):
         self._instance = instance
         self._rng = rng
         self._v2 = None
-        plan = self._shared_plan
-        if plan is None:
-            plan = self.prepare_plan(instance)
+        plan = self.prepare_plan(instance)
         self._plan = plan
         self._programs = plan.programs
         self._gamma = plan.gamma
@@ -504,59 +505,9 @@ class SUUCPolicy(ReplicaGroupedDispatch, PhasedPolicy):
         )
 
     # ------------------------------------------------------------------
-    # Grouped batch dispatch (PhasedPolicy protocol)
+    # Grouped batch dispatch (discipline v2): array-based chain cursors
+    # keyed by signature (see core.chain_batch)
     # ------------------------------------------------------------------
-    def _clone(self) -> "SUUCPolicy":
-        """A fresh, identically configured policy (one per trial replica)."""
-        return SUUCPolicy(
-            scale=self.scale,
-            enable_delays=self.enable_delays,
-            enable_segments=self.enable_segments,
-            enable_fallback=self.enable_fallback,
-            congestion_factor=self.congestion_factor,
-            length_factor=self.length_factor,
-            inner=self.inner,
-            chains=self.explicit_chains,
-        )
-
-    def start_phased(self, instance, trial_rngs) -> None:
-        # Discipline v1: SUU-C's assignments depend on per-trial random
-        # chain delays drawn in the scalar order, so trials keep full
-        # scalar replicas (ReplicaGroupedDispatch).  The batch win is
-        # elsewhere: the LP2 solve / rounding / chain-program pipeline —
-        # the bulk of start() — is computed once and shared, and the
-        # engine steps all trials as arrays.  Each replica draws its
-        # delays from its own trial generator, exactly like a scalar run,
-        # and per-trial diagnostics live on `self._replicas[k].stats`.
-        self._instance = instance
-        self._v2 = None
-        plan = self.prepare_plan(instance)
-        replicas = []
-        for trial_rng in trial_rngs:
-            replica = self._clone()
-            replica._shared_plan = plan
-            replica.start(instance, trial_rng)
-            replicas.append(replica)
-        self._init_replica_dispatch(replicas)
-
-    # ------------------------------------------------------------------
-    # Discipline v2: array-based chain cursors (see core.chain_batch)
-    # ------------------------------------------------------------------
-    #: Under v2 the per-superstep expansions are shared by (delays,
-    #: chain-position) signature — genuinely keyed grouping.
-    phase_grouping_v2 = "keyed"
-
-    def accepts_discipline_v2(self) -> bool:
-        """Whether this configuration takes the v2 array-cursor path.
-
-        Always True since the cursors gained prelude solo rows and
-        obl/repeat inner cursors: every registered SUU-C configuration —
-        preludes (``unit > 1``), ``inner="obl"``, ``inner="repeat"`` —
-        runs batch-native, with no per-trial replica fallback.  Kept as a
-        method because the service's fast-path routing consults it.
-        """
-        return True
-
     def _draw_v2_delays(
         self, streams, n_trials: int, plan: _ChainPlan, *key: int
     ) -> np.ndarray:
@@ -597,15 +548,10 @@ class SUUCPolicy(ReplicaGroupedDispatch, PhasedPolicy):
     def begin_step(self, state) -> None:
         # Signature-grouped stepping: all live trials advance to their
         # next emitted row in one vectorized pass per engine step.
-        if self._v2 is not None:
-            self._v2.prepare_step(state, np.flatnonzero(state.active))
+        self._v2.prepare_step(state, np.flatnonzero(state.active))
 
     def phase_key(self, trial: int, state):
-        if self._v2 is not None:
-            return self._v2.key_of(trial)
-        return ReplicaGroupedDispatch.phase_key(self, trial, state)
+        return self._v2.key_of(trial)
 
     def assign_group(self, state, trials) -> np.ndarray:
-        if self._v2 is not None:
-            return self._v2.dispatch(self._v2.key_of(int(trials[0])), trials)
-        return ReplicaGroupedDispatch.assign_group(self, state, trials)
+        return self._v2.dispatch(self._v2.key_of(int(trials[0])), trials)

@@ -18,7 +18,6 @@ import numpy as np
 
 from repro.api.registry import register_policy
 from repro.core.chain_batch import ChainCursorBatch
-from repro.core.phased import ReplicaGroupedDispatch
 from repro.core.rounding import PAPER_SCALE
 from repro.core.suu_c import SUUCPolicy
 from repro.errors import ReproError
@@ -33,7 +32,7 @@ __all__ = ["SUUTPolicy"]
 @register_policy(
     "suu-t", default_for=("out_forest", "in_forest", "mixed_forest")
 )
-class SUUTPolicy(ReplicaGroupedDispatch, PhasedPolicy):
+class SUUTPolicy(PhasedPolicy):
     """Forest precedence: sequential SUU-C over heavy-path chain blocks.
 
     Parameters are forwarded to the per-block :class:`SUUCPolicy`.
@@ -42,18 +41,20 @@ class SUUTPolicy(ReplicaGroupedDispatch, PhasedPolicy):
     ----------
     stats:
         ``n_blocks`` plus the per-block SUU-C stats of the last execution.
+
+    Like :class:`SUUCPolicy`, grouped batch dispatch covers discipline v2
+    only (per-block array cursors); under v1 the batch kernel runs one
+    scalar policy per trial.
     """
 
     name = "SUU-T"
+    phased_disciplines = ("v2",)
 
     def __init__(self, scale: int = PAPER_SCALE, **suu_c_kwargs):
         self.scale = int(scale)
         self.suu_c_kwargs = dict(suu_c_kwargs)
         self.stats: dict = {}
         self._instance = None
-        #: Per-block (sub-instance, chain plan) pairs precomputed by
-        #: grouped dispatch so trial replicas skip per-block LP2 solves.
-        self._shared_blocks: list | None = None
         #: Per-block array-cursor engines under discipline v2.
         self._v2_cursors: list[ChainCursorBatch] | None = None
 
@@ -86,16 +87,14 @@ class SUUTPolicy(ReplicaGroupedDispatch, PhasedPolicy):
 
     def _start_block(self, b: int) -> None:
         """Build the block's sub-instance and a fresh SUU-C policy for it."""
-        if self._shared_blocks is not None:
-            sub_inst, jobs, plan = self._shared_blocks[b]
-        else:
-            sub_inst, jobs = self._block_sub_instance(b)
-            plan = None
+        sub_inst, jobs = self._block_sub_instance(b)
         policy = SUUCPolicy(scale=self.scale, **self.suu_c_kwargs)
-        policy._shared_plan = plan
         policy.start(sub_inst, self._rng.spawn(1)[0])
         self._sub_policy = policy
-        self._sub_instance = sub_inst
+        # Chain edges as (predecessor, successor) index arrays, built once
+        # per block because _sub_state runs every step.
+        edges = np.asarray(sub_inst.graph.edges, dtype=np.int64).reshape(-1, 2)
+        self._chain_pred, self._chain_succ = edges[:, 0], edges[:, 1]
         self._sub_jobs = jobs
         self._sub_t = 0
         self._block_idx = b
@@ -104,13 +103,9 @@ class SUUTPolicy(ReplicaGroupedDispatch, PhasedPolicy):
         """Project the global simulation state onto the block's jobs."""
         jobs = self._sub_jobs
         remaining = state.remaining[jobs]
-        indeg = self._sub_instance.graph.in_degree_array()
         # Chain predecessors: eligible when the (unique) predecessor is done.
         eligible = remaining.copy()
-        for u, v in self._sub_instance.graph.edges:
-            if remaining[u]:
-                eligible[v] = False
-        del indeg
+        eligible[self._chain_succ[remaining[self._chain_pred]]] = False
         return SimulationState(
             t=self._sub_t,
             remaining=remaining,
@@ -146,7 +141,8 @@ class SUUTPolicy(ReplicaGroupedDispatch, PhasedPolicy):
         return row
 
     # ------------------------------------------------------------------
-    # Grouped batch dispatch (PhasedPolicy protocol)
+    # Grouped batch dispatch (discipline v2): per-block array cursors
+    # (see core.chain_batch)
     # ------------------------------------------------------------------
     def _shared_block_plans(self, instance) -> list:
         """Per-block ``(sub-instance, jobs, plan)`` triples, plan-cached."""
@@ -157,39 +153,6 @@ class SUUTPolicy(ReplicaGroupedDispatch, PhasedPolicy):
             sub_inst, jobs = self._block_sub_instance(b)
             shared.append((sub_inst, jobs, probe.prepare_plan(sub_inst)))
         return shared
-
-    def start_phased(self, instance, trial_rngs) -> None:
-        # Discipline v1: like SUU-C, assignments depend on per-trial chain
-        # delays drawn in the scalar order, so trials keep scalar replicas
-        # (ReplicaGroupedDispatch).  The shared work is per-block — every
-        # trial walks the same block sequence, so the block sub-instances
-        # and their LP2 solves / rounded chain programs are computed once
-        # here instead of once per (trial, block).  Each replica still
-        # spawns its own rng child per block entered, in the scalar order,
-        # to keep delay streams bit-identical to per-trial runs.
-        self._instance = instance
-        self._v2_cursors = None
-        shared = self._shared_block_plans(instance)
-        replicas = []
-        for trial_rng in trial_rngs:
-            replica = SUUTPolicy(scale=self.scale, **self.suu_c_kwargs)
-            replica.start(instance, trial_rng)
-            replica._shared_blocks = shared
-            replicas.append(replica)
-        self._init_replica_dispatch(replicas)
-
-    # ------------------------------------------------------------------
-    # Discipline v2: per-block array cursors (see core.chain_batch)
-    # ------------------------------------------------------------------
-    phase_grouping_v2 = "keyed"
-
-    def accepts_discipline_v2(self) -> bool:
-        """Config-level v2 acceptance (see :meth:`SUUCPolicy.accepts_discipline_v2`).
-
-        Always True: prelude plans and obl/repeat inner subroutines run on
-        the per-block array cursors like everything else.
-        """
-        return True
 
     def start_phased_v2(self, instance, streams, n_trials: int) -> bool:
         probe = SUUCPolicy(scale=self.scale, **self.suu_c_kwargs)
@@ -237,8 +200,6 @@ class SUUTPolicy(ReplicaGroupedDispatch, PhasedPolicy):
         block's member trials to its cursor's :meth:`~repro.core.
         chain_batch.ChainCursorBatch.prepare_step`.
         """
-        if self._v2_cursors is None:
-            return
         alive = np.stack(
             [
                 state.remaining[:, jobs].any(axis=1)
@@ -262,14 +223,10 @@ class SUUTPolicy(ReplicaGroupedDispatch, PhasedPolicy):
                 cursor.prepare_step(state, members)
 
     def phase_key(self, trial: int, state):
-        if self._v2_cursors is None:
-            return ReplicaGroupedDispatch.phase_key(self, trial, state)
         blk = int(self._v2_block[trial])
         return (blk,) + self._v2_cursors[blk].key_of(trial)
 
     def assign_group(self, state, trials) -> np.ndarray:
-        if self._v2_cursors is None:
-            return ReplicaGroupedDispatch.assign_group(self, state, trials)
         blk = int(self._v2_block[int(trials[0])])
         cursor = self._v2_cursors[blk]
         return cursor.dispatch(cursor.key_of(int(trials[0])), trials)

@@ -10,13 +10,7 @@ suite files (:mod:`repro.suite`) dispatch through one id → runner table
 (full) configuration and rewrites the measured-results section of
 EXPERIMENTS.md; the benchmark suite runs the same functions at reduced
 sizes and prints their tables.
-
-The legacy ``ALL_EXPERIMENTS`` dict is still importable but deprecated —
-it is rebuilt from the registry on access and warns; new code should call
-:func:`all_experiments` (or :func:`get_experiment` for one id).
 """
-
-import warnings
 
 from repro.experiments.adaptive_exp import run_adaptive
 from repro.experiments.chains import run_chains, run_delay, run_segments_ablation
@@ -66,14 +60,3 @@ __all__ = [
     "run_segments_ablation",
 ]
 
-
-def __getattr__(name):
-    if name == "ALL_EXPERIMENTS":
-        warnings.warn(
-            "repro.experiments.ALL_EXPERIMENTS is deprecated; use "
-            "repro.experiments.all_experiments() (or get_experiment(id))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return all_experiments()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -60,6 +60,12 @@ SUU-C/SUU-T use this to draw all chain delays as one ``(n_trials,
 n_chains)`` matrix and run array-based chain cursors.  The method is
 optional and may decline (return False), in which case the kernel falls
 back to the v1-style :meth:`PhasedPolicy.start_phased`.
+
+A phased policy declares the disciplines its grouped dispatch covers in
+:attr:`PhasedPolicy.phased_disciplines`.  Under any other discipline the
+batch kernel runs it like a policy with neither protocol: one scalar
+policy per trial, lock-stepped (SUU-C/SUU-T under v1, whose rows depend
+on each trial's own delay stream).
 """
 
 from __future__ import annotations
@@ -68,6 +74,8 @@ import abc
 from dataclasses import dataclass
 
 import numpy as np
+
+from repro.util.rng import DISCIPLINES
 
 __all__ = [
     "IDLE",
@@ -224,15 +232,15 @@ class PhasedPolicy(Policy):
     any global timestep.  The phased protocol exposes exactly that
     structure to the batch kernel:
 
-    * :meth:`start_phased` prepares per-trial replicas of the policy's
-      control state for ``len(trial_rngs)`` lock-stepped trials.
+    * :meth:`start_phased` prepares per-trial control state for
+      ``len(trial_rngs)`` lock-stepped trials.
       ``trial_rngs[k]`` is **the same policy generator** trial ``k``'s
       scalar run would receive from the engine's
       ``spawn(2) -> (policy_rng, outcome_rng)`` split; any internal
-      randomness (e.g. SUU-C's chain delays) must be drawn from it in the
-      scalar order so grouped runs stay bit-identical to the per-trial
-      loop.  Trial-independent preparation (LP solves, rounding, chain
-      programs) should be done once here, not once per trial.
+      randomness must be drawn from it in the scalar order so grouped
+      runs stay bit-identical to the per-trial loop.  Trial-independent
+      preparation (LP solves, rounding) should be done once here, not
+      once per trial.
     * ``begin_step(state)`` is an *optional* hook the kernel calls once
       per step, before any ``phase_key`` query, when the policy defines
       it.  Policies whose per-step bookkeeping vectorizes across trials
@@ -249,22 +257,14 @@ class PhasedPolicy(Policy):
       those trials' step cursors.
 
     Keys never need to be comparable across policies — only within one
-    execution.  A policy may return a per-trial unique key (degenerate
-    grouping) when its rows depend on per-trial randomness; it still
-    benefits from shared ``start_phased`` work and the vectorized engine.
-    Such policies should set :attr:`phase_grouping` to ``"replica"`` so
-    schedulers (e.g. the process backend's serial fast path) know the
-    in-process batch win is modest.
+    execution.  A policy whose rows depend on per-trial randomness under
+    some discipline leaves that discipline out of
+    :attr:`phased_disciplines`; the kernel then gives every trial its own
+    scalar policy instead.
     """
 
-    #: Grouping structure: ``"keyed"`` (trials genuinely share rows) or
-    #: ``"replica"`` (per-trial keys; batch win limited to shared start
-    #: work + the vectorized engine).
-    phase_grouping: str = "keyed"
-
-    #: Grouping structure under RNG discipline v2 (policies that trade
-    #: per-trial replicas for array state override this to ``"keyed"``).
-    phase_grouping_v2: str | None = None
+    #: RNG disciplines whose batches this policy's grouped dispatch covers.
+    phased_disciplines: tuple[str, ...] = DISCIPLINES
 
     def start_phased(self, instance, trial_rngs) -> None:
         """Prepare per-trial state for ``len(trial_rngs)`` lock-stepped trials."""
@@ -279,7 +279,7 @@ class PhasedPolicy(Policy):
         per-trial generators.  Return True when v2 state was installed;
         return False to decline, in which case the kernel runs the
         v1-style :meth:`start_phased` instead (legal — v2 only requires
-        statistical equivalence, which per-trial replicas also satisfy).
+        statistical equivalence, which per-trial streams also satisfy).
         """
         return False
 
@@ -315,17 +315,23 @@ def supports_batch(policy) -> bool:
     )
 
 
-def supports_phased(policy) -> bool:
+def supports_phased(policy, discipline: str | None = None) -> bool:
     """True when ``policy`` implements the phase-grouped dispatch protocol.
 
     Structural, like :func:`supports_batch`: callable ``phase_key``,
     ``assign_group`` and ``start_phased`` attributes qualify without
-    inheriting :class:`PhasedPolicy`.
+    inheriting :class:`PhasedPolicy`.  With ``discipline`` given, the
+    policy's ``phased_disciplines`` (all disciplines when absent) must
+    also cover it.
     """
-    return (
+    if not (
         callable(getattr(policy, "phase_key", None))
         and callable(getattr(policy, "assign_group", None))
         and callable(getattr(policy, "start_phased", None))
+    ):
+        return False
+    return discipline is None or discipline in getattr(
+        policy, "phased_disciplines", DISCIPLINES
     )
 
 

@@ -50,12 +50,11 @@ trial ``k``'s thresholds are drawn from its own ``outcome_rng``; under
 ``suu``, each trial's per-step uniforms are drawn from its ``outcome_rng``
 in the engine's order (scheduled jobs ascending).  Phased policies
 additionally receive the per-trial ``policy_rng`` list in ``start_phased``
-and must draw any internal randomness (SUU-C's chain delays,
-per-level/per-block spawns) from trial ``k``'s generator in the scalar
-order.  Serial, vectorized, and phase-grouped execution therefore produce
-**bit-identical** makespan samples, and the Monte Carlo front ends route
-through this kernel transparently whenever the policy supports either
-protocol.
+and must draw any internal randomness (per-level spawns) from trial
+``k``'s generator in the scalar order; per-trial policies are started
+with it.  Serial, vectorized, phase-grouped and per-trial execution
+therefore produce **bit-identical** makespan samples, and the Monte Carlo
+front ends route every policy through this kernel.
 
 Under **v2** (a documented break: different streams, same distributions)
 outcome randomness is drawn in whole-batch blocks from the per-run
@@ -70,15 +69,21 @@ deterministic in the seed and invariant under backend and chunk layout —
 they just differ from v1's.  The per-trial ``Generator.random(k)`` loop in
 ``_draw_suu_completions`` is what this removes; it is the reason v2 exists.
 
+Per-trial dispatch
+------------------
 Policies that support neither protocol (e.g. internally randomized
-per-step ones) fall back to a per-trial loop over
-:func:`~repro.sim.engine.run_policy` with the same v1 RNG tree under
-either discipline, so :func:`run_policy_batch` is safe to call with any
-policy.
+per-step ones), and phased policies under a discipline their grouped
+dispatch does not cover (SUU-C/SUU-T under v1, whose rows depend on each
+trial's own chain delays), run one scalar policy per trial, lock-stepped
+through the same engine: each step every live trial's policy is asked for
+its row.  Trials share no rows on this path, so it consumes the v1 RNG
+tree under either discipline, and :func:`run_policy_batch` is safe to
+call with any policy.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,15 +103,11 @@ from repro.schedule.base import (
     IDLE,
     BatchSimulationState,
     Policy,
+    SimulationState,
     supports_batch,
     supports_phased,
 )
-from repro.sim.engine import (
-    DEFAULT_MAX_STEPS,
-    _readonly_view,
-    draw_thresholds,
-    run_policy,
-)
+from repro.sim.engine import DEFAULT_MAX_STEPS, _readonly_view, draw_thresholds
 from repro.sim.results import MakespanStats
 from repro.util.rng import (
     BatchStreams,
@@ -139,16 +140,15 @@ class BatchSimResult:
     policy_name:
         The executing policy's ``name``.
     vectorized:
-        True when the lock-stepped batch kernel ran (broadcast or
-        phase-grouped dispatch); False when the per-trial scalar fallback
-        was used (policy supporting neither protocol).
+        True when trials shared rows (broadcast or phase-grouped
+        dispatch); False when every trial ran its own scalar policy
+        (per-trial dispatch; see the module docstring).
     discipline:
         The RNG discipline the samples were drawn under (``"v1"`` or
         ``"v2"``; see the module docstring).
     kernel:
         The kernel backend that drove the run (``"numpy"``, ``"numba"``
-        or ``"python"``; see :mod:`repro.kernels`).  Informational on
-        the scalar fallback path, which has no batch hot loop.
+        or ``"python"``; see :mod:`repro.kernels`).
     """
 
     makespans: np.ndarray
@@ -198,9 +198,10 @@ def run_policy_batch(
         subclass, or a zero-argument factory.  Batch-capable policies (see
         :func:`~repro.schedule.base.supports_batch`) drive all trials at
         once; phased policies (:func:`~repro.schedule.base.supports_phased`)
-        go through grouped dispatch; the rest run through the transparent
-        per-trial fallback (which needs a class/factory, or a policy whose
-        ``start`` fully resets it).
+        go through grouped dispatch under the disciplines they declare;
+        the rest run one scalar policy per trial, lock-stepped — built by
+        the class/factory, or deep-copied from a passed instance (whose
+        ``start`` must fully reset it).
     n_trials:
         Number of trials; may be omitted when ``trial_rngs`` is given.
     rng:
@@ -355,14 +356,14 @@ def run_policy_batch(
                 instance, probe, trial_rngs, semantics, max_steps, thresholds,
                 discipline, streams, validate,
             )
-        if supports_phased(probe):
+        if supports_phased(probe, discipline):
             return _run_phased(
                 instance, probe, trial_rngs, semantics, max_steps, thresholds,
                 discipline, streams, validate,
             )
-        return _run_fallback(
-            instance, probe, factory, trial_rngs, semantics, max_steps, thresholds,
-            discipline,
+        return _run_per_trial(
+            instance, probe, factory, trial_rngs, semantics, max_steps,
+            thresholds, discipline, validate,
         )
 
 
@@ -423,43 +424,87 @@ def _run_sharded(
     )
 
 
-def _run_fallback(
+def _run_per_trial(
     instance, probe, factory, trial_rngs, semantics, max_steps, thresholds,
-    discipline="v1",
+    discipline, validate=True,
 ) -> BatchSimResult:
-    """Per-trial scalar loop for policies without batch support.
+    """Per-trial dispatch: one scalar policy per trial, lock-stepped.
 
-    The scalar engine is inherently serial-replay, so this path consumes
-    the v1 RNG tree under either discipline (v2 == v1 here; documented in
-    the module docstring)."""
+    Each trial's policy is started with the ``policy_rng`` of the engine's
+    ``spawn(2)`` split, exactly like a scalar run, and outcome randomness
+    replays the v1 tree under either discipline (trials share no rows, so
+    the scalar streams are the only ones to draw from)."""
     B, n = len(trial_rngs), instance.n_jobs
-    makespans = np.empty(B, dtype=np.int64)
-    completion = np.empty((B, n), dtype=np.int64)
-    busy = np.empty(B, dtype=np.int64)
-    name = probe.name
-    for k, trial_rng in enumerate(trial_rngs):
-        p = factory() if factory is not None else probe
-        result = run_policy(
-            instance,
-            p,
-            trial_rng,
-            semantics=semantics,
-            max_steps=max_steps,
-            thresholds=None if thresholds is None else thresholds[k],
-        )
-        makespans[k] = result.makespan
-        completion[k] = result.completion_times
-        busy[k] = result.busy_machine_steps
-    return BatchSimResult(
-        makespans=makespans,
-        completion_times=completion,
-        busy_machine_steps=busy,
-        semantics=semantics,
-        policy_name=name,
-        vectorized=False,
-        discipline=discipline,
-        kernel=active_backend().name,
+    pairs = [r.spawn(2) for r in trial_rngs]
+    policies = [
+        factory() if factory is not None else copy.deepcopy(probe)
+        for _ in range(B)
+    ]
+    for policy, (policy_rng, _) in zip(policies, pairs):
+        policy.start(instance, policy_rng)
+    theta, outcome_rngs = _v1_outcomes(pairs, semantics, thresholds, n)
+    dispatch = _PerTrialDispatch(policies, probe.name, B, instance.n_machines)
+    return _drive_batch(
+        instance, probe.name, dispatch, B, semantics, max_steps, theta,
+        outcome_rngs, discipline, None, validate, vectorized=False,
     )
+
+
+class _PerTrialDispatch:
+    """The kernel's assignment callable for per-trial dispatch.
+
+    Each step it shows every live trial's policy that trial's row of the
+    batch state, as the scalar engine's :class:`SimulationState`, and
+    checks the returned row the way the scalar engine does before writing
+    it into the ``(n_trials, m)`` buffer (a float row would otherwise be
+    silently truncated to job ids).  Inactive trials keep IDLE rows.
+    """
+
+    def __init__(self, policies, name: str, n_trials: int, n_machines: int):
+        self._policies = policies
+        self._name = name
+        self._out = np.empty((n_trials, n_machines), dtype=np.int64)
+
+    def __call__(self, state: BatchSimulationState) -> np.ndarray:
+        out = self._out
+        out.fill(IDLE)
+        m = out.shape[1]
+        for k in np.flatnonzero(state.active):
+            row = np.asarray(self._policies[k].assign(SimulationState(
+                t=state.t,
+                remaining=state.remaining[k],
+                eligible=state.eligible[k],
+                mass_accrued=state.mass_accrued[k],
+            )))
+            if row.shape != (m,):
+                raise ScheduleViolationError(
+                    f"{self._name!r} returned assignment of shape "
+                    f"{row.shape}, expected ({m},)"
+                )
+            if row.dtype.kind not in "iu":
+                raise ScheduleViolationError(
+                    f"{self._name!r} returned non-integer assignment dtype "
+                    f"{row.dtype}"
+                )
+            out[k] = row
+        return out
+
+
+def _v1_outcomes(pairs, semantics, thresholds, n):
+    """``(theta, outcome_rngs)`` replaying the scalar engine's outcome draws.
+
+    ``pairs`` holds each trial's ``spawn(2) -> (policy_rng, outcome_rng)``
+    split.  Under ``suu_star`` the thresholds are the given matrix, else
+    one ``draw_thresholds`` row per trial's ``outcome_rng``; under ``suu``
+    the ``outcome_rngs`` feed the per-step coin flips."""
+    if semantics != "suu_star":
+        return None, [outcome for _, outcome in pairs]
+    if thresholds is not None:
+        return thresholds, None
+    theta = np.empty((len(pairs), n), dtype=np.float64)
+    for k, (_, outcome_rng) in enumerate(pairs):
+        theta[k] = draw_thresholds(n, outcome_rng)
+    return theta, None
 
 
 def _run_vectorized(
@@ -485,13 +530,7 @@ def _run_vectorized(
     else:
         pairs = [r.spawn(2) for r in trial_rngs]
         policy.start_batch(instance, pairs[0][0], B)
-        if semantics == "suu_star":
-            theta = np.empty((B, n), dtype=np.float64)
-            for k, (_, outcome_rng) in enumerate(pairs):
-                theta[k] = draw_thresholds(n, outcome_rng)
-        else:
-            theta = None
-            outcome_rngs = [outcome for _, outcome in pairs]
+        theta, outcome_rngs = _v1_outcomes(pairs, semantics, None, n)
     return _drive_batch(
         instance, policy.name, policy.assign_batch, B, semantics, max_steps,
         theta, outcome_rngs, discipline, streams, validate,
@@ -568,20 +607,11 @@ def _run_phased(
             pairs = [r.spawn(2) for r in trial_rngs]
             policy.start_phased(instance, [p for p, _ in pairs])
     else:
-        # v1: phased policies consume per-trial policy randomness (e.g.
-        # SUU-C's chain delays), so the engine's per-trial spawn(2) split
-        # is replayed even on the common-random-number path where
-        # thresholds are given.
+        # v1: phased policies may consume per-trial policy randomness, so
+        # the engine's per-trial spawn(2) split is replayed even on the
+        # common-random-number path where thresholds are given.
         pairs = [r.spawn(2) for r in trial_rngs]
-        if semantics == "suu_star":
-            if thresholds is not None:
-                theta = thresholds
-            else:
-                theta = np.empty((B, n), dtype=np.float64)
-                for k, (_, outcome_rng) in enumerate(pairs):
-                    theta[k] = draw_thresholds(n, outcome_rng)
-        else:
-            outcome_rngs = [outcome for _, outcome in pairs]
+        theta, outcome_rngs = _v1_outcomes(pairs, semantics, thresholds, n)
         policy.start_phased(instance, [p for p, _ in pairs])
     dispatch = _GroupedDispatch(policy, B, instance.n_machines)
     return _drive_batch(
@@ -599,12 +629,14 @@ _UNUSED = np.zeros((0, 0), dtype=np.float64)
 def _drive_batch(
     instance, policy_name, assign, B, semantics, max_steps, theta,
     outcome_rngs, discipline="v1", streams=None, validate=True,
+    vectorized=True,
 ) -> BatchSimResult:
     """The lock-stepped all-trials engine (see module docstring).
 
     ``assign`` is the per-step assignment callable — ``assign_batch`` for
-    vectorized policies, a :class:`_GroupedDispatch` for phased ones —
-    mapping the shared :class:`BatchSimulationState` to ``(B, m)`` job ids.
+    vectorized policies, a :class:`_GroupedDispatch` for phased ones, a
+    :class:`_PerTrialDispatch` for the rest — mapping the shared
+    :class:`BatchSimulationState` to ``(B, m)`` job ids.
     Under ``suu`` semantics, completions come from the per-trial
     ``outcome_rngs`` (v1) or from one whole-batch stream draw per step
     (v2, ``streams`` set).
@@ -706,7 +738,7 @@ def _drive_batch(
         busy_machine_steps=busy,
         semantics=semantics,
         policy_name=policy_name,
-        vectorized=True,
+        vectorized=vectorized,
         discipline=discipline,
         kernel=backend.name,
     )

@@ -85,10 +85,10 @@ def estimate_expected_makespan(
         batch onto threads.
 
     All dispatch lives in :func:`~repro.sim.batch.run_policy_batch`:
-    batch-capable policies drive every trial at once, the rest loop the
-    scalar engine.  Under v1, both paths consume the same RNG tree (one
-    spawned generator per trial), so the samples are bit-identical either
-    way.
+    batch-capable policies drive every trial at once, the rest run one
+    scalar policy per trial.  Under v1, both paths consume the same RNG
+    tree (one spawned generator per trial), so the samples are
+    bit-identical either way.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
@@ -136,8 +136,8 @@ def compare_policies(
     trial-by-trial, so ``a.samples - b.samples`` is the paired difference.
 
     Every policy runs through :func:`~repro.sim.batch.run_policy_batch`
-    against the whole threshold matrix at once (vectorized or via its
-    per-trial fallback); the thresholds and per-run generators are
+    against the whole threshold matrix at once (vectorized, phased or per
+    trial); the thresholds and per-run generators are
     pre-drawn in the serial loop's exact order, so mixing batched and
     non-batched policies changes no sample.
     """

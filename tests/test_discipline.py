@@ -260,7 +260,7 @@ class TestChainCursorCrossCheck:
 
     def crosscheck_suu_c(self, inst, kwargs, B=10, seed=41):
         """Fed v1's delays and shared thresholds, the v2 array cursors
-        must replay the v1 replica execution exactly."""
+        must replay the v1 per-trial execution exactly."""
         probe = SUUCPolicy(**kwargs)
         plan = probe.prepare_plan(inst)
         delays = self.suu_c_delay_matrix(
@@ -343,7 +343,7 @@ class TestChainCursorCrossCheck:
             np.empty((B, len(plan.chains)), dtype=np.int64)
             for _, _, plan in shared
         ]
-        # v1 replicas spawn one child per block entered, in block order.
+        # v1 trials spawn one child per block entered, in block order.
         for k, r in enumerate(ensure_rng(seed).spawn(B)):
             policy_rng, _ = r.spawn(2)
             for b, (_, _, plan) in enumerate(shared):
@@ -375,24 +375,28 @@ class TestChainCursorCrossCheck:
         assert np.array_equal(v1.completion_times, v2.completion_times)
 
     def test_v2_suu_c_is_keyed_not_replica(self):
-        """Under v2, SUU-C advertises keyed grouping (the refactor's
-        point: grouped dispatch is no longer degenerate)."""
-        assert SUUCPolicy.phase_grouping == "replica"
-        assert SUUCPolicy.phase_grouping_v2 == "keyed"
-        assert SUUTPolicy.phase_grouping_v2 == "keyed"
+        """SUU-C/SUU-T declare grouped dispatch for v2 only (array
+        cursors keyed by signature); under v1 each trial runs its own
+        scalar policy."""
+        from repro.api.registry import policy_info
+        from repro.schedule.base import supports_phased
+
+        for name, cls in (("suu-c", SUUCPolicy), ("suu-t", SUUTPolicy)):
+            assert cls.phased_disciplines == ("v2",)
+            assert supports_phased(cls(), "v2")
+            assert not supports_phased(cls(), "v1")
+            assert policy_info(name).dispatch_detail == "phased (v2)"
 
     @pytest.mark.parametrize("inner", ["sem", "obl", "repeat"])
     def test_v2_runs_every_inner_on_array_cursors(self, inner):
-        """No configuration keeps the replica path under v2 anymore:
-        every inner subroutine installs the array cursors."""
+        """Under v2 every inner subroutine installs the array cursors."""
         inst = chain_instance(12, 4, 3, "uniform", rng=7)
         policy = SUUCPolicy(inner=inner)
         got = run_policy_batch(
             inst, policy, 6, rng=3, semantics="suu_star", discipline="v2"
         )
         assert got.vectorized
-        assert policy._v2 is not None  # array cursors, not replicas
-        assert policy.accepts_discipline_v2()
+        assert policy._v2 is not None  # array cursors
 
     def test_v2_runs_preludes_on_array_cursors(self):
         """Plans with ``unit > 1`` no longer decline start_phased_v2."""
@@ -415,7 +419,6 @@ class TestChainCursorCrossCheck:
             )
             assert got.vectorized
             assert policy._v2_cursors is not None
-            assert policy.accepts_discipline_v2()
 
 
 # ----------------------------------------------------------------------

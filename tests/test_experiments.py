@@ -54,13 +54,6 @@ class TestRegistry:
 
         assert get_experiment("T1") is run_table1
 
-    def test_legacy_dict_import_warns(self):
-        import repro.experiments as pkg
-
-        with pytest.warns(DeprecationWarning, match="ALL_EXPERIMENTS"):
-            table = pkg.ALL_EXPERIMENTS
-        assert table == all_experiments()
-
 
 class TestRunnersTiny:
     """Each runner must produce a well-formed table at minimal size."""

@@ -7,8 +7,8 @@ superstep count passing ``superstep_limit``.  These tests force each
 trigger — with ablation-level constants, not pathological instances — and
 assert that
 
-* ``stats["fallback"]`` reports the trigger under discipline v1 (per-trial
-  scalar replicas) *and* v2 (array cursors), and
+* ``stats["fallback"]`` reports the trigger under discipline v1 (one
+  scalar policy per trial) *and* v2 (array cursors), and
 * both disciplines take the *same* trigger decisions on the same inputs:
   with injected delays and shared SUU* thresholds the executions agree
   bit for bit (the cross-check harness of ``tests/test_discipline.py``,
@@ -22,7 +22,7 @@ from repro.core.suu_c import SUUCPolicy
 from repro.core.suu_t import SUUTPolicy
 from repro.instance import chain_instance, forest_instance
 from repro.schedule.pseudo import draw_delays
-from repro.sim import run_policy_batch
+from repro.sim import run_policy, run_policy_batch
 from repro.sim.engine import draw_thresholds
 from repro.util.rng import ensure_rng
 
@@ -47,50 +47,58 @@ def forest_inst():
     return forest_instance(30, 2, 10, rng=5)
 
 
-def suu_c_fallbacks(policy, discipline):
-    """Per-trial fallback flags, wherever the dispatch path keeps them."""
-    if discipline == "v1":
-        return [r.stats["fallback"] for r in policy._replicas]
-    return [policy.stats["fallback"]]
+#: Trials and seed of each trigger batch.
+B, SEED = 6, 5
 
 
-def suu_t_fallbacks(policy, discipline):
-    if discipline == "v1":
-        # Replicas hold the final block's SUU-C policy; with trigger
-        # constants this low every block falls back, including the last.
-        return [r._sub_policy.stats["fallback"] for r in policy._replicas]
-    return [cursor.stats["fallback"] for cursor in policy._v2_cursors]
+def batch_fallbacks(cls, inst, kwargs, discipline):
+    """Fallback flags of one trigger batch, wherever its path keeps them.
+
+    Under v1 every trial runs its own scalar policy, so the flags come
+    from scalar ``run_policy`` runs on the batch's trial generators,
+    whose samples must equal the batch's: one flag per trial (for SUU-T,
+    the final block's SUU-C policy — with trigger constants this low
+    every block falls back, including the last).  Under v2 they come from
+    the array cursors (one per SUU-T block).
+    """
+    policy = cls(**kwargs)
+    batch = run_policy_batch(
+        inst, policy, B, rng=SEED, semantics="suu_star", discipline=discipline
+    )
+    if discipline == "v2":
+        assert batch.vectorized
+        if cls is SUUTPolicy:
+            return [cursor.stats["fallback"] for cursor in policy._v2_cursors]
+        return [policy.stats["fallback"]]
+    assert not batch.vectorized
+    runs = [cls(**kwargs) for _ in range(B)]
+    makespans = [
+        run_policy(inst, p, r, semantics="suu_star").makespan
+        for p, r in zip(runs, ensure_rng(SEED).spawn(B))
+    ]
+    assert np.array_equal(batch.makespans, makespans)
+    if cls is SUUTPolicy:
+        runs = [p._sub_policy for p in runs]
+    return [p.stats["fallback"] for p in runs]
 
 
 class TestTriggersReported:
     @pytest.mark.parametrize("trigger,kwargs", TRIGGERS)
     @pytest.mark.parametrize("discipline", ["v1", "v2"])
     def test_suu_c_reports_fallback(self, trigger, kwargs, discipline):
-        policy = SUUCPolicy(**kwargs)
-        out = run_policy_batch(
-            chains_inst(), policy, 6, rng=5, semantics="suu_star",
-            discipline=discipline,
-        )
-        assert out.vectorized
-        assert all(suu_c_fallbacks(policy, discipline)), trigger
+        flags = batch_fallbacks(SUUCPolicy, chains_inst(), kwargs, discipline)
+        assert all(flags), trigger
 
     @pytest.mark.parametrize("trigger,kwargs", TRIGGERS)
     @pytest.mark.parametrize("discipline", ["v1", "v2"])
     def test_suu_t_reports_fallback(self, trigger, kwargs, discipline):
-        policy = SUUTPolicy(**kwargs)
-        out = run_policy_batch(
-            forest_inst(), policy, 6, rng=5, semantics="suu_star",
-            discipline=discipline,
-        )
-        assert out.vectorized
-        flags = suu_t_fallbacks(policy, discipline)
-        assert flags and any(flags), trigger
+        flags = batch_fallbacks(SUUTPolicy, forest_inst(), kwargs, discipline)
+        # Every v1 trial reports the trigger; v2 keeps one flag per block.
+        assert flags and (all(flags) if discipline == "v1" else any(flags)), trigger
 
     @pytest.mark.parametrize("trigger,kwargs", TRIGGERS)
     def test_suu_c_scalar_run_reports_fallback(self, trigger, kwargs):
         """The plain scalar engine (no batching) agrees on the trigger."""
-        from repro.sim import run_policy
-
         policy = SUUCPolicy(**kwargs)
         run_policy(chains_inst(), policy, rng=5, semantics="suu_star")
         assert policy.stats["fallback"], trigger

@@ -10,8 +10,10 @@ must come out bit-identical).
 
 On top of equivalence, the grouping invariants: each step the phase groups
 partition exactly the live trials, every trial in a group receives the
-group's shared row, and a policy supporting neither protocol still takes
-the per-trial fallback unchanged.
+group's shared row, and a policy supporting neither protocol — or a
+phased policy under a discipline its grouped dispatch does not cover —
+runs one scalar policy per trial, lock-stepped, bit-identical to
+``run_policy``.
 """
 
 import numpy as np
@@ -25,12 +27,14 @@ from repro.api.service import (
     SERIAL_BATCH_THRESHOLD,
     _chunk_bounds,
 )
+from repro.baselines.naive import RandomAssignmentPolicy
 from repro.core.adaptive import SUUIAdaptiveLPPolicy
 from repro.core.layered import LayeredPolicy
 from repro.core.phased import RoundScheduleCache
 from repro.core.suu_c import SUUCPolicy
 from repro.core.suu_i_sem import SUUISemPolicy
 from repro.core.suu_t import SUUTPolicy
+from repro.errors import ScheduleViolationError
 from repro.instance import (
     chain_instance,
     forest_instance,
@@ -46,7 +50,9 @@ from repro.schedule.base import (
     supports_phased,
 )
 from repro.sim import compare_policies, run_policy, run_policy_batch
+from repro.sim.engine import draw_thresholds
 from repro.util.rng import ensure_rng
+
 
 @pytest.fixture(autouse=True)
 def _serial_replay_discipline(monkeypatch):
@@ -101,7 +107,9 @@ class TestPhasedSerialEquivalence:
         inst = make_instance(kind)
         expect = scalar_samples(inst, factory, 12, 23, semantics)
         got = run_policy_batch(inst, factory, 12, rng=23, semantics=semantics)
-        assert got.vectorized
+        # Under v1 the chain policies' rows depend on each trial's own
+        # delays, so their trials run per trial and share no rows.
+        assert got.vectorized == (factory not in (SUUCPolicy, SUUTPolicy))
         assert np.array_equal(expect, got.makespans)
 
     def test_layered_on_layered_dag(self):
@@ -148,7 +156,7 @@ class TestPhasedSerialEquivalence:
         assert np.array_equal(expect, got.makespans)
 
     def test_policy_kwargs_respected(self):
-        """Cloned replicas must inherit the configured ablation flags."""
+        """Per-trial policies must keep the configured ablation flags."""
         inst = make_instance("chains")
         factory = lambda: SUUCPolicy(enable_delays=False, inner="obl")  # noqa: E731
         expect = scalar_samples(inst, factory, 8, 17, "suu")
@@ -251,7 +259,11 @@ class TestFallbackEquivalence:
     def test_protocol_detection(self):
         for factory, _ in [(c.values[0], c.values[1]) for c in ADAPTIVE_CASES]:
             assert supports_phased(factory())
+            assert supports_phased(factory(), "v2")
             assert not supports_batch(factory())
+            # The chain policies' grouped dispatch covers v2 only.
+            chain = factory in (SUUCPolicy, SUUTPolicy)
+            assert supports_phased(factory(), "v1") != chain
         assert issubclass(SUUISemPolicy, PhasedPolicy)
 
     def test_registry_capability_flags(self):
@@ -261,6 +273,86 @@ class TestFallbackEquivalence:
         assert policy_info("sem").batch_dispatch == "phased"
         assert policy_info("obl").batch_dispatch == "vectorized"
         assert policy_info("random").batch_dispatch == "fallback"
+
+
+class ShortRow(UnphasedAdaptive):
+    name = "short-row"
+
+    def assign(self, state):
+        return super().assign(state)[:-1]
+
+
+class FloatRow(UnphasedAdaptive):
+    name = "float-row"
+
+    def assign(self, state):
+        return super().assign(state).astype(np.float64)
+
+
+class TestPerTrialDispatch:
+    """Policies with neither protocol run one scalar policy per trial,
+    lock-stepped through the batch engine: trial for trial the same
+    execution as ``run_policy`` on that trial's generator."""
+
+    @pytest.mark.parametrize("cls", [RandomAssignmentPolicy, UnphasedAdaptive])
+    @pytest.mark.parametrize(
+        "semantics,given_thresholds",
+        [("suu", False), ("suu_star", False), ("suu_star", True)],
+    )
+    @pytest.mark.parametrize("as_instance", [False, True])
+    def test_bit_identical_to_run_policy(self, cls, semantics,
+                                         given_thresholds, as_instance):
+        inst = make_instance("random_dag")
+        B, seed = 9, 13
+        theta = None
+        if given_thresholds:
+            theta = np.vstack([
+                draw_thresholds(inst.n_jobs, ensure_rng(300 + k))
+                for k in range(B)
+            ])
+        expect = [
+            run_policy(inst, cls(), r, semantics=semantics,
+                       thresholds=None if theta is None else theta[k])
+            for k, r in enumerate(ensure_rng(seed).spawn(B))
+        ]
+        policy = cls() if as_instance else cls
+        # Trials share no rows, so the v1 tree is replayed under v2 too.
+        for discipline in ("v1", "v2"):
+            got = run_policy_batch(
+                inst, policy, B, rng=seed, semantics=semantics,
+                thresholds=theta, discipline=discipline,
+            )
+            assert not got.vectorized and got.discipline == discipline
+            assert np.array_equal(got.makespans, [r.makespan for r in expect])
+            assert np.array_equal(
+                got.completion_times,
+                np.vstack([r.completion_times for r in expect]),
+            )
+            assert np.array_equal(
+                got.busy_machine_steps, [r.busy_machine_steps for r in expect]
+            )
+
+    @pytest.mark.parametrize("cls,match", [(ShortRow, "shape"),
+                                           (FloatRow, "non-integer")])
+    def test_bad_rows_raise_like_the_scalar_engine(self, cls, match):
+        inst = make_instance("independent")
+        with pytest.raises(ScheduleViolationError, match=match) as scalar:
+            run_policy(inst, cls(), 1)
+        with pytest.raises(ScheduleViolationError) as batch:
+            run_policy_batch(inst, cls, 4, rng=1)
+        assert str(batch.value) == str(scalar.value)
+
+    @pytest.mark.parametrize("name,kind", [("suu-c", "chains"),
+                                           ("suu-t", "forest")])
+    def test_v1_chain_policies_process_equals_serial(self, name, kind):
+        """v1 suu-c/suu-t keep their explicit process request: a batch of
+        several chunks spreads across workers with the serial samples."""
+        inst = make_instance(kind)
+        config = SimConfig(n_trials=2 * MIN_CHUNK_TRIALS + 1, seed=3)
+        assert len(_chunk_bounds(config.n_trials, 2)) == 2
+        serial = simulate(inst, name, config, backend="serial")
+        process = simulate(inst, name, config, backend="process", n_workers=2)
+        assert np.array_equal(serial.stats.samples, process.stats.samples)
 
 
 class TestServiceRouting:
@@ -302,10 +394,10 @@ class TestServiceRouting:
         assert np.array_equal(serial.stats.samples, process.stats.samples)
 
     def test_fast_path_eligibility(self):
-        """An explicit process request stands for fallback-dispatch
-        policies (in-process batching is the scalar loop for them) and for
-        replica-phased ones (suu-c/suu-t share only start-up work); the
-        fast path is for vectorized and keyed-phased policies."""
+        """An explicit process request stands for per-trial-dispatch
+        policies (neither protocol, or suu-c/suu-t under v1: in-process
+        batching shares no rows for them); the fast path is for
+        vectorized and phased policies."""
         from repro.api.service import _fast_path_eligible, _spec_fast_path_eligible
         from repro.baselines.greedy_lr import GreedyLRPolicy
         from repro.baselines.naive import RandomAssignmentPolicy
