@@ -26,21 +26,19 @@ LPWALL_BASELINE ?= BENCH_7.json
 LPWALL_TOLERANCE ?= 0.3
 KERNELS_JSON ?= bench_kernels_current.json
 KERNELS_BASELINE ?= BENCH_8.json
-# The checked/trusted validation-hoist ratio is ~1.0x on the numpy
-# backend (its checks are whole-batch array ops), so almost all of it is
-# noise; the pair is there to *measure* the delta and keep the gate
-# non-empty without numba.  The numpy/numba pairs hard-assert their
-# bit-identity and >= 2x floor inside bench_kernels.py itself.
+# The checked/trusted validation-hoist ratio is ~1.0x (the checks are
+# whole-batch array ops), so almost all of it is noise; the pair is
+# there to *measure* the delta and keep the gate non-empty.
 KERNELS_TOLERANCE ?= 0.5
 PARALLEL_JSON ?= bench_parallel_current.json
 PARALLEL_BASELINE ?= BENCH_9.json
 # Serial-vs-threaded ratios depend on how loaded the runner's cores are;
-# the hard guarantees (bit-identity always, the 2x prange floor on
-# >= 4-core boxes) are asserted inside bench_parallel.py itself.
+# the hard guarantee (bit-identity against serial) is asserted inside
+# bench_parallel.py itself.
 PARALLEL_TOLERANCE ?= 0.5
 COV_FLOOR ?= 85
 
-.PHONY: test test-v2 test-kernel-python lint cov bench bench-check \
+.PHONY: test test-v2 lint cov bench bench-check \
 	bench-service bench-service-check bench-lpwall bench-lpwall-check \
 	bench-kernels bench-kernels-check bench-parallel \
 	bench-parallel-check smoke suite-smoke tables
@@ -53,13 +51,6 @@ test:
 # pinned bit-identity suites keep checking v1.
 test-v2:
 	PYTHONPATH=src REPRO_DISCIPLINE=v2 $(PYTHON) -m pytest -x -q
-
-# Tier-1 on the uncompiled loop-nest kernel backend: every test that
-# drives the batch engine re-checks bit-identity of the fused logic the
-# numba backend compiles — no numba required.  (CI's numba leg runs the
-# same suite with REPRO_KERNEL=numba when the [kernels] extra installs.)
-test-kernel-python:
-	PYTHONPATH=src REPRO_KERNEL=python $(PYTHON) -m pytest -x -q
 
 # CI's lint job, locally: ruff for style/imports, ruff format for layout,
 # mypy (permissive config in pyproject.toml) for obvious type breakage.
@@ -107,9 +98,8 @@ bench-lpwall-check: bench-lpwall
 	$(PYTHON) benchmarks/check_regression.py $(LPWALL_BASELINE) \
 		$(LPWALL_JSON) --mode ratio --tolerance $(LPWALL_TOLERANCE)
 
-# Kernel-backend benchmarks: numpy-vs-numba pairs at 10k trials (skipped
-# without numba; bit-identity + the 2x floor are hard-asserted in-bench)
-# plus the checked/trusted validation-hoist pair, runnable everywhere.
+# Stepping-kernel benchmarks at 10k trials: the chain-heavy and greedy
+# kernel rows plus the checked/trusted validation-hoist pair.
 bench-kernels:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_kernels.py \
 		--benchmark-json=$(KERNELS_JSON) -q
@@ -119,8 +109,8 @@ bench-kernels-check: bench-kernels
 		$(KERNELS_JSON) --mode ratio --tolerance $(KERNELS_TOLERANCE)
 
 # Trial-parallelism benchmarks: serial vs kernel_threads pairs at 10k
-# trials — GIL-bound numpy shard rows everywhere, the in-kernel prange
-# row (bit-identity + 2x floor on >= 4 cores, in-bench) with numba.
+# trials — GIL-bound trial-shard rows; the threaded side hard-asserts
+# bit-identity against serial in-bench.
 bench-parallel:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_parallel.py \
 		--benchmark-json=$(PARALLEL_JSON) -q

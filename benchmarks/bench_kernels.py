@@ -6,34 +6,26 @@ Two layers:
   everything else is built from: the LP1 solve+round pipeline, the Dinic
   max-flow, the simulation engine's step loop, and the exact
   oblivious-repeat sampler.
-* Kernel-*backend* pairs at Monte Carlo scale (10k trials), gating the
-  ``REPRO_KERNEL`` axis.  Naming convention (what
-  ``benchmarks/check_regression.py --mode ratio`` pairs up):
+* Stepping-kernel rows at Monte Carlo scale (10k trials):
 
-  - ``test_kern_base_<key>`` / ``test_kern_jit_<key>`` — the numpy
-    reference vs the numba-compiled backend on the same row.  The jit
-    side *hard-asserts* bit-identical makespan samples, and (on the
-    chain-heavy row, on boxes with enough cores — see
-    :func:`conftest.enforce_speedup_floor`) a >= 2x wall-clock speedup;
-    both skip when numba is not installed, so the committed baseline
-    carries these pairs only when produced on a numba-equipped runner.
+  - ``test_kern_base_<key>`` — one :func:`run_policy_batch` call of the
+    :mod:`repro.kernels` stepping kernels on a chain-heavy SUU-C row and
+    an independent greedy row (recorded, unpaired).
   - ``test_kern_checked_<key>`` / ``test_kern_trusted_<key>`` — the
     per-step assignment-validation knob (``validate=True`` vs the
-    trusted first-step-only mode) on the numpy backend, runnable
-    everywhere.  The measured delta is small (~1.0x: the numpy backend's
-    checks are whole-batch array ops); the pair exists to *measure* it
-    and to keep BENCH_8's ratio gate non-empty without numba.
+    trusted first-step-only mode), paired by
+    ``benchmarks/check_regression.py --mode ratio``.  The measured delta
+    is small (~1.0x: the checks are whole-batch array ops); the pair
+    exists to *measure* it and keeps BENCH_8's ratio gate non-empty.
 
-Run the backend rows with ``make bench-kernels``; ``BENCH_8.json``
+Run the kernel rows with ``make bench-kernels``; ``BENCH_8.json``
 records the measured trajectory.
 """
 
 import time
 
 import numpy as np
-import pytest
 
-from conftest import enforce_speedup_floor
 from repro.api.scenario import Scenario
 from repro.baselines.greedy_lr import GreedyLRPolicy
 from repro.core.lp1 import solve_lp1
@@ -43,7 +35,6 @@ from repro.core.suu_c import SUUCPolicy
 from repro.core.suu_i_obl import build_obl_schedule
 from repro.flow import MaxFlowNetwork
 from repro.instance import independent_instance
-from repro.kernels import numba_available, warmup
 from repro.sim import run_policy, sample_oblivious_repeat_makespans
 from repro.sim.batch import run_policy_batch
 
@@ -100,28 +91,17 @@ def test_exact_sampler(benchmark):
 
 
 # ---------------------------------------------------------------------------
-# Kernel-backend pairs (REPRO_KERNEL) at Monte Carlo scale.
+# Stepping-kernel rows at Monte Carlo scale.
 
-#: Trials per backend row — the scale where per-step kernel cost, not
+#: Trials per kernel row — the scale where per-step kernel cost, not
 #: start-up work, dominates the wall-clock.
 N_TRIALS = 10_000
 SEED = 11
-#: Acceptance floor for the compiled backend on the chain-heavy row.
-JIT_SPEEDUP_FLOOR = 2.0
-#: Smallest box the jit floor is asserted on: a starved 1-core CI runner
-#: can time-slice the numpy and numba rows unfairly; the floor is still
-#: *recorded* there (``extra_info``), just not asserted.
-JIT_FLOOR_MIN_CORES = 2
-
-requires_numba = pytest.mark.skipif(
-    not numba_available(), reason="numba not installed (REPRO_KERNEL=numba "
-    "falls back to numpy; nothing to pair against)"
-)
 
 
 def _chains_instance():
     """Chain-heavy DAG: SUU-C drives the chain cursors *and* the fused
-    step kernel every superstep, so both extraction targets are hot."""
+    step kernel every superstep, so both kernel families are hot."""
     return Scenario(shape="chains", n_jobs=36, n_machines=6,
                     model="specialist", seed=3).to_instance()
 
@@ -137,86 +117,53 @@ KERNEL_CONFIGS = {
     ),
 }
 
-#: Base-side (samples, seconds) recorded for the jit side of the same
-#: pair (tests run in definition order within one process).
-_BASE_SIDE: dict[str, tuple[np.ndarray, float]] = {}
+#: Checked-side samples recorded for the trusted side of the same pair
+#: (tests run in definition order within one process).
+_CHECKED_SIDE: dict[str, np.ndarray] = {}
 
 
-def _run_row(key: str, kernel: str, validate: bool = True):
+def _run_row(key: str, validate: bool = True):
     instance, factory, kwargs = KERNEL_CONFIGS[key]()
     clear_solve_cache()
     start = time.perf_counter()
     result = run_policy_batch(
         instance, factory, N_TRIALS, rng=SEED, max_steps=100_000,
-        discipline="v2", kernel=kernel, validate=validate, **kwargs,
+        discipline="v2", validate=validate, **kwargs,
     )
     return result.makespans, time.perf_counter() - start
 
 
-def _base_side(benchmark, key: str):
-    samples, seconds = benchmark.pedantic(
-        lambda: _run_row(key, "numpy"), rounds=1, iterations=1
-    )
-    _BASE_SIDE[key] = (samples, seconds)
-    assert samples.size == N_TRIALS
-
-
-def _jit_side(benchmark, key: str, speedup_floor: float | None = None):
-    compile_seconds = warmup("numba")  # compile outside the timed region
-    samples, seconds = benchmark.pedantic(
-        lambda: _run_row(key, "numba"), rounds=1, iterations=1
+def _base_row(benchmark, key: str):
+    samples, _ = benchmark.pedantic(
+        lambda: _run_row(key), rounds=1, iterations=1
     )
     assert samples.size == N_TRIALS
-    base = _BASE_SIDE.get(key)
-    if base is None:  # jit benchmark ran solo; nothing to compare
-        return
-    base_samples, base_seconds = base
-    assert np.array_equal(samples, base_samples), (
-        f"{key}: numba samples diverged from the numpy reference"
-    )
-    print(f"\n{key}: numpy {base_seconds:.2f}s -> numba {seconds:.2f}s "
-          f"({base_seconds / seconds:.2f}x; compile {compile_seconds:.2f}s)")
-    if speedup_floor is not None:
-        enforce_speedup_floor(
-            benchmark, f"{key} (numba vs numpy)", base_seconds, seconds,
-            speedup_floor, JIT_FLOOR_MIN_CORES,
-        )
 
 
 def test_kern_base_suuc_chains_10000(benchmark):
-    _base_side(benchmark, "suuc_chains_10000")
-
-
-@requires_numba
-def test_kern_jit_suuc_chains_10000(benchmark):
-    _jit_side(benchmark, "suuc_chains_10000", speedup_floor=JIT_SPEEDUP_FLOOR)
+    _base_row(benchmark, "suuc_chains_10000")
 
 
 def test_kern_base_greedy_10000(benchmark):
-    _base_side(benchmark, "greedy_10000")
-
-
-@requires_numba
-def test_kern_jit_greedy_10000(benchmark):
-    _jit_side(benchmark, "greedy_10000")
+    _base_row(benchmark, "greedy_10000")
 
 
 def test_kern_checked_greedy_10000(benchmark):
     samples, _ = benchmark.pedantic(
-        lambda: _run_row("greedy_10000", "numpy", validate=True),
+        lambda: _run_row("greedy_10000", validate=True),
         rounds=1, iterations=1,
     )
-    _BASE_SIDE["greedy_checked"] = (samples, 0.0)
+    _CHECKED_SIDE["greedy_10000"] = samples
     assert samples.size == N_TRIALS
 
 
 def test_kern_trusted_greedy_10000(benchmark):
     samples, _ = benchmark.pedantic(
-        lambda: _run_row("greedy_10000", "numpy", validate=False),
+        lambda: _run_row("greedy_10000", validate=False),
         rounds=1, iterations=1,
     )
     assert samples.size == N_TRIALS
-    checked = _BASE_SIDE.get("greedy_checked")
+    checked = _CHECKED_SIDE.get("greedy_10000")
     if checked is not None:
         # Hoisting validation must never change a sample on clean runs.
-        assert np.array_equal(samples, checked[0])
+        assert np.array_equal(samples, checked)

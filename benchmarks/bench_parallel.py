@@ -1,30 +1,19 @@
-"""Trial-parallelism benchmarks: serial vs threaded kernels (PR 9).
+"""Trial-parallelism benchmarks: serial vs trial-sharded batches.
 
 Gates the ``REPRO_KERNEL_THREADS`` axis with serial-vs-threaded pairs at
 Monte Carlo scale.  Naming convention (what ``benchmarks/
 check_regression.py --mode ratio`` pairs up):
 
 - ``test_par_serial_<key>`` / ``test_par_threads_<key>`` — the same
-  workload on the same backend with ``kernel_threads=1`` vs
-  ``kernel_threads=THREADS``.  The threaded side *hard-asserts*
-  bit-identical makespan samples (threads never change results, only
-  wall-clock time).
+  workload with ``kernel_threads=1`` vs ``kernel_threads=THREADS``.  The
+  threaded side *hard-asserts* bit-identical makespan samples (threads
+  never change results, only wall-clock time).
 
-Two mechanisms are measured:
-
-- ``shard_*`` rows (numpy backend, runnable everywhere): the batch is
-  split into contiguous trial shards executed on a thread pool
-  (:func:`repro.sim.batch.run_policy_batch`'s shard layer).  Python-level
-  policy stepping holds the GIL, so the expected speedup is modest —
-  these rows *record* their speedup and ``cpu_count`` in ``extra_info``
-  without asserting a floor.
-- the ``prange_*`` row (numba backend, skipped without numba): the
-  compiled steppers run ``prange`` over trials in-kernel, outside the
-  GIL.  On boxes with at least :data:`PARALLEL_FLOOR_MIN_CORES` cores
-  the pair hard-asserts a >= :data:`PARALLEL_SPEEDUP_FLOOR` x speedup;
-  smaller boxes record the skip reason instead (see
-  :func:`conftest.enforce_speedup_floor`) so the committed baseline
-  stays honest about the hardware it was produced on.
+The ``shard_*`` rows split the batch into contiguous trial shards
+executed on a thread pool (:func:`repro.sim.batch.run_policy_batch`'s
+shard layer).  Python-level policy stepping holds the GIL, so the
+expected speedup is modest — these rows *record* their speedup and
+``cpu_count`` in ``extra_info`` without asserting a floor.
 
 Run with ``make bench-parallel``; ``BENCH_9.json`` records the measured
 trajectory.
@@ -34,36 +23,21 @@ import os
 import time
 
 import numpy as np
-import pytest
 
-from conftest import enforce_speedup_floor
 from repro.api.scenario import Scenario
 from repro.baselines.greedy_lr import GreedyLRPolicy
 from repro.core.phased import clear_solve_cache
 from repro.core.suu_c import SUUCPolicy
 from repro.instance import independent_instance
-from repro.kernels import numba_available, warmup
 from repro.sim.batch import run_policy_batch
 
 #: Trials per row — the scale where per-step kernel cost dominates.
 N_TRIALS = 10_000
 SEED = 11
-#: Acceptance floor for the in-kernel (prange) threaded row.
-PARALLEL_SPEEDUP_FLOOR = 2.0
-#: Smallest box the parallel floor is asserted on.  Below this the floor
-#: is recorded in ``extra_info`` instead (a 1-core runner cannot go 2x
-#: faster by threading, and skipping would break the ratio pair).
-PARALLEL_FLOOR_MIN_CORES = 4
-#: Threaded-side worker count: at least 2 so the shard/prange machinery
-#: is always exercised (even on 1-core boxes, where it is timed honestly
-#: and the floor is recorded as skipped), at most 4 so the committed
-#: baseline is comparable across runners.
+#: Threaded-side worker count: at least 2 so the shard machinery is
+#: always exercised (even on 1-core boxes, where it is timed honestly),
+#: at most 4 so the committed baseline is comparable across runners.
 THREADS = max(2, min(4, os.cpu_count() or 1))
-
-requires_numba = pytest.mark.skipif(
-    not numba_available(), reason="numba not installed (prange rows need "
-    "the compiled backend; the shard rows cover threads without it)"
-)
 
 
 def _chains_instance():
@@ -87,12 +61,6 @@ PARALLEL_CONFIGS = {
         _chains_instance(), SUUCPolicy, dict(semantics="suu",
                                              lp_reuse="exact"),
     ),
-    # Subset reuse is fine under prange: the batch is never split, so
-    # driver-level LP solves run in the exact serial order.
-    "prange_suuc_10000": lambda: (
-        _chains_instance(), SUUCPolicy, dict(semantics="suu",
-                                             lp_reuse="subset"),
-    ),
 }
 
 #: Serial-side (samples, seconds) recorded for the threaded side of the
@@ -100,31 +68,28 @@ PARALLEL_CONFIGS = {
 _SERIAL_SIDE: dict[str, tuple[np.ndarray, float]] = {}
 
 
-def _run_row(key: str, kernel: str, threads: int):
+def _run_row(key: str, threads: int):
     instance, factory, kwargs = PARALLEL_CONFIGS[key]()
     clear_solve_cache()
     start = time.perf_counter()
     result = run_policy_batch(
         instance, factory, N_TRIALS, rng=SEED, max_steps=100_000,
-        discipline="v2", kernel=kernel, kernel_threads=threads, **kwargs,
+        discipline="v2", kernel_threads=threads, **kwargs,
     )
     return result.makespans, time.perf_counter() - start
 
 
-def _serial_side(benchmark, key: str, kernel: str):
-    warmup(kernel)  # compile (numba) outside the timed region
+def _serial_side(benchmark, key: str):
     samples, seconds = benchmark.pedantic(
-        lambda: _run_row(key, kernel, 1), rounds=1, iterations=1
+        lambda: _run_row(key, 1), rounds=1, iterations=1
     )
     _SERIAL_SIDE[key] = (samples, seconds)
     assert samples.size == N_TRIALS
 
 
-def _threaded_side(benchmark, key: str, kernel: str,
-                   speedup_floor: float | None = None):
-    warmup(kernel, THREADS)  # compile parallel flavors outside the timing
+def _threaded_side(benchmark, key: str):
     samples, seconds = benchmark.pedantic(
-        lambda: _run_row(key, kernel, THREADS), rounds=1, iterations=1
+        lambda: _run_row(key, THREADS), rounds=1, iterations=1
     )
     assert samples.size == N_TRIALS
     benchmark.extra_info["threads"] = THREADS
@@ -137,40 +102,23 @@ def _threaded_side(benchmark, key: str, kernel: str,
     )
     print(f"\n{key}: serial {base_seconds:.2f}s -> {THREADS} threads "
           f"{seconds:.2f}s ({base_seconds / seconds:.2f}x)")
-    if speedup_floor is not None:
-        enforce_speedup_floor(
-            benchmark, f"{key} ({THREADS} threads vs serial)",
-            base_seconds, seconds, speedup_floor, PARALLEL_FLOOR_MIN_CORES,
-        )
-    else:
-        # No floor on shard rows (GIL-bound): record the measurement only.
-        benchmark.extra_info["cpu_count"] = os.cpu_count() or 1
-        if seconds > 0:
-            benchmark.extra_info["speedup"] = round(base_seconds / seconds, 3)
+    # No floor on shard rows (GIL-bound): record the measurement only.
+    benchmark.extra_info["cpu_count"] = os.cpu_count() or 1
+    if seconds > 0:
+        benchmark.extra_info["speedup"] = round(base_seconds / seconds, 3)
 
 
 def test_par_serial_shard_greedy_10000(benchmark):
-    _serial_side(benchmark, "shard_greedy_10000", "numpy")
+    _serial_side(benchmark, "shard_greedy_10000")
 
 
 def test_par_threads_shard_greedy_10000(benchmark):
-    _threaded_side(benchmark, "shard_greedy_10000", "numpy")
+    _threaded_side(benchmark, "shard_greedy_10000")
 
 
 def test_par_serial_shard_suuc_10000(benchmark):
-    _serial_side(benchmark, "shard_suuc_10000", "numpy")
+    _serial_side(benchmark, "shard_suuc_10000")
 
 
 def test_par_threads_shard_suuc_10000(benchmark):
-    _threaded_side(benchmark, "shard_suuc_10000", "numpy")
-
-
-@requires_numba
-def test_par_serial_prange_suuc_10000(benchmark):
-    _serial_side(benchmark, "prange_suuc_10000", "numba")
-
-
-@requires_numba
-def test_par_threads_prange_suuc_10000(benchmark):
-    _threaded_side(benchmark, "prange_suuc_10000", "numba",
-                   speedup_floor=PARALLEL_SPEEDUP_FLOOR)
+    _threaded_side(benchmark, "shard_suuc_10000")

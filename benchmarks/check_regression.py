@@ -46,19 +46,14 @@ _BATCH_MARK = "test_batch_kernel_"
 #: scalar/batch gates the kernel speedups; serve_base/serve_warm gates
 #: the request server's executor-lifecycle throughput ratios (BENCH_6);
 #: lpwall_exact/lpwall_subset gates the LP-wall collapse under survivor
-#: reuse (BENCH_7); kern_base/kern_jit gates the numpy-vs-numba backend
-#: speedups and kern_checked/kern_trusted the per-step validation hoist
-#: (BENCH_8 — the jit pairs appear only in baselines produced with numba
-#: installed; the checked/trusted pair keeps the gate non-empty without
-#: it); par_serial/par_threads gates the kernel_threads axis — serial vs
-#: trial-parallel (prange or shard) runs of the same workload (BENCH_9 —
-#: the prange pairs appear only in numba-equipped baselines, the shard
-#: pairs run everywhere).
+#: reuse (BENCH_7); kern_checked/kern_trusted gates the per-step
+#: validation hoist (BENCH_8); par_serial/par_threads gates the
+#: kernel_threads axis — serial vs trial-sharded runs of the same
+#: workload (BENCH_9).
 _RATIO_MARKS = (
     (_SCALAR_MARK, _BATCH_MARK),
     ("test_serve_base_", "test_serve_warm_"),
     ("test_lpwall_exact_", "test_lpwall_subset_"),
-    ("test_kern_base_", "test_kern_jit_"),
     ("test_kern_checked_", "test_kern_trusted_"),
     ("test_par_serial_", "test_par_threads_"),
 )

@@ -10,38 +10,7 @@ matters: ``bench_*.py`` does not match pytest's auto-discovery pattern).
 
 from __future__ import annotations
 
-import os
-
 import pytest
-
-
-def enforce_speedup_floor(benchmark, label, base_seconds, seconds,
-                          floor, min_cores):
-    """Assert a wall-clock speedup floor — on hardware that can meet it.
-
-    Records ``cpu_count`` and the measured speedup in
-    ``benchmark.extra_info`` (so the committed baseline JSON carries
-    them), then hard-asserts ``base_seconds >= floor * seconds`` only
-    when the box has at least ``min_cores`` cores.  On smaller runners
-    the floor is *recorded as skipped* with the reason instead of
-    asserted or ``pytest.skip``-ped: a 1-core box cannot make a
-    parallel kernel 2x faster, and skipping after the timing ran would
-    silently drop the test from its ``check_regression.py`` ratio pair.
-    """
-    cores = os.cpu_count() or 1
-    benchmark.extra_info["cpu_count"] = cores
-    if seconds > 0:
-        benchmark.extra_info["speedup"] = round(base_seconds / seconds, 3)
-    if cores < min_cores:
-        reason = (f"{label}: {floor}x floor needs >= {min_cores} cores, "
-                  f"this box has {cores} — recorded, not asserted")
-        benchmark.extra_info["floor_skipped"] = reason
-        print(f"\n{reason}")
-        return
-    assert base_seconds >= floor * seconds, (
-        f"{label}: {seconds:.2f}s vs base {base_seconds:.2f}s — "
-        f"below the {floor}x floor on a {cores}-core box"
-    )
 
 
 def run_and_print(benchmark, runner, **kwargs):

@@ -39,7 +39,6 @@ from repro.api.registry import (
 from repro.api.scenario import FAILURE_MODELS, SCENARIO_SHAPES, Scenario, SimConfig
 from repro.api.service import evaluate_grid, simulate
 from repro.instance import load_instance, save_instance
-from repro.kernels import KERNELS
 from repro.sim.engine import run_policy
 from repro.sim.trace import TracingPolicy, render_gantt
 
@@ -69,19 +68,16 @@ def _cmd_run(args) -> int:
         inst,
         name,
         SimConfig(n_trials=args.trials, seed=args.seed, max_steps=args.max_steps,
-                  discipline=args.discipline, kernel=args.kernel,
-                  kernel_threads=args.kernel_threads),
+                  discipline=args.discipline, kernel_threads=args.kernel_threads),
         backend=args.backend,
         n_workers=args.workers,
     )
     lo, hi = report.stats.ci95
     print(f"instance: {inst}")
     print(f"policy:   {report.policy}")
-    if report.kernel is not None:
-        threads = report.kernel.get("threads", 1)
-        if report.kernel["active"] != "numpy" or threads > 1:
-            suffix = f" (threads={threads})" if threads > 1 else ""
-            print(f"kernel:   {report.kernel['active']}{suffix}")
+    threads = report.kernel["threads"]
+    if threads > 1:
+        print(f"threads:  {threads}")
     print(f"E[T] = {report.mean:.3f} steps   95% CI [{lo:.3f}, {hi:.3f}] "
           f"({args.trials} trials)")
     print(f"lower bound = {report.lower_bound:.3f}   "
@@ -140,7 +136,7 @@ def _cmd_sweep(args) -> int:
     )
     config = SimConfig(n_trials=args.trials, seed=args.seed,
                        max_steps=args.max_steps, discipline=args.discipline,
-                       kernel=args.kernel, kernel_threads=args.kernel_threads)
+                       kernel_threads=args.kernel_threads)
     reports = evaluate_grid(
         grid,
         args.policy or ("auto",),
@@ -176,21 +172,16 @@ def _cmd_serve(args) -> int:
     import os
     import signal
 
-    from repro.kernels import KERNEL_ENV_VAR, KERNEL_THREADS_ENV_VAR
+    from repro.api.config import KERNEL_THREADS_ENV_VAR
     from repro.server import SchedulingServer, make_executor
 
-    if args.kernel is not None:
-        # The serve knob is process-wide: exporting it makes the serial
-        # executor, request-time resolution, and /healthz all agree, and
-        # warm-pool workers get it explicitly through the initializer.
-        os.environ[KERNEL_ENV_VAR] = args.kernel
     if args.kernel_threads is not None:
-        # Same process-wide story for the trial-parallel worker count.
+        # The serve knob is process-wide: exporting it makes request-time
+        # resolution and /healthz agree, and every request sends its
+        # resolved count to warm-pool workers with its trial chunks.
         os.environ[KERNEL_THREADS_ENV_VAR] = str(args.kernel_threads)
     executor = make_executor(args.executor, args.workers,
-                             solve_cache_entries=args.solve_cache,
-                             kernel=args.kernel,
-                             kernel_threads=args.kernel_threads)
+                             solve_cache_entries=args.solve_cache)
 
     async def _main() -> None:
         server = SchedulingServer(
@@ -336,9 +327,6 @@ def main(argv=None) -> int:
     r.add_argument("--discipline", choices=["v1", "v2"], default=None,
                    help="RNG discipline (default: $REPRO_DISCIPLINE or v1; "
                         "v2 = batch-native draws, statistically equivalent)")
-    r.add_argument("--kernel", choices=KERNELS, default=None,
-                   help="hot-loop kernel backend (default: $REPRO_KERNEL or "
-                        "numpy; numba = JIT-compiled, bit-identical samples)")
     r.add_argument("--kernel-threads", type=int, default=None,
                    help="trial-parallel workers per batch (default: "
                         "$REPRO_KERNEL_THREADS or 1; bit-identical samples)")
@@ -380,9 +368,6 @@ def main(argv=None) -> int:
     s.add_argument("--workers", type=int, default=None)
     s.add_argument("--discipline", choices=["v1", "v2"], default=None,
                    help="RNG discipline (default: $REPRO_DISCIPLINE or v1)")
-    s.add_argument("--kernel", choices=KERNELS, default=None,
-                   help="hot-loop kernel backend (default: $REPRO_KERNEL or "
-                        "numpy)")
     s.add_argument("--kernel-threads", type=int, default=None,
                    help="trial-parallel workers per batch (default: "
                         "$REPRO_KERNEL_THREADS or 1)")
@@ -411,10 +396,6 @@ def main(argv=None) -> int:
                     help="max concurrently executing requests (default 8)")
     sv.add_argument("--drain-timeout", type=float, default=10.0,
                     help="seconds to wait for in-flight requests at shutdown")
-    sv.add_argument("--kernel", choices=KERNELS, default=None,
-                    help="hot-loop kernel backend for the whole service "
-                         "(default: $REPRO_KERNEL or numpy); warm-pool "
-                         "workers pre-compile it at pool start-up")
     sv.add_argument("--kernel-threads", type=int, default=None,
                     help="trial-parallel workers per batch, service-wide "
                          "(default: $REPRO_KERNEL_THREADS or 1)")

@@ -1,17 +1,16 @@
 """One config-resolution chain for every run-time knob.
 
-Five knobs steer how a batch of trials executes without changing *what*
+Four knobs steer how a batch of trials executes without changing *what*
 is measured: the RNG ``discipline``, the LP survivor-set ``lp_reuse``
-mode, the hot-loop ``kernel`` backend, its trial-parallel
-``kernel_threads`` count, and the grid-sweep ``substreams`` mode.
-Historically each grew its own explicit → env → default chain in the
-module that consumed it (``repro.util.rng``, ``repro.core.phased``,
-``repro.kernels``); this module is now the **only** place those
+mode, the trial-parallel ``kernel_threads`` count, and the grid-sweep
+``substreams`` mode.  Historically each grew its own explicit → env →
+default chain in the module that consumed it (``repro.util.rng``,
+``repro.core.phased``); this module is now the **only** place those
 environment variables are read, and every consumer — ``SimConfig``,
 :func:`repro.api.simulate` / :func:`repro.api.evaluate_grid`,
-:func:`repro.sim.batch.run_policy_batch`, the kernel registry, and the
-request server — resolves through it (the historical per-module
-``resolve_*`` functions remain as thin delegates).
+:func:`repro.sim.batch.run_policy_batch`, and the request server —
+resolves through it (the historical per-module ``resolve_*`` functions
+remain as thin delegates).
 
 The chain, identical for every knob::
 
@@ -22,14 +21,13 @@ knob                      environment variable       default
 ========================  =========================  ==========
 ``discipline``            ``REPRO_DISCIPLINE``       ``"v1"``
 ``lp_reuse``              ``REPRO_LP_REUSE``         ``"exact"``
-``kernel``                ``REPRO_KERNEL``           ``"numpy"``
 ``kernel_threads``        ``REPRO_KERNEL_THREADS``   ``1``
 ``substreams``            ``REPRO_SUBSTREAMS``       ``"shared"``
 ========================  =========================  ==========
 
 Unknown values raise ``ValueError`` **including when they arrive via the
 environment**, so typos fail loudly instead of silently running the
-default.  :func:`resolve_knobs` resolves all five at once into a frozen
+default.  :func:`resolve_knobs` resolves all four at once into a frozen
 :class:`ResolvedKnobs` snapshot — the value that feeds suite-cell
 digests (:mod:`repro.suite.digest`): a cell's content address commits to
 the knobs it actually ran under, not to however the environment happened
@@ -52,7 +50,6 @@ import os
 from dataclasses import dataclass
 
 from repro.core.phased import DEFAULT_LP_REUSE_EPS, LP_REUSE_MODES
-from repro.kernels import KERNEL_ENV_VAR, KERNEL_THREADS_ENV_VAR, KERNELS
 from repro.util.rng import DISCIPLINE_ENV_VAR, DISCIPLINES
 
 __all__ = [
@@ -61,8 +58,6 @@ __all__ = [
     "LP_REUSE_MODES",
     "LP_REUSE_ENV_VAR",
     "LP_REUSE_EPS_ENV_VAR",
-    "KERNELS",
-    "KERNEL_ENV_VAR",
     "KERNEL_THREADS_ENV_VAR",
     "SUBSTREAMS_MODES",
     "SUBSTREAMS_ENV_VAR",
@@ -72,7 +67,6 @@ __all__ = [
     "resolve_knobs",
     "resolve_discipline",
     "resolve_lp_reuse",
-    "resolve_kernel",
     "resolve_kernel_threads",
     "resolve_substreams",
     "lp_reuse_eps",
@@ -85,6 +79,9 @@ LP_REUSE_ENV_VAR = "REPRO_LP_REUSE"
 #: Environment variable tuning subset-reuse's length-overhead gate.
 LP_REUSE_EPS_ENV_VAR = "REPRO_LP_REUSE_EPS"
 
+#: Environment variable supplying the default trial-parallel worker count.
+KERNEL_THREADS_ENV_VAR = "REPRO_KERNEL_THREADS"
+
 #: Recognized grid-sweep substream modes; ``SUBSTREAMS_MODES[0]`` is the
 #: default (common random numbers across a sweep's policy columns).
 SUBSTREAMS_MODES: tuple[str, ...] = ("shared", "per-policy")
@@ -95,9 +92,9 @@ SUBSTREAMS_ENV_VAR = "REPRO_SUBSTREAMS"
 #: Environment variable disabling the process solve cache (``"0"``).
 SOLVE_CACHE_ENV_VAR = "REPRO_SOLVE_CACHE"
 
-#: The five knobs, in the order :class:`ResolvedKnobs` carries them.
+#: The four knobs, in the order :class:`ResolvedKnobs` carries them.
 KNOB_NAMES: tuple[str, ...] = (
-    "discipline", "lp_reuse", "kernel", "kernel_threads", "substreams",
+    "discipline", "lp_reuse", "kernel_threads", "substreams",
 )
 
 
@@ -127,18 +124,6 @@ def resolve_lp_reuse(mode: str | None = None) -> str:
             f"unknown lp_reuse mode {mode!r}; expected one of {LP_REUSE_MODES}"
         )
     return mode
-
-
-def resolve_kernel(kernel: str | None = None) -> str:
-    """The hot-loop kernel backend: argument → ``REPRO_KERNEL`` →
-    ``"numpy"``; unknown names (env included) raise ``ValueError``."""
-    if kernel is None:
-        kernel = os.environ.get(KERNEL_ENV_VAR) or KERNELS[0]
-    if kernel not in KERNELS:
-        raise ValueError(
-            f"unknown kernel backend {kernel!r}; expected one of {KERNELS}"
-        )
-    return kernel
 
 
 def resolve_kernel_threads(threads: int | None = None) -> int:
@@ -190,7 +175,7 @@ def solve_cache_enabled() -> bool:
 
 @dataclass(frozen=True)
 class ResolvedKnobs:
-    """A frozen snapshot of all five knobs after resolution.
+    """A frozen snapshot of all four knobs after resolution.
 
     Every field holds the concrete value trials will run under — no
     ``None`` placeholders left.  The snapshot is JSON-ready via
@@ -201,7 +186,6 @@ class ResolvedKnobs:
 
     discipline: str = DISCIPLINES[0]
     lp_reuse: str = LP_REUSE_MODES[0]
-    kernel: str = KERNELS[0]
     kernel_threads: int = 1
     substreams: str = SUBSTREAMS_MODES[0]
 
@@ -213,7 +197,6 @@ class ResolvedKnobs:
 _RESOLVERS = {
     "discipline": resolve_discipline,
     "lp_reuse": resolve_lp_reuse,
-    "kernel": resolve_kernel,
     "kernel_threads": resolve_kernel_threads,
     "substreams": resolve_substreams,
 }
@@ -224,11 +207,10 @@ def resolve_knobs(
     *,
     discipline: str | None = None,
     lp_reuse: str | None = None,
-    kernel: str | None = None,
     kernel_threads: int | None = None,
     substreams: str | None = None,
 ) -> ResolvedKnobs:
-    """Resolve all five knobs through the one documented chain.
+    """Resolve all four knobs through the one documented chain.
 
     Per knob: the explicit keyword wins, then the same-named field of
     ``config`` (anything with the attribute — normally a
@@ -240,7 +222,6 @@ def resolve_knobs(
     explicit = {
         "discipline": discipline,
         "lp_reuse": lp_reuse,
-        "kernel": kernel,
         "kernel_threads": kernel_threads,
         "substreams": substreams,
     }

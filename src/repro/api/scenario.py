@@ -21,12 +21,10 @@ from dataclasses import dataclass
 
 from repro.api.config import (
     DISCIPLINES,
-    KERNELS,
     LP_REUSE_MODES,
     SUBSTREAMS_MODES,
     ResolvedKnobs,
     resolve_discipline,
-    resolve_kernel,
     resolve_kernel_threads,
     resolve_knobs,
     resolve_lp_reuse,
@@ -92,20 +90,12 @@ class SimConfig:
         cached round schedule restricted to its columns), or ``None`` to
         resolve through ``REPRO_LP_REUSE`` at run time (default exact).
         See :mod:`repro.core.phased`.
-    kernel:
-        Hot-loop kernel backend: ``"numpy"`` (default), ``"numba"``
-        (compiled fused steppers, bit-identical outputs, graceful numpy
-        fallback when numba is missing), ``"python"`` (uncompiled
-        reference loops), or ``None`` to resolve through the
-        ``REPRO_KERNEL`` environment variable at run time.  See
-        :mod:`repro.kernels`.
     kernel_threads:
-        Trial-parallel worker count for one batch: with the numba backend
-        the compiled steppers run ``prange`` over trials in-kernel; with
-        the numpy/python backends the batch is split into contiguous trial
-        shards executed on a thread pool (bit-identical either way).
-        ``None`` resolves through ``REPRO_KERNEL_THREADS`` at run time
-        (default 1 — serial).
+        Trial-parallel worker count for one batch: the batch is split
+        into contiguous trial shards executed on a thread pool, each
+        running the :mod:`repro.kernels` step functions on its own rows
+        (bit-identical to serial).  ``None`` resolves through
+        ``REPRO_KERNEL_THREADS`` at run time (default 1 — serial).
     substreams:
         How sweep cells consume the seed's randomness: ``"shared"``
         (every policy sees the same trial RNG tree / batch
@@ -119,7 +109,7 @@ class SimConfig:
 
     Every knob resolves through the one documented chain in
     :mod:`repro.api.config` — explicit argument → this config's field →
-    environment variable → default; :meth:`resolved` snapshots all five
+    environment variable → default; :meth:`resolved` snapshots all four
     at once.
     """
 
@@ -129,7 +119,6 @@ class SimConfig:
     max_steps: int = DEFAULT_MAX_STEPS
     discipline: str | None = None
     lp_reuse: str | None = None
-    kernel: str | None = None
     kernel_threads: int | None = None
     substreams: str | None = None
 
@@ -150,11 +139,6 @@ class SimConfig:
                 f"unknown lp_reuse mode {self.lp_reuse!r}; expected one of "
                 f"{LP_REUSE_MODES} (or None for the environment default)"
             )
-        if self.kernel is not None and self.kernel not in KERNELS:
-            raise InvalidScenarioError(
-                f"unknown kernel backend {self.kernel!r}; expected one of "
-                f"{KERNELS} (or None for the environment default)"
-            )
         if self.kernel_threads is not None and (
             not isinstance(self.kernel_threads, int) or self.kernel_threads < 1
         ):
@@ -170,7 +154,7 @@ class SimConfig:
             )
 
     def resolved(self) -> ResolvedKnobs:
-        """All five knobs resolved through the one chain in
+        """All four knobs resolved through the one chain in
         :mod:`repro.api.config` (explicit field → environment variable →
         default) — the snapshot that feeds suite-cell digests."""
         return resolve_knobs(config=self)
@@ -183,14 +167,9 @@ class SimConfig:
         """The lp_reuse mode trials will actually run under (env-resolved)."""
         return resolve_lp_reuse(self.lp_reuse)
 
-    def resolved_kernel(self) -> str:
-        """The kernel backend trials will request (env-resolved; a missing
-        numba still degrades to numpy at run time)."""
-        return resolve_kernel(self.kernel)
-
     def resolved_kernel_threads(self) -> int:
-        """The trial-parallel worker count trials will request
-        (env-resolved; non-numba backends still shard rather than prange)."""
+        """The trial-parallel worker count trials will run with
+        (env-resolved)."""
         return resolve_kernel_threads(self.kernel_threads)
 
     def resolved_substreams(self) -> str:

@@ -38,17 +38,10 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.api.config import resolve_kernel, resolve_kernel_threads
 from repro.api.registry import default_policy_for, policy_factory, policy_info
 from repro.api.scenario import Scenario, ScenarioGrid, SimConfig
 from repro.core.phased import install_solve_cache
 from repro.instance.instance import SUUInstance
-from repro.kernels import (
-    get_backend,
-    kernel_info,
-    silence_numba_fallback,
-    warmup as warmup_kernel,
-)
 from repro.lp.stats import lp_stats_delta, lp_stats_snapshot
 from repro.sim.batch import run_policy_batch
 from repro.sim.results import MakespanStats
@@ -107,10 +100,8 @@ class Report:
         batches only and stays 0 in exact mode.  ``None`` on legacy paths
         that did not collect it.
     kernel:
-        The resolved kernel backend (:func:`repro.kernels.kernel_info`
-        keys: ``requested``, ``active``, ``numba_available``,
-        ``warmup_seconds``, ``threads``, ``inkernel_threads``) the trials
-        ran on.  ``None`` on legacy paths.
+        ``{"threads": n}``: the resolved ``kernel_threads`` count the
+        trials ran with.  ``None`` on legacy paths.
     """
 
     scenario: Scenario | None
@@ -161,7 +152,7 @@ class Report:
 def run_trial_batch(
     instance, factory, rngs, semantics, max_steps, want_completions=False,
     discipline="v1", streams=None, lp_reuse="exact", want_lp_stats=False,
-    kernel="numpy", validate=True, kernel_threads=1,
+    validate=True, kernel_threads=1,
 ):
     """Run one chunk of Monte Carlo trials; returns the makespans.
 
@@ -178,9 +169,9 @@ def run_trial_batch(
     v2 the chunk reads its global rows of the run's batch streams
     (``streams`` arrives offset-rebased), so samples are still invariant
     to chunk layout — they are just v2 samples.  The discipline — and,
-    identically, the ``lp_reuse`` mode, the ``kernel`` backend, and the
-    ``kernel_threads`` count — is resolved by the *caller* and passed
-    explicitly so workers never consult their own environment.
+    identically, the ``lp_reuse`` mode and the ``kernel_threads`` count —
+    is resolved by the *caller* and passed explicitly so workers never
+    consult their own environment.
     ``validate=False`` marks the policy as trusted (registry-dispatched):
     per-step assignment validation runs
     on the first step only (see :func:`repro.sim.batch.run_policy_batch`).
@@ -196,8 +187,7 @@ def run_trial_batch(
     batch = run_policy_batch(
         instance, factory, trial_rngs=rngs, semantics=semantics,
         max_steps=max_steps, discipline=discipline, streams=streams,
-        lp_reuse=lp_reuse, kernel=kernel, validate=validate,
-        kernel_threads=kernel_threads,
+        lp_reuse=lp_reuse, validate=validate, kernel_threads=kernel_threads,
     )
     out = (batch.makespans,)
     if want_completions:
@@ -255,58 +245,27 @@ WORKER_SOLVE_CACHE_ENTRIES = 4096
 MIN_CHUNK_TRIALS = 64
 
 
-def _init_worker(solve_cache_entries: int, kernel: str,
-                 kernel_threads: int = 1, quiet_fallback: bool = False) -> None:
-    """Pool-worker initializer: solve cache + kernel warm-up.
-
-    Runs once per ``spawn``-ed worker.  Installing the solve cache keeps
-    round-1 LPs warm across chunks; warming the kernel backend makes a
-    numba worker JIT-compile (or load the on-disk cache) *before* its
-    first chunk, so warm-pool workers compile once and every subsequent
-    request reuses the machine code.  ``quiet_fallback`` marks the
-    numba-missing fallback warning as already delivered — the parent emits
-    it exactly once at pool construction, so a 16-worker pool does not
-    repeat it 16 times.
-    """
-    if quiet_fallback:
-        silence_numba_fallback()
-    install_solve_cache(solve_cache_entries)
-    warmup_kernel(kernel, kernel_threads)
-
-
-def worker_pool(n_workers: int | None = None,
-                solve_cache_entries: int = WORKER_SOLVE_CACHE_ENTRIES,
-                kernel: str | None = None,
-                kernel_threads: int | None = None) -> ProcessPoolExecutor:
+def worker_pool(
+    n_workers: int | None = None,
+    solve_cache_entries: int = WORKER_SOLVE_CACHE_ENTRIES,
+) -> ProcessPoolExecutor:
     """Construct the standard trial-chunk worker pool.
 
     The single place pool workers are configured: ``spawn`` start method
-    (platform-uniform, no inherited interpreter state), the process solve
-    cache installed through the initializer so every worker keeps a warm
-    cache across all chunks, grid cells, and server requests it handles,
-    and the kernel backend and thread count (resolved *here*, in the
-    parent — workers never consult their own environment) pre-warmed so
-    JIT compilation happens at pool start-up, not inside the first chunk.
-    If the requested backend has to degrade (``"numba"`` without numba
-    installed), the parent emits the fallback warning once, here, and the
-    workers warm up silently.  Callers own the lifecycle —
-    :func:`simulate` / :func:`evaluate_grid` build one per call when
-    asked for the process backend with no injected executor (the
-    historical behavior), while
+    (platform-uniform, no inherited interpreter state) and the process
+    solve cache installed through the initializer, so every worker keeps
+    a warm cache across all chunks, grid cells, and server requests it
+    handles.  Callers own the lifecycle — :func:`simulate` /
+    :func:`evaluate_grid` build one per call when asked for the process
+    backend with no injected executor (the historical behavior), while
     :class:`repro.server.executors.WarmPoolExecutor` keeps one alive
     across requests.
     """
-    kernel = resolve_kernel(kernel)
-    kernel_threads = resolve_kernel_threads(kernel_threads)
-    # Probe the backend in the parent: a missing numba logs its one-time
-    # fallback warning here, at pool construction, instead of once per
-    # spawned worker process.
-    get_backend(kernel, kernel_threads)
     return ProcessPoolExecutor(
         max_workers=n_workers,
         mp_context=get_context(_MP_START_METHOD),
-        initializer=_init_worker,
-        initargs=(solve_cache_entries, kernel, kernel_threads, True),
+        initializer=install_solve_cache,
+        initargs=(solve_cache_entries,),
     )
 
 
@@ -340,8 +299,8 @@ def _sum_lp_deltas(deltas) -> dict:
 
 def _map_chunks(pool, n_workers, instance, factory, rngs, config,
                 want_completions=False, discipline="v1", streams=None,
-                lp_reuse="exact", want_lp_stats=False, kernel="numpy",
-                validate=True, kernel_threads=1):
+                lp_reuse="exact", want_lp_stats=False, validate=True,
+                kernel_threads=1):
     """Fan trial chunks out over ``pool`` and reassemble them in order.
 
     Under discipline v2 every chunk receives the run's streams re-based at
@@ -357,7 +316,7 @@ def _map_chunks(pool, n_workers, instance, factory, rngs, config,
                 (instance, factory, rngs[lo:hi], config.semantics,
                  config.max_steps, want_completions, discipline,
                  None if streams is None else streams.with_offset(lo),
-                 lp_reuse, want_lp_stats, kernel, validate, kernel_threads)
+                 lp_reuse, want_lp_stats, validate, kernel_threads)
                 for lo, hi in bounds
             ]
         ),
@@ -452,7 +411,6 @@ def _run_batched(
     knobs = config.resolved()
     discipline = knobs.discipline
     lp_reuse = knobs.lp_reuse
-    kernel = knobs.kernel
     kernel_threads = knobs.kernel_threads
     sub_root = None
     if substream is not None:
@@ -477,21 +435,20 @@ def _run_batched(
         return run_trial_batch(
             instance, factory, rngs, config.semantics, config.max_steps,
             want_completions, discipline, streams, lp_reuse, want_lp_stats,
-            kernel, validate, kernel_threads,
+            validate, kernel_threads,
         )
     n_workers = n_workers or min(os.cpu_count() or 1, config.n_trials)
     if pool is not None:
         return _map_chunks(
             pool, n_workers, instance, factory, rngs, config,
             want_completions, discipline, streams, lp_reuse, want_lp_stats,
-            kernel, validate, kernel_threads,
+            validate, kernel_threads,
         )
-    with worker_pool(n_workers, kernel=kernel,
-                     kernel_threads=kernel_threads) as pool:
+    with worker_pool(n_workers) as pool:
         return _map_chunks(
             pool, n_workers, instance, factory, rngs, config,
             want_completions, discipline, streams, lp_reuse, want_lp_stats,
-            kernel, validate, kernel_threads,
+            validate, kernel_threads,
         )
 
 
@@ -617,8 +574,7 @@ def _simulate_instance(
         config=config,
         per_job=job_stats,
         lp_stats=lp_stats,
-        kernel=kernel_info(config.resolved_kernel(),
-                           config.resolved_kernel_threads()),
+        kernel={"threads": config.resolved_kernel_threads()},
     )
 
 
@@ -673,8 +629,7 @@ def evaluate_grid(
         and all(_spec_fast_path_eligible(p, discipline) for p in policies)
     ):
         n_workers = n_workers or min(os.cpu_count() or 1, config.n_trials)
-        pool_cm = worker_pool(n_workers, kernel=knobs.kernel,
-                              kernel_threads=knobs.kernel_threads)
+        pool_cm = worker_pool(n_workers)
     # Per-policy substreams: under "per-policy" every policy column gets
     # its own child of the run's stream root (independent estimates);
     # the "shared" default keeps common random numbers across policies.

@@ -59,10 +59,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import kernels
 from repro.core.phased import RoundScheduleCache, active_lp_reuse
 from repro.core.suu_i_sem import paper_round_count
 from repro.errors import ReproError
-from repro.kernels import _stepimpl, active_backend
 from repro.schedule.base import IDLE, IntegralAssignment
 from repro.schedule.oblivious import FiniteObliviousSchedule
 from repro.schedule.pseudo import Pause
@@ -73,18 +73,6 @@ __all__ = ["ChainCursorBatch", "long_repeat_schedule", "prelude_rows"]
 _SUPER = 0
 _SEM = 1
 _FALLBACK = 2
-
-# Item-kind codes in the flattened chain-program tables.  The kernel
-# backends (repro.kernels) hard-code the same values in their fused
-# chain transitions, so a drift here would silently corrupt cursors.
-_KIND_BLOCK = 0
-_KIND_PAUSE = 1
-_KIND_END = 2
-assert (_KIND_BLOCK, _KIND_PAUSE, _KIND_END) == (
-    _stepimpl.KIND_BLOCK,
-    _stepimpl.KIND_PAUSE,
-    _stepimpl.KIND_END,
-)
 
 
 def long_repeat_schedule(plan, jobs, n_machines: int, n_jobs: int):
@@ -258,7 +246,7 @@ class ChainCursorBatch:
         # pairs — item slot (c, p) flattens to c * P + p, pairs keep
         # their tuple order — feed the kernel-side signature expansion.
         P = max(1, int(self._n_items_arr.max()) if C else 1)
-        self._kind = np.full((C, P), _KIND_END, dtype=np.int8)
+        self._kind = np.full((C, P), kernels.KIND_END, dtype=np.int8)
         self._ilen = np.zeros((C, P), dtype=np.int64)
         self._need = np.ones((C, P), dtype=np.int64)
         self._ijob = np.zeros((C, P), dtype=np.int64)
@@ -275,9 +263,9 @@ class ChainCursorBatch:
                     self._ijob[c, p] = self.job_map[item.job]
                     self._ilen[c, p] = item.length
                     if isinstance(item, Pause):
-                        self._kind[c, p] = _KIND_PAUSE
+                        self._kind[c, p] = kernels.KIND_PAUSE
                     else:
-                        self._kind[c, p] = _KIND_BLOCK
+                        self._kind[c, p] = kernels.KIND_BLOCK
                         self._need[c, p] = max(1, item.length)
                         self._prelude_len[c, p] = item.prelude_length
                         step_pairs.extend(item.steps)
@@ -295,11 +283,6 @@ class ChainCursorBatch:
         #: Signature encoding base: ``pos * tmult + tau`` is collision-free
         #: because ``tau`` never reaches a block's effective length.
         self._tmult = int(self._need.max()) + 1 if C else 2
-        #: Kernel backend driving the whole-batch (trials, chains)
-        #: transitions — bound at construction so the cursors keep one
-        #: backend for their lifetime (run_policy_batch installs the
-        #: run's resolved backend via repro.kernels.kernel_context).
-        self._kernel = active_backend()
 
         # The ISSUE's matrices: chain cursors as (n_trials, n_chains) ints.
         self.chain_pos = np.zeros((B, C), dtype=np.int64)
@@ -316,8 +299,8 @@ class ChainCursorBatch:
         # Superstep expansions memoized by encoded (chain -> item, tau)
         # signature bytes — the transition memo shared across trials and
         # timesteps.  Each entry is one (rows, machines) matrix laid out
-        # [prelude solo rows..., expansion rows...], built by the kernel
-        # backend's expand_signature.
+        # [prelude solo rows..., expansion rows...], built by
+        # kernels.expand_signature.
         self._sig_ids: dict[bytes, int] = {}
         self._sig_rows: list[np.ndarray] = []
         self._sig_congestion: list[int] = []
@@ -400,13 +383,14 @@ class ChainCursorBatch:
         """Advance chain cursors of trials ``F`` whose expansions drained.
 
         The ``(trials, chains)`` transition itself — block tallies, pause
-        countdowns, item advance/entry — runs in the kernel backend on
-        gathered cursor copies, scattered back here.
+        countdowns, item advance/entry — runs in
+        :func:`repro.kernels.chain_finish` on gathered cursor copies,
+        scattered back here.
         """
         pos = self.chain_pos[F]
         tau = self.tau[F]
         dr = self.delay_remaining[F]
-        into_pause, pause_jobs = self._kernel.chain_finish(
+        into_pause, pause_jobs = kernels.chain_finish(
             F, pos, tau, dr, self.started[F], state.remaining,
             self._kind, self._ilen, self._need, self._ijob,
             self._n_items_arr,
@@ -467,9 +451,9 @@ class ChainCursorBatch:
 
         # Chain starts, expired-pause recovery (resolved by the
         # segment-boundary SEM run), and the (chain -> block item, tau)
-        # signature encoding run as one kernel-backend transition over
-        # the gathered (trials, chains) cursors.
-        pause1, pause1_jobs, pause2, pause2_jobs, enc = self._kernel.chain_build(
+        # signature encoding run as one kernel transition over the
+        # gathered (trials, chains) cursors.
+        pause1, pause1_jobs, pause2, pause2_jobs, enc = kernels.chain_build(
             Bs, pos, tau, dr, std, self.delays[Bs], s, state.remaining,
             self._kind, self._ilen, self._need, self._ijob, nit,
             self._tmult,
@@ -518,11 +502,11 @@ class ChainCursorBatch:
         Entering blocks (``tau == 0``) contribute their prelude solo rows
         first, in chain order — the scalar policy's solo-queue emission
         order — followed by the congestion-expansion rows.  The row
-        construction itself runs in the kernel backend
-        (``expand_signature``) over the flat CSR tables built at
-        construction; this method owns the memo bookkeeping.
+        construction itself runs in :func:`repro.kernels.expand_signature`
+        over the flat CSR tables built at construction; this method owns
+        the memo bookkeeping.
         """
-        rows, n_prelude, congestion = self._kernel.expand_signature(
+        rows, n_prelude, congestion = kernels.expand_signature(
             enc_row, self._tmult, self._ijob, self._prelude_len,
             self._pre_indptr, self._pre_machine, self._pre_count,
             self._step_indptr, self._step_machine, self._step_count,

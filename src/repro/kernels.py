@@ -1,36 +1,79 @@
-"""The default (pure-numpy) kernel backend.
+"""The batch engine's stepping kernels, as whole-batch numpy passes.
 
-These are the whole-batch array formulations lifted verbatim out of
-``repro.sim.batch._drive_batch`` and ``repro.core.chain_batch`` — the
-reference implementations every other backend must match bit for bit.
-See :mod:`repro.kernels._stepimpl` for the shared fused-loop source the
-``"numba"`` and ``"python"`` backends run, and :mod:`repro.kernels` for
-the registry/resolution machinery.
+The batch engine's per-step inner body (:mod:`repro.sim.batch`) and the
+chain cursors' whole-batch boundary transitions
+(:mod:`repro.core.chain_batch`) are six functions over ``(trials, ...)``
+state arrays:
+
+==================== ====================================================
+``accrue``           one step's mass accrual + assignment validation
+``commit``           completion commit / in-degree + eligibility refresh
+``drive_step``       the fused step: accrue + completion test + commit
+``chain_finish``     chain-cursor advance at a drained superstep
+``chain_build``      chain start / pause recovery / signature encoding
+``expand_signature`` superstep signature -> shared assignment rows
+==================== ====================================================
+
+Callers reach them as attributes of this module (``kernels.drive_step(
+...)``, arguments by position), never through a name bound at import, so
+a wrapper installed on the object :func:`get_backend` returns — how
+``perfbench``'s tracer attributes kernel time — sees every call.
+
+The kernels are serial: ``kernel_threads > 1`` splits a batch into
+contiguous trial shards that :func:`repro.sim.batch.run_policy_batch`
+runs on a thread pool, each shard calling these functions on its own
+rows.
 """
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
-from repro.kernels._stepimpl import (
-    BAD_PRECEDENCE,
-    BAD_RANGE,
-    KIND_BLOCK,
-    KIND_PAUSE,
-    OK,
-)
+__all__ = [
+    "BAD_PRECEDENCE",
+    "BAD_RANGE",
+    "KIND_BLOCK",
+    "KIND_END",
+    "KIND_PAUSE",
+    "OK",
+    "accrue",
+    "chain_build",
+    "chain_finish",
+    "commit",
+    "drive_step",
+    "expand_signature",
+    "get_backend",
+]
 
-name = "numpy"
-#: The array formulation never threads inside the kernel;
-#: ``kernel_threads > 1`` shards trials in :mod:`repro.sim.batch` instead.
-inkernel_threads = False
+# Item-kind codes in the flattened chain-program tables
+# (:class:`~repro.core.chain_batch.ChainCursorBatch`).
+KIND_BLOCK = 0
+KIND_PAUSE = 1
+KIND_END = 2
+
+# Violation codes returned by the step kernels; the batch engine raises
+# the actual ScheduleViolationError.
+OK = 0
+BAD_RANGE = 1
+BAD_PRECEDENCE = 2
+
+
+def get_backend():
+    """This module: the object whose kernel attributes the engine calls."""
+    return sys.modules[__name__]
 
 
 def accrue(a, ell, remaining, eligible, busy, independent, check):
-    """One step's mass accrual (see :func:`._stepimpl.accrue`).
+    """One step's mass accrual: assignments -> delivered mass per job.
 
-    ``remaining`` / ``eligible`` must be C-contiguous (their ``.ravel()``
-    views share memory), which the batch driver guarantees.
+    Returns ``(status, trial, machine, step_mass)``; on a non-zero status
+    the step must be abandoned (the batch engine raises).  ``busy`` is
+    updated in place.  ``check`` gates the job-id range and precedence
+    (eligibility) validation.  ``remaining`` / ``eligible`` must be
+    C-contiguous (their ``.ravel()`` views share memory), which
+    :func:`repro.sim.batch._drive_batch` guarantees.
     """
     B, m = a.shape
     n = remaining.shape[1]
@@ -82,8 +125,13 @@ def commit(done_now, t_next, completion_times, remaining, eligible, indeg,
 def drive_step(a, ell, theta, u, mode, t_next, remaining, eligible, indeg,
                mass_accrued, completion_times, busy, active,
                succ_indptr, succ_indices, independent, check):
-    """One engine step (see :func:`._stepimpl.drive_step`): accrue,
-    threshold, commit — here as the original whole-batch array passes."""
+    """One engine step: accrual, completion test, and state commit.
+
+    ``mode`` selects the completion rule: 0 = SUU* thresholds
+    (``theta``; ``u`` unused), 1 = per-step uniforms (``u``, discipline
+    v2; ``theta`` unused).  Returns ``(status, trial, machine)`` with the
+    :func:`accrue` codes.
+    """
     status, b, i, step_mass = accrue(
         a, ell, remaining, eligible, busy, independent, check
     )
@@ -119,8 +167,17 @@ def _successors_flat(indptr, indices, jobs):
 
 def chain_finish(trials, pos, tau, dr, started, remaining,
                  kind, ilen, need, ijob, nit):
-    """Whole-batch chain-cursor transition at a drained superstep (the
-    matrix body of ``ChainCursorBatch._finish_superstep``)."""
+    """Advance chain cursors of trials whose superstep expansion drained.
+
+    The matrix transition of ``ChainCursorBatch._finish_superstep``:
+    blocks count ``tau`` up (retrying while their job remains), pauses
+    count ``dr`` (delay remaining) down, and drained items advance
+    ``pos`` and enter the next item.  ``pos`` / ``tau`` / ``dr`` are
+    gathered ``(F, C)`` copies updated in place (the caller scatters them
+    back); ``remaining`` is the engine's full ``(B, n)`` matrix indexed
+    through ``trials``.  Returns ``(into_pause, pause_jobs)`` for
+    deferred segment registration.
+    """
     C = pos.shape[1]
     c_idx = np.arange(C, dtype=np.int64)
     live = started & (pos < nit)
@@ -141,8 +198,17 @@ def chain_finish(trials, pos, tau, dr, started, remaining,
 
 def chain_build(trials, pos, tau, dr, std, delays, s, remaining,
                 kind, ilen, need, ijob, nit, tmult):
-    """Whole-batch chain start/recovery/signature encoding (the matrix
-    preamble of ``ChainCursorBatch._build_superstep``)."""
+    """Start due chains, recover expired pauses, and encode signatures.
+
+    The matrix preamble of ``ChainCursorBatch._build_superstep``: chains
+    whose delay has elapsed start (entering their first item), pauses
+    that expired while their job was still incomplete — resolved since by
+    a segment run — advance past, and each live block encodes as
+    ``pos * tmult + tau`` (dead/paused chains encode -1).  ``pos`` /
+    ``tau`` / ``dr`` / ``std`` are gathered ``(F, C)`` copies updated in
+    place.  Returns the two deferred-pause registrations (one per entry
+    wave) and the signature-encoding matrix.
+    """
     C = pos.shape[1]
     c_idx = np.arange(C, dtype=np.int64)
     start_now = ~std & (delays <= s[:, None])
@@ -154,8 +220,6 @@ def chain_build(trials, pos, tau, dr, std, delays, s, remaining,
     cp = np.minimum(pos, nit - 1)
     kd = kind[c_idx, cp]
     rem = remaining[trials[:, None], ijob[c_idx, cp]]
-    # Pauses that expired while their job was still incomplete — resolved
-    # since by a segment run — advance past the pause now.
     recovered = live & (kd == KIND_PAUSE) & (dr == 0) & ~rem
     np.copyto(pos, np.where(recovered, pos + 1, pos))
     pause2, pause2_jobs = _enter_items(
@@ -172,13 +236,18 @@ def expand_signature(enc, tmult, ijob, prelude_len,
                      pre_indptr, pre_machine, pre_count,
                      step_indptr, step_machine, step_count,
                      n_machines, idle):
-    """Flatten one distinct superstep signature into shared rows (the
-    reference construction; see :func:`._stepimpl.expand_signature`).
+    """Flatten one distinct superstep signature into shared assignment rows.
 
-    List-based like the original ``ChainCursorBatch._compile_signature``
-    body, over the flat CSR tables every backend shares: prelude solo
-    rows for entering blocks first (chain order), then congestion rows.
-    Memoized by the caller, so this runs once per distinct signature.
+    ``enc`` is one trial's ``(n_chains,)`` signature row: ``pos * tmult +
+    tau`` per live block, -1 otherwise.  The chain-program tables are
+    flat CSR spans of ``(machine, count)`` pairs per ``(c, p)`` item slot,
+    flattened as ``c * P + p``.  Entering blocks (``tau == 0``)
+    contribute their prelude solo rows first, in chain order — the scalar
+    policy's solo-queue emission order — followed by the congestion rows
+    (machine ``i``'s ``r``-th queued job at row ``r``, ``idle``
+    elsewhere).  Returns ``(rows, n_prelude, congestion)`` with ``rows``
+    an ``(n_prelude + congestion, n_machines)`` int64 matrix.  Memoized
+    by the caller, so this runs once per distinct signature.
     """
     C = enc.shape[0]
     P = ijob.shape[1]

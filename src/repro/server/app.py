@@ -16,7 +16,7 @@ calls into a request/response service:
 * ``GET /healthz`` — liveness plus served/error counters, in-flight
   depth, the executor's stats (including a warm worker's solve-cache
   counters — how warm-pool reuse is observed from the outside), and the
-  active kernel backend (:func:`repro.kernels.kernel_info`).
+  server process's resolved ``kernel_threads`` count.
 
 The HTTP layer is deliberately minimal — stdlib ``asyncio`` streams, no
 framework: an HTTP/1.1 parser supporting keep-alive and
@@ -38,11 +38,11 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
+from repro.api.config import resolve_kernel_threads
 from repro.api.registry import list_policies
 from repro.api.scenario import Scenario, ScenarioGrid, SimConfig
 from repro.api.service import evaluate_grid, simulate
 from repro.errors import ReproError
-from repro.kernels import kernel_info
 from repro.server.executors import RequestExecutor, default_executor
 
 __all__ = [
@@ -155,10 +155,9 @@ class SchedulingService:
             "served": self.served,
             "errors": self.errors,
             "executor": self.executor.stats(),
-            # The server process's kernel view: requested vs active backend
-            # (post numba-fallback) and the local warm-up time.  Warm-pool
-            # workers warm their own backend through the pool initializer.
-            "kernel": kernel_info(),
+            # Resolved here, in the server process: each request sends its
+            # own resolved count to the workers with its trial chunks.
+            "kernel": {"threads": resolve_kernel_threads()},
         }
 
     def policies(self, _body=None) -> dict:

@@ -35,10 +35,8 @@ from __future__ import annotations
 
 import threading
 
-from repro.api.config import resolve_kernel, resolve_kernel_threads
 from repro.api.service import WORKER_SOLVE_CACHE_ENTRIES, worker_pool
 from repro.core.phased import solve_cache_stats
-from repro.kernels import kernel_info
 
 __all__ = [
     "RequestExecutor",
@@ -138,30 +136,18 @@ class WarmPoolExecutor(RequestExecutor):
         Pool width (``None`` = CPU count).
     solve_cache_entries:
         Capacity installed into each worker's process solve cache.
-    kernel:
-        Kernel backend warmed into each worker through the pool
-        initializer (``None`` = resolve ``REPRO_KERNEL`` here, in the
-        server process).  With ``"numba"``, workers JIT-compile once at
-        pool start-up and serve every request from the compiled (and
-        on-disk-cached) kernels.
-    kernel_threads:
-        Trial-parallel worker count warmed into each pool worker
-        (``None`` = resolve ``REPRO_KERNEL_THREADS`` here).  Numba
-        workers run prange over trials in-kernel; numpy/python workers
-        shard the batch onto a thread pool inside each process.
+
+    Each request's resolved ``kernel_threads`` reaches the workers with
+    its trial chunks, so one pool serves requests with any thread count.
     """
 
     kind = "warm-pool"
     backend = "process"
 
     def __init__(self, n_workers: int | None = None,
-                 solve_cache_entries: int = WORKER_SOLVE_CACHE_ENTRIES,
-                 kernel: str | None = None,
-                 kernel_threads: int | None = None):
+                 solve_cache_entries: int = WORKER_SOLVE_CACHE_ENTRIES):
         self.n_workers = n_workers
         self.solve_cache_entries = int(solve_cache_entries)
-        self.kernel = kernel
-        self.kernel_threads = kernel_threads
         self.requests = 0
         self.pools_built = 0
         self._pool = None
@@ -189,8 +175,6 @@ class WarmPoolExecutor(RequestExecutor):
                 self._pool = worker_pool(
                     self.n_workers,
                     solve_cache_entries=self.solve_cache_entries,
-                    kernel=self.kernel,
-                    kernel_threads=self.kernel_threads,
                 )
                 self.pools_built += 1
             return self._pool
@@ -206,21 +190,13 @@ class WarmPoolExecutor(RequestExecutor):
         Sampled with a single task, so with ``n_workers > 1`` it reads
         *a* worker, not an aggregate — exact for single-worker pools
         (how the tests observe cross-request reuse), indicative
-        otherwise.  The ``"kernel"`` key carries that worker's actual
-        :func:`repro.kernels.kernel_info` state — the authoritative view
-        of what backend the workers run (the parent logs the numba
-        fallback warning once; workers degrade silently, so this is
-        where a degraded pool shows up).
+        otherwise.
         """
         with self._lock:
             pool = self._pool
         if pool is None:
             return None
-        return pool.submit(
-            _worker_probe,
-            resolve_kernel(self.kernel),
-            resolve_kernel_threads(self.kernel_threads),
-        ).result()
+        return pool.submit(solve_cache_stats).result()
 
     def close(self) -> None:
         with self._lock:
@@ -235,8 +211,6 @@ class WarmPoolExecutor(RequestExecutor):
             pools_built=self.pools_built,
             warm=self.warm,
             n_workers=self.n_workers,
-            kernel=resolve_kernel(self.kernel),
-            kernel_threads=resolve_kernel_threads(self.kernel_threads),
         )
         worker_cache = self.cache_stats()
         if worker_cache is not None:
@@ -251,17 +225,6 @@ class WarmPoolExecutor(RequestExecutor):
 def _noop(_i):
     """Picklable worker warm-up task (module-level for ``spawn``)."""
     return None
-
-
-def _worker_probe(kernel: str, kernel_threads: int) -> dict:
-    """Picklable warm-worker probe: solve-cache counters + kernel state.
-
-    Runs *inside* a pool worker, so ``kernel_info`` reports what that
-    worker actually loaded (e.g. numpy after a silent numba fallback).
-    """
-    stats = dict(solve_cache_stats())
-    stats["kernel"] = kernel_info(kernel, kernel_threads)
-    return stats
 
 
 _default_lock = threading.Lock()
@@ -288,21 +251,13 @@ def set_default_executor(executor: RequestExecutor | None) -> RequestExecutor | 
 
 
 def make_executor(kind: str, n_workers: int | None = None,
-                  solve_cache_entries: int = WORKER_SOLVE_CACHE_ENTRIES,
-                  kernel: str | None = None,
-                  kernel_threads: int | None = None) -> RequestExecutor:
+                  solve_cache_entries: int = WORKER_SOLVE_CACHE_ENTRIES) -> RequestExecutor:
     """Construct an executor by registry name (CLI entry point).
 
-    ``kind`` is one of :data:`EXECUTOR_KINDS`; ``kernel`` and
-    ``kernel_threads`` reach warm-pool workers through the pool
-    initializer (serial executors run in-process, where the service layer
-    resolves the kernel itself).
+    ``kind`` is one of :data:`EXECUTOR_KINDS`.
     """
     if kind == "serial":
         return SerialExecutor()
     if kind == "warm-pool":
-        return WarmPoolExecutor(
-            n_workers, solve_cache_entries=solve_cache_entries, kernel=kernel,
-            kernel_threads=kernel_threads,
-        )
+        return WarmPoolExecutor(n_workers, solve_cache_entries=solve_cache_entries)
     raise ValueError(f"unknown executor kind {kind!r}; expected one of {EXECUTOR_KINDS}")

@@ -90,15 +90,9 @@ import numpy as np
 
 from concurrent.futures import ThreadPoolExecutor
 
+from repro import kernels
 from repro.errors import ScheduleViolationError, SimulationHorizonError
 from repro.instance.instance import SUUInstance
-from repro.kernels import (
-    active_backend,
-    get_backend,
-    kernel_context,
-    resolve_kernel_threads,
-)
-from repro.kernels._stepimpl import BAD_RANGE, OK
 from repro.schedule.base import (
     IDLE,
     BatchSimulationState,
@@ -146,9 +140,6 @@ class BatchSimResult:
     discipline:
         The RNG discipline the samples were drawn under (``"v1"`` or
         ``"v2"``; see the module docstring).
-    kernel:
-        The kernel backend that drove the run (``"numpy"``, ``"numba"``
-        or ``"python"``; see :mod:`repro.kernels`).
     """
 
     makespans: np.ndarray
@@ -158,7 +149,6 @@ class BatchSimResult:
     policy_name: str
     vectorized: bool
     discipline: str = "v1"
-    kernel: str = "numpy"
 
     @property
     def n_trials(self) -> int:
@@ -185,7 +175,6 @@ def run_policy_batch(
     discipline: str | None = None,
     streams: BatchStreams | None = None,
     lp_reuse: str | None = None,
-    kernel: str | None = None,
     kernel_threads: int | None = None,
     validate: bool = True,
 ) -> BatchSimResult:
@@ -235,25 +224,15 @@ def run_policy_batch(
         schedules for survivor subsets within the documented coverage
         eps), or ``None`` to resolve through ``REPRO_LP_REUSE``.  See
         :mod:`repro.core.phased`.
-    kernel:
-        Hot-loop kernel backend: ``"numpy"`` (default), ``"numba"``
-        (compiled fused steppers; bit-identical outputs, falls back to
-        numpy with a logged warning when numba is missing), ``"python"``
-        (the compiled loops run uncompiled — debugging/testing), or
-        ``None`` to resolve through ``REPRO_KERNEL``.  See
-        :mod:`repro.kernels`.
     kernel_threads:
         CPU threads for this one batch (``None`` resolves through
-        ``REPRO_KERNEL_THREADS``, default 1).  On the numba backend,
-        ``threads > 1`` selects the ``parallel=True`` compile whose
-        ``prange``-over-trials loops run inside the kernel; on every
-        other backend the batch is split into contiguous trial shards
-        along the service's chunk seam and run on a thread pool
-        (requires a policy class/factory — a shared policy *instance*
-        cannot be sharded and runs serially; ``lp_reuse="subset"`` also
-        stays serial, because donor selection reads the shared solve
-        cache whose order under concurrent shards is
-        scheduling-dependent).  Both routes are
+        ``REPRO_KERNEL_THREADS``, default 1).  With ``threads > 1`` the
+        batch is split into contiguous trial shards along the service's
+        chunk seam and run on a thread pool (requires a policy
+        class/factory — a shared policy *instance* cannot be sharded and
+        runs serially; ``lp_reuse="subset"`` also stays serial, because
+        donor selection reads the shared solve cache whose order under
+        concurrent shards is scheduling-dependent).  Sharding is
         bit-identical to ``kernel_threads=1``: trials are independent
         rows, v1 shards slice the per-trial RNG tree, and v2's Philox
         streams are addressed by global trial index (shard ``lo`` rebases
@@ -265,11 +244,11 @@ def run_policy_batch(
         When False, the range/eligibility checks run only on the first
         step — the trusted-policy fast path used by the registry-backed
         service front ends.  Shape/dtype checks always run (they are
-        O(1)), and the loop-nest backends always range-check internally
-        (a compiled kernel must never index out of bounds), so with
-        ``validate=False`` a misbehaving policy yields semantically
-        wrong trajectories on the numpy backend rather than memory
-        errors.
+        O(1)); nothing range-checks job ids after the first step, so
+        with ``validate=False`` an out-of-range id from a misbehaving
+        policy yields a semantically wrong trajectory (its mass lands on
+        another trial's row) or an ``IndexError``, not a
+        :class:`ScheduleViolationError`.
 
     Raises
     ------
@@ -323,16 +302,15 @@ def run_policy_batch(
         factory = policy
         probe = factory()
 
-    # The threads axis: in-kernel prange (numba parallel flavor) runs
-    # below through kernel_context; every other backend shards trials
-    # across a thread pool here, along the service's chunk seam.
-    # Subset LP reuse stays serial: donor schedules come from the shared
-    # process solve cache, whose population order under concurrent
-    # shards depends on thread scheduling — sharding would make the
-    # (already approximate) samples nondeterministic run to run.
+    # The threads axis: shard trials across a thread pool, along the
+    # service's chunk seam.  Subset LP reuse stays serial: donor
+    # schedules come from the shared process solve cache, whose
+    # population order under concurrent shards depends on thread
+    # scheduling — sharding would make the (already approximate) samples
+    # nondeterministic run to run.
     # Imported here: repro.core pulls policy modules that import this one,
     # and repro.api.config sits above both (the unified knob chain).
-    from repro.api.config import resolve_lp_reuse
+    from repro.api.config import resolve_kernel_threads, resolve_lp_reuse
     from repro.core.phased import lp_reuse_context
 
     threads = resolve_kernel_threads(kernel_threads)
@@ -341,16 +319,15 @@ def run_policy_batch(
         and n_trials >= 2
         and factory is not None
         and resolve_lp_reuse(lp_reuse) != "subset"
-        and not getattr(get_backend(kernel, threads), "inkernel_threads", False)
     ):
         return _run_sharded(
             instance, factory, trial_rngs, threads,
             semantics=semantics, max_steps=max_steps, thresholds=thresholds,
             discipline=discipline, streams=streams, lp_reuse=lp_reuse,
-            kernel=kernel, validate=validate,
+            validate=validate,
         )
 
-    with lp_reuse_context(lp_reuse), kernel_context(kernel, threads):
+    with lp_reuse_context(lp_reuse):
         if supports_batch(probe):
             return _run_vectorized(
                 instance, probe, trial_rngs, semantics, max_steps, thresholds,
@@ -369,18 +346,18 @@ def run_policy_batch(
 
 def _run_sharded(
     instance, factory, trial_rngs, threads, *, semantics, max_steps,
-    thresholds, discipline, streams, lp_reuse, kernel, validate,
+    thresholds, discipline, streams, lp_reuse, validate,
 ) -> BatchSimResult:
     """Split one batch into contiguous trial shards on a thread pool.
 
-    The trial-shard route for serial backends when ``kernel_threads > 1``:
-    each shard is a full recursive :func:`run_policy_batch` run (fresh
-    policy from ``factory``, ``kernel_threads=1``) over its span of the
-    already-built per-trial RNG list (v1) and the offset-rebased batch
-    streams (v2) — exactly the seam ``api.service`` chunks batches
-    across worker processes on, which is bit-identical to the unsplit
-    run by construction.  Results concatenate in trial order, so shard
-    boundaries are invisible in the samples.
+    The ``kernel_threads > 1`` route: each shard is a full recursive
+    :func:`run_policy_batch` run (fresh policy from ``factory``,
+    ``kernel_threads=1``) over its span of the already-built per-trial
+    RNG list (v1) and the offset-rebased batch streams (v2) — exactly
+    the seam ``api.service`` chunks batches across worker processes on,
+    which is bit-identical to the unsplit run by construction.  Results
+    concatenate in trial order, so shard boundaries are invisible in the
+    samples.
     """
     B = len(trial_rngs)
     n_shards = min(threads, B)
@@ -401,7 +378,7 @@ def _run_sharded(
             streams=None
             if streams is None
             else streams.with_offset(streams.offset + lo),
-            lp_reuse=lp_reuse, kernel=kernel, kernel_threads=1,
+            lp_reuse=lp_reuse, kernel_threads=1,
             validate=validate,
         )
 
@@ -420,7 +397,6 @@ def _run_sharded(
         policy_name=first.policy_name,
         vectorized=all(p.vectorized for p in parts),
         discipline=first.discipline,
-        kernel=first.kernel,
     )
 
 
@@ -620,12 +596,6 @@ def _run_phased(
     )
 
 
-#: Placeholder for the unused completion-rule operand (theta under suu,
-#: uniforms under suu_star): keeps backend call signatures uniform so a
-#: compiled backend sees one type per argument slot.  Never indexed.
-_UNUSED = np.zeros((0, 0), dtype=np.float64)
-
-
 def _drive_batch(
     instance, policy_name, assign, B, semantics, max_steps, theta,
     outcome_rngs, discipline="v1", streams=None, validate=True,
@@ -641,16 +611,14 @@ def _drive_batch(
     ``outcome_rngs`` (v1) or from one whole-batch stream draw per step
     (v2, ``streams`` set).
 
-    The step body itself lives in the active kernel backend (see
-    :mod:`repro.kernels`): one fused ``drive_step`` call per step on the
-    v2-``suu`` and ``suu_star`` paths; an ``accrue`` / rng draw /
-    ``commit`` split on the v1-``suu`` path, whose per-trial generator
-    consumption cannot cross the compiled boundary.
+    The step body itself lives in :mod:`repro.kernels`: one fused
+    ``drive_step`` call per step on the v2-``suu`` and ``suu_star``
+    paths; an ``accrue`` / rng draw / ``commit`` split on the v1-``suu``
+    path, whose per-trial generator draws sit between the two.
     """
     n, m = instance.n_jobs, instance.n_machines
     ell = instance.ell
     graph = instance.graph
-    backend = active_backend()
     succ_indptr, succ_indices = graph.successors_csr()
 
     remaining = np.ones((B, n), dtype=bool)
@@ -661,8 +629,8 @@ def _drive_batch(
     busy = np.zeros(B, dtype=np.int64)
     active = np.ones(B, dtype=bool)
     # Independent instances can never trip the precedence check (eligible
-    # is identically remaining), so the backends collapse the validation
-    # gather and the in-degree bookkeeping away.
+    # is identically remaining), so the kernels skip the validation
+    # gather and the in-degree bookkeeping.
     independent = graph.n_edges == 0
 
     state = BatchSimulationState(
@@ -679,9 +647,6 @@ def _drive_batch(
     # fused step — see the loop body.
     v1_suu = semantics == "suu" and streams is None
     mode = 1 if semantics == "suu" else 0
-    theta_arg = _UNUSED if mode == 1 else np.ascontiguousarray(
-        theta, dtype=np.float64
-    )
 
     t = 0
     while active.any():
@@ -707,28 +672,28 @@ def _drive_batch(
 
         if v1_suu:
             # The per-trial Generator draws in _draw_suu_completions keep
-            # v1 bit-identical to the serial engine and cannot move into
-            # a compiled kernel, so this path splits the step around them.
-            status, vb, vi, step_mass = backend.accrue(
+            # v1 bit-identical to the serial engine, so this path splits
+            # the step around them.
+            status, vb, vi, step_mass = kernels.accrue(
                 a, ell, remaining, eligible, busy, independent, check
             )
-            if status != OK:
+            if status != kernels.OK:
                 _raise_violation(status, policy_name, a, vb, vi, t)
             done_now = _draw_suu_completions(step_mass, outcome_rngs)
             mass_accrued += step_mass
             t += 1
-            backend.commit(
+            kernels.commit(
                 done_now, t, completion_times, remaining, eligible, indeg,
                 succ_indptr, succ_indices, active, independent,
             )
         else:
-            u = streams.step_uniforms(t, B, n) if mode == 1 else _UNUSED
-            status, vb, vi = backend.drive_step(
-                a, ell, theta_arg, u, mode, t + 1, remaining, eligible,
+            u = streams.step_uniforms(t, B, n) if mode == 1 else None
+            status, vb, vi = kernels.drive_step(
+                a, ell, theta, u, mode, t + 1, remaining, eligible,
                 indeg, mass_accrued, completion_times, busy, active,
                 succ_indptr, succ_indices, independent, check,
             )
-            if status != OK:
+            if status != kernels.OK:
                 _raise_violation(status, policy_name, a, vb, vi, t)
             t += 1
 
@@ -740,15 +705,12 @@ def _drive_batch(
         policy_name=policy_name,
         vectorized=vectorized,
         discipline=discipline,
-        kernel=backend.name,
     )
 
 
 def _raise_violation(status, policy_name, a, b, i, t):
-    """Raise the ScheduleViolationError a backend reported as a status code
-    (backends return codes instead of raising so the compiled ones stay
-    exception-free); messages match the pre-backend driver exactly."""
-    if status == BAD_RANGE:
+    """Raise the ScheduleViolationError a kernel reported as a status code."""
+    if status == kernels.BAD_RANGE:
         raise ScheduleViolationError(
             f"{policy_name!r} assigned an out-of-range job id"
         )

@@ -59,7 +59,6 @@ def estimate_expected_makespan(
     semantics: str = "suu",
     max_steps: int = DEFAULT_MAX_STEPS,
     discipline: str | None = None,
-    kernel: str | None = None,
     kernel_threads: int | None = None,
 ) -> MakespanStats:
     """Estimate ``E[T_policy]`` by simulation.
@@ -74,15 +73,10 @@ def estimate_expected_makespan(
         environment).  Under v1 the samples are bit-identical to the
         historical per-trial loop; under v2 they are statistically
         equivalent batch-native draws.
-    kernel:
-        Hot-loop kernel backend (``"numpy"``/``"numba"``/``"python"``;
-        ``None`` resolves through ``REPRO_KERNEL``).  Backends are
-        bit-identical — the knob only changes wall-clock time.
     kernel_threads:
         Trial-parallel worker count (``None`` resolves through
         ``REPRO_KERNEL_THREADS``; default 1).  Bit-identical to serial —
-        numba pranges over trials in-kernel, other backends shard the
-        batch onto threads.
+        the batch is sharded onto threads.
 
     All dispatch lives in :func:`~repro.sim.batch.run_policy_batch`:
     batch-capable policies drive every trial at once, the rest run one
@@ -100,7 +94,6 @@ def estimate_expected_makespan(
         semantics=semantics,
         max_steps=max_steps,
         discipline=discipline,
-        kernel=kernel,
         kernel_threads=kernel_threads,
     )
     return batch.stats()
@@ -114,7 +107,6 @@ def compare_policies(
     *,
     max_steps: int = DEFAULT_MAX_STEPS,
     discipline: str | None = None,
-    kernel: str | None = None,
     kernel_threads: int | None = None,
 ) -> dict[str, MakespanStats]:
     """Paired Monte Carlo comparison with common random numbers.
@@ -170,7 +162,6 @@ def compare_policies(
             max_steps=max_steps,
             discipline=discipline,
             streams=None if streams is None else streams.child(k),
-            kernel=kernel,
             kernel_threads=kernel_threads,
         ).stats(label)
         for k, label in enumerate(labels)

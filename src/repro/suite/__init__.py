@@ -2,7 +2,7 @@
 
 A *suite file* (JSON; TOML on Python 3.11+) declares a scenario grid ×
 policies × a :class:`~repro.api.scenario.SimConfig` sweep (seeds,
-disciplines, kernels, ...) plus optional registered experiments.  The
+disciplines, thread counts, ...) plus optional registered experiments.  The
 spec expands into *cells*; each cell is content-addressed by a sha256
 digest over the materialized instance, the scenario recipe, the policy,
 the config core, and the resolved knob snapshot

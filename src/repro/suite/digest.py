@@ -11,7 +11,7 @@ everything that determines its result:
   semantics, horizon), and
 * the *resolved* knob snapshot (:meth:`SimConfig.resolved` — explicit →
   config → environment → default), so a sweep run under
-  ``REPRO_KERNEL=numba`` is addressed separately from a numpy run.
+  ``REPRO_DISCIPLINE=v2`` is addressed separately from a v1 run.
 
 Experiment cells hash their id plus canonical args.  Anything with the
 same digest is the same measurement: re-running a suite only computes the

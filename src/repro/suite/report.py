@@ -33,8 +33,8 @@ def report_dict(spec: SuiteSpec, outcome: SuiteOutcome) -> dict:
 
 def _simulate_rows(outcome: SuiteOutcome) -> list[str]:
     lines = [
-        "| scenario | policy | discipline | kernel | seed | mean | ratio | cell |",
-        "|---|---|---|---|---|---|---|---|",
+        "| scenario | policy | discipline | seed | mean | ratio | cell |",
+        "|---|---|---|---|---|---|---|",
     ]
     for o in outcome.outcomes:
         if o.artifact.get("kind") != "simulate":
@@ -47,7 +47,7 @@ def _simulate_rows(outcome: SuiteOutcome) -> list[str]:
         lines.append(
             f"| {scen['shape']}/{scen['model']} n={scen['n_jobs']} "
             f"m={scen['n_machines']} s={scen['seed']} "
-            f"| {res['policy']} | {knobs['discipline']} | {knobs['kernel']} "
+            f"| {res['policy']} | {knobs['discipline']} "
             f"| {cell['config']['seed']} | {res['mean']:.3f} "
             f"| {res['ratio']:.3f} | {tag} |"
         )

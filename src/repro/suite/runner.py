@@ -41,12 +41,9 @@ class _SuitePoolExecutor:
 
     backend = "process"
 
-    def __init__(self, config, n_workers: int):
+    def __init__(self, n_workers: int):
         self.n_workers = n_workers
-        knobs = config.resolved()
-        self._pool = worker_pool(
-            n_workers, kernel=knobs.kernel, kernel_threads=knobs.kernel_threads
-        )
+        self._pool = worker_pool(n_workers)
 
     def acquire(self):
         return self._pool
@@ -160,7 +157,7 @@ class SuiteRunner:
                 else:
                     if (executor is None and self.jobs > 1
                             and isinstance(cell, SimulateCell)):
-                        executor = _SuitePoolExecutor(cell.config, self.jobs)
+                        executor = _SuitePoolExecutor(self.jobs)
                     artifact = self._materialize(cell, digest, executor)
                     self._write_atomic(path, artifact)
                     record = CellOutcome(digest, cell.label(), False, artifact)

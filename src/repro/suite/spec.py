@@ -15,7 +15,7 @@ optional registered-experiment entries::
     }
 
 ``sweep`` axes are :class:`~repro.api.scenario.SimConfig` fields (seeds,
-disciplines, kernels, kernel_threads, ...); every combination multiplies
+disciplines, kernel_threads, ...); every combination multiplies
 the grid × policies product.  Loading is *strict*: unknown top-level
 keys, unknown sweep fields, unknown policies, and unknown experiment ids
 all raise :class:`SuiteError` at load time — a typo must never silently
@@ -60,7 +60,7 @@ class SimulateCell:
         knobs = self.config.resolved()
         return (
             f"{self.policy} on {self.scenario.label()} "
-            f"[{knobs.discipline}/{knobs.kernel} seed={self.config.seed}]"
+            f"[{knobs.discipline} seed={self.config.seed}]"
         )
 
 

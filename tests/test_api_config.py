@@ -9,7 +9,6 @@ from repro.api.config import (
     ResolvedKnobs,
     lp_reuse_eps,
     resolve_discipline,
-    resolve_kernel,
     resolve_kernel_threads,
     resolve_knobs,
     resolve_lp_reuse,
@@ -23,7 +22,6 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
 ENV_BY_KNOB = {
     "discipline": "REPRO_DISCIPLINE",
     "lp_reuse": "REPRO_LP_REUSE",
-    "kernel": "REPRO_KERNEL",
     "kernel_threads": "REPRO_KERNEL_THREADS",
     "substreams": "REPRO_SUBSTREAMS",
 }
@@ -35,14 +33,12 @@ class TestPrecedence:
     DEFAULTS = {
         "discipline": "v1",
         "lp_reuse": "exact",
-        "kernel": "numpy",
         "kernel_threads": 1,
         "substreams": "shared",
     }
     NON_DEFAULT = {
         "discipline": "v2",
         "lp_reuse": "subset",
-        "kernel": "python",
         "kernel_threads": 3,
         "substreams": "per-policy",
     }
@@ -69,10 +65,10 @@ class TestPrecedence:
     def test_explicit_beats_config(self, monkeypatch):
         for var in ENV_BY_KNOB.values():
             monkeypatch.delenv(var, raising=False)
-        config = SimConfig(discipline="v1", kernel="numpy")
-        knobs = resolve_knobs(config=config, discipline="v2", kernel="python")
+        config = SimConfig(discipline="v1", kernel_threads=1)
+        knobs = resolve_knobs(config=config, discipline="v2", kernel_threads=3)
         assert knobs.discipline == "v2"
-        assert knobs.kernel == "python"
+        assert knobs.kernel_threads == 3
 
     def test_simconfig_resolved_matches(self, monkeypatch):
         monkeypatch.setenv("REPRO_LP_REUSE", "subset")
@@ -90,7 +86,6 @@ class TestLoudEnvErrors:
     CASES = [
         (resolve_discipline, "REPRO_DISCIPLINE", "v3", "discipline"),
         (resolve_lp_reuse, "REPRO_LP_REUSE", "always", "lp_reuse"),
-        (resolve_kernel, "REPRO_KERNEL", "fortran", "kernel"),
         (resolve_kernel_threads, "REPRO_KERNEL_THREADS", "many", "integer"),
         (resolve_kernel_threads, "REPRO_KERNEL_THREADS", "0", ">= 1"),
         (resolve_substreams, "REPRO_SUBSTREAMS", "independent", "substreams"),
@@ -129,14 +124,11 @@ class TestDelegation:
 
     def test_legacy_names_delegate(self, monkeypatch):
         from repro.core import phased
-        from repro.kernels import resolve_kernel as kernels_resolve
         from repro.util import rng
 
         monkeypatch.setenv("REPRO_DISCIPLINE", "v2")
-        monkeypatch.setenv("REPRO_KERNEL", "python")
         monkeypatch.setenv("REPRO_LP_REUSE", "subset")
         assert rng.resolve_discipline() == "v2"
-        assert kernels_resolve() == "python"
         assert phased.resolve_lp_reuse() == "subset"
 
 

@@ -499,21 +499,21 @@ class TestV2Determinism:
 
 
 class TestShardInvariance:
-    """The trial-shard layer (``kernel_threads > 1`` on serial backends)
-    splits a batch along the same seam the process backend chunks on.
-    Under v2 the Philox streams are addressed by *global* trial index, so
-    shard layout is invisible by construction — assert it across thread
-    counts, backends, and chunked runs."""
+    """The trial-shard layer (``kernel_threads > 1``) splits a batch
+    along the same seam the process backend chunks on.  Under v2 the
+    Philox streams are addressed by *global* trial index, so shard layout
+    is invisible by construction — assert it across thread counts and
+    chunked runs."""
 
-    @pytest.mark.parametrize("kernel", ["numpy", "python"])
-    @pytest.mark.parametrize("kernel_threads", [1, 2, 4])
-    def test_v2_bit_identical_across_thread_counts(self, kernel,
-                                                   kernel_threads):
+    # 12 trials: even shards (2, 4), uneven ones (5 -> 2/2/3/2/3), one
+    # trial per shard (12), and more threads than trials (16).
+    @pytest.mark.parametrize("kernel_threads", [1, 2, 4, 5, 12, 16])
+    def test_v2_bit_identical_across_thread_counts(self, kernel_threads):
         inst = make_instance("chains")
         factory = policy_factory("suu-c")
         ref = run_policy_batch(inst, factory, 12, rng=11, discipline="v2")
         got = run_policy_batch(
-            inst, factory, 12, rng=11, discipline="v2", kernel=kernel,
+            inst, factory, 12, rng=11, discipline="v2",
             kernel_threads=kernel_threads,
         )
         assert np.array_equal(ref.makespans, got.makespans)

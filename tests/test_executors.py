@@ -182,11 +182,6 @@ class TestWarmPoolExecutor:
         assert after["solves"] == before["solves"]
         assert warm.pools_built == 1  # never respawned along the way
 
-        # The probe also reports the worker's own kernel state — the
-        # authoritative view of what backend warm workers actually run.
-        assert after["kernel"]["active"] in ("numpy", "numba")
-        assert after["kernel"]["threads"] >= 1
-
         stats = warm.stats()
         assert stats["kind"] == "warm-pool"
         assert stats["backend"] == "process"

@@ -125,6 +125,9 @@ class TestSchedulingServiceRouting:
             ("POST", "/grid", {"scenarios": []}, "non-empty list"),
             ("POST", "/grid", {"scenarios": [SCENARIO], "policies": [1]},
              "policies must be a list"),
+            ("POST", "/simulate",
+             _simulate_body(config={**CONFIG, "kernel": "numpy"}),
+             "invalid config: unknown SimConfig fields ['kernel']"),
         ],
     )
     def test_client_errors_are_400s(self, service, method, path, body,

@@ -9,6 +9,12 @@ import sys
 
 import pytest
 
+from repro.api.config import (
+    DISCIPLINE_ENV_VAR,
+    KERNEL_THREADS_ENV_VAR,
+    LP_REUSE_ENV_VAR,
+    SUBSTREAMS_ENV_VAR,
+)
 from repro.api.scenario import Scenario, ScenarioGrid, SimConfig
 from repro.errors import InvalidScenarioError
 from repro.suite import (
@@ -31,6 +37,14 @@ SMALL = {
     "policies": ["obl"],
     "config": {"n_trials": 4, "max_steps": 5000},
 }
+
+
+def clear_knob_env(monkeypatch):
+    """Unset every knob environment variable, so a test's assertions see
+    the default knobs however the surrounding environment is set."""
+    for var in (DISCIPLINE_ENV_VAR, LP_REUSE_ENV_VAR, KERNEL_THREADS_ENV_VAR,
+                SUBSTREAMS_ENV_VAR):
+        monkeypatch.delenv(var, raising=False)
 
 
 def small_spec(**overrides):
@@ -66,6 +80,8 @@ class TestSpecLoading:
     def test_unknown_sweep_field(self):
         with pytest.raises(SuiteError, match="dicipline"):
             small_spec(sweep={"dicipline": ["v1"]})
+        with pytest.raises(SuiteError, match="kernel"):
+            small_spec(sweep={"kernel": ["numpy"]})
 
     def test_bad_sweep_value(self):
         with pytest.raises(SuiteError, match="sweep value"):
@@ -113,6 +129,8 @@ class TestStrictRoundTrip:
     def test_simconfig_rejects_unknown(self):
         with pytest.raises(InvalidScenarioError, match="trials"):
             SimConfig.from_dict({"trials": 10})
+        with pytest.raises(InvalidScenarioError, match="'kernel'"):
+            SimConfig.from_dict({"n_trials": 10, "kernel": "numpy"})
 
     def test_grid_rejects_unknown_top_level(self):
         grid = ScenarioGrid(Scenario(), n_jobs=[4, 8])
@@ -145,11 +163,12 @@ class TestDigest:
 
     @pytest.mark.parametrize("field,value", [
         ("n_trials", 41), ("seed", 5), ("semantics", "suu_star"),
-        ("max_steps", 39999), ("discipline", "v2"), ("kernel", "python"),
+        ("max_steps", 39999), ("discipline", "v2"),
         ("kernel_threads", 2), ("lp_reuse", "subset"),
         ("substreams", "per-policy"),
     ])
-    def test_config_field_changes_digest(self, field, value):
+    def test_config_field_changes_digest(self, field, value, monkeypatch):
+        clear_knob_env(monkeypatch)
         cell = demo_cell()
         changed = dataclasses.replace(cell, config=dataclasses.replace(
             cell.config, **{field: value}))
@@ -173,7 +192,7 @@ class TestDigest:
     def test_env_knob_changes_digest(self, monkeypatch):
         cell = demo_cell()
         base = cell_digest(cell)
-        monkeypatch.setenv("REPRO_KERNEL", "python")
+        monkeypatch.setenv(LP_REUSE_ENV_VAR, "subset")
         assert cell_digest(cell) != base
 
     def test_experiment_digest_insensitive_to_arg_order(self):
@@ -239,7 +258,8 @@ class TestRunner:
         md = (out / "report.md").read_text()
         assert "| obl |" in md and outcome.outcomes[0].digest[:12] in md
 
-    def test_artifact_contents(self, tmp_path):
+    def test_artifact_contents(self, tmp_path, monkeypatch):
+        clear_knob_env(monkeypatch)
         spec = small_spec()
         out = tmp_path / "r"
         outcome = SuiteRunner(spec, out).run()
