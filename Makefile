@@ -17,13 +17,6 @@ SERVICE_BASELINE ?= BENCH_6.json
 # noisier than kernel ratios; the wider tolerance still catches a lost
 # warm pool (the gated ratio collapses ~10x when every request respawns).
 SERVICE_TOLERANCE ?= 0.5
-LPWALL_JSON ?= bench_lpwall_current.json
-LPWALL_BASELINE ?= BENCH_7.json
-# The gated exact/subset wall-clock ratio is ~1.5-2.1x (the sim engine
-# shares both sides; only the solver work differs), so noise is a larger
-# fraction of it; the hard solve-count floor (>= 5x fewer solves) is
-# asserted inside bench_lpwall.py itself and does not depend on timing.
-LPWALL_TOLERANCE ?= 0.3
 KERNELS_JSON ?= bench_kernels_current.json
 KERNELS_BASELINE ?= BENCH_8.json
 # The checked/trusted validation-hoist ratio is ~1.0x (the checks are
@@ -39,7 +32,7 @@ PARALLEL_TOLERANCE ?= 0.5
 COV_FLOOR ?= 85
 
 .PHONY: test test-v2 lint cov bench bench-check \
-	bench-service bench-service-check bench-lpwall bench-lpwall-check \
+	bench-service bench-service-check \
 	bench-kernels bench-kernels-check bench-parallel \
 	bench-parallel-check smoke suite-smoke tables
 
@@ -86,17 +79,6 @@ bench-service:
 bench-service-check: bench-service
 	$(PYTHON) benchmarks/check_regression.py $(SERVICE_BASELINE) \
 		$(SERVICE_JSON) --mode ratio --tolerance $(SERVICE_TOLERANCE)
-
-# LP-wall benchmarks: 10k-trial exact-vs-subset survivor-reuse pairs for
-# suu-c / suu-t / sem (slow: ~6-8 min; each subset row also hard-asserts
-# the >= 5x solve-count collapse and mean-makespan proximity).
-bench-lpwall:
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_lpwall.py \
-		--benchmark-json=$(LPWALL_JSON) -q
-
-bench-lpwall-check: bench-lpwall
-	$(PYTHON) benchmarks/check_regression.py $(LPWALL_BASELINE) \
-		$(LPWALL_JSON) --mode ratio --tolerance $(LPWALL_TOLERANCE)
 
 # Stepping-kernel benchmarks at 10k trials: the chain-heavy and greedy
 # kernel rows plus the checked/trusted validation-hoist pair.

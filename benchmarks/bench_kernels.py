@@ -9,8 +9,9 @@ Two layers:
 * Stepping-kernel rows at Monte Carlo scale (10k trials):
 
   - ``test_kern_base_<key>`` — one :func:`run_policy_batch` call of the
-    :mod:`repro.kernels` stepping kernels on a chain-heavy SUU-C row and
-    an independent greedy row (recorded, unpaired).
+    :mod:`repro.kernels` stepping kernels on a chain-heavy SUU-C row
+    (whose segment SEM runs also solve an exact LP1 per distinct
+    survivor set) and an independent greedy row (recorded, unpaired).
   - ``test_kern_checked_<key>`` / ``test_kern_trusted_<key>`` — the
     per-step assignment-validation knob (``validate=True`` vs the
     trusted first-step-only mode), paired by
@@ -109,7 +110,7 @@ def _chains_instance():
 #: key -> zero-arg (instance, factory, run kwargs) builder.
 KERNEL_CONFIGS = {
     "suuc_chains_10000": lambda: (
-        _chains_instance(), SUUCPolicy, dict(semantics="suu", lp_reuse="subset")
+        _chains_instance(), SUUCPolicy, dict(semantics="suu")
     ),
     "greedy_10000": lambda: (
         independent_instance(40, 8, "uniform", rng=2), GreedyLRPolicy,

@@ -51,15 +51,8 @@ PARALLEL_CONFIGS = {
         independent_instance(40, 8, "uniform", rng=2), GreedyLRPolicy,
         dict(semantics="suu"),
     ),
-    # Exact LP reuse on the shard row: subset reuse declines to shard
-    # (donor selection reads the shared solve cache, whose fill order
-    # under concurrent shards is scheduling-dependent), so a subset row
-    # here would time two identical serial runs.  Exact reuse is
-    # key-deterministic — any shard interleaving caches the same values
-    # — hence shard-safe and bit-identical.
     "shard_suuc_10000": lambda: (
-        _chains_instance(), SUUCPolicy, dict(semantics="suu",
-                                             lp_reuse="exact"),
+        _chains_instance(), SUUCPolicy, dict(semantics="suu"),
     ),
 }
 

@@ -17,17 +17,16 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import numbers
 from dataclasses import dataclass
 
 from repro.api.config import (
     DISCIPLINES,
-    LP_REUSE_MODES,
     SUBSTREAMS_MODES,
     ResolvedKnobs,
     resolve_discipline,
     resolve_kernel_threads,
     resolve_knobs,
-    resolve_lp_reuse,
     resolve_substreams,
 )
 from repro.errors import InvalidScenarioError
@@ -60,6 +59,20 @@ SCENARIO_SHAPES: tuple[str, ...] = (
 FAILURE_MODELS: tuple[str, ...] = ("uniform", "powerlaw", "specialist", "related")
 
 
+def _check_int(name: str, value, minimum: int | None = None) -> None:
+    """Raise :class:`InvalidScenarioError` unless ``value`` is an integer
+    (and, when ``minimum`` is given, at least ``minimum``).
+
+    Integers are ``numbers.Integral`` other than ``bool``: numpy integers
+    pass, while a JSON ``2.5`` or ``true`` from a request body fails here
+    instead of being truncated or crashing a generator later.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidScenarioError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise InvalidScenarioError(f"{name} must be >= {minimum}, got {value}")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """How to run the Monte Carlo measurement of a scenario.
@@ -82,14 +95,6 @@ class SimConfig:
         statistically equivalent), or ``None`` to resolve through the
         ``REPRO_DISCIPLINE`` environment variable at run time (default
         v1).  See :mod:`repro.util.rng`.
-    lp_reuse:
-        LP survivor-set reuse mode: ``"exact"`` (every distinct survivor
-        set solves its own LP — bit-identical to earlier releases),
-        ``"subset"`` (a survivor set that is a subset of an already-solved
-        one, within the documented capped-mass coverage ``eps``, reuses the
-        cached round schedule restricted to its columns), or ``None`` to
-        resolve through ``REPRO_LP_REUSE`` at run time (default exact).
-        See :mod:`repro.core.phased`.
     kernel_threads:
         Trial-parallel worker count for one batch: the batch is split
         into contiguous trial shards executed on a thread pool, each
@@ -109,7 +114,7 @@ class SimConfig:
 
     Every knob resolves through the one documented chain in
     :mod:`repro.api.config` — explicit argument → this config's field →
-    environment variable → default; :meth:`resolved` snapshots all four
+    environment variable → default; :meth:`resolved` snapshots all three
     at once.
     """
 
@@ -118,34 +123,22 @@ class SimConfig:
     semantics: str = "suu"
     max_steps: int = DEFAULT_MAX_STEPS
     discipline: str | None = None
-    lp_reuse: str | None = None
     kernel_threads: int | None = None
     substreams: str | None = None
 
     def __post_init__(self):
-        if self.n_trials < 1:
-            raise InvalidScenarioError(f"n_trials must be >= 1, got {self.n_trials}")
+        _check_int("n_trials", self.n_trials, 1)
+        _check_int("seed", self.seed, 0)
         if self.semantics not in ("suu", "suu_star"):
             raise InvalidScenarioError(f"unknown semantics {self.semantics!r}")
-        if self.max_steps < 1:
-            raise InvalidScenarioError(f"max_steps must be >= 1, got {self.max_steps}")
+        _check_int("max_steps", self.max_steps, 1)
         if self.discipline is not None and self.discipline not in DISCIPLINES:
             raise InvalidScenarioError(
                 f"unknown discipline {self.discipline!r}; expected one of "
                 f"{DISCIPLINES} (or None for the environment default)"
             )
-        if self.lp_reuse is not None and self.lp_reuse not in LP_REUSE_MODES:
-            raise InvalidScenarioError(
-                f"unknown lp_reuse mode {self.lp_reuse!r}; expected one of "
-                f"{LP_REUSE_MODES} (or None for the environment default)"
-            )
-        if self.kernel_threads is not None and (
-            not isinstance(self.kernel_threads, int) or self.kernel_threads < 1
-        ):
-            raise InvalidScenarioError(
-                f"kernel_threads must be an integer >= 1, got "
-                f"{self.kernel_threads!r} (or None for the environment default)"
-            )
+        if self.kernel_threads is not None:
+            _check_int("kernel_threads", self.kernel_threads, 1)
         if self.substreams is not None and self.substreams not in SUBSTREAMS_MODES:
             raise InvalidScenarioError(
                 f"unknown substreams mode {self.substreams!r}; expected "
@@ -154,7 +147,7 @@ class SimConfig:
             )
 
     def resolved(self) -> ResolvedKnobs:
-        """All four knobs resolved through the one chain in
+        """All three knobs resolved through the one chain in
         :mod:`repro.api.config` (explicit field → environment variable →
         default) — the snapshot that feeds suite-cell digests."""
         return resolve_knobs(config=self)
@@ -162,10 +155,6 @@ class SimConfig:
     def resolved_discipline(self) -> str:
         """The discipline trials will actually run under (env-resolved)."""
         return resolve_discipline(self.discipline)
-
-    def resolved_lp_reuse(self) -> str:
-        """The lp_reuse mode trials will actually run under (env-resolved)."""
-        return resolve_lp_reuse(self.lp_reuse)
 
     def resolved_kernel_threads(self) -> int:
         """The trial-parallel worker count trials will run with
@@ -251,13 +240,14 @@ class Scenario:
             raise InvalidScenarioError(
                 f"unknown failure model {self.model!r}; expected one of {FAILURE_MODELS}"
             )
-        if self.n_jobs < 1 or self.n_machines < 1:
-            raise InvalidScenarioError(
-                f"need n_jobs >= 1 and n_machines >= 1, got "
-                f"{self.n_jobs} x {self.n_machines}"
-            )
-        if self.n_layers < 1:
-            raise InvalidScenarioError(f"n_layers must be >= 1, got {self.n_layers}")
+        _check_int("n_jobs", self.n_jobs, 1)
+        _check_int("n_machines", self.n_machines, 1)
+        _check_int("seed", self.seed, 0)
+        _check_int("n_layers", self.n_layers, 1)
+        # The generators range-check the chain and tree counts themselves.
+        for name in ("n_chains", "n_trees"):
+            if getattr(self, name) is not None:
+                _check_int(name, getattr(self, name))
         if self.orientation not in (None, "out", "in", "mixed"):
             raise InvalidScenarioError(
                 f"orientation must be 'out', 'in', or 'mixed', got "

@@ -94,11 +94,8 @@ class Report:
         was asked for them (``per_job=True``); ``None`` otherwise.
     lp_stats:
         LP-wall attribution for this run (:mod:`repro.lp.stats` fields:
-        ``lp_solves``, ``assembly_seconds``, ``reuse_hits``,
-        ``coalesced_batches``, ``coalesced_solves``), summed across worker
-        chunks; the ``coalesced_*`` pair counts ``lp_reuse="subset"``
-        batches only and stays 0 in exact mode.  ``None`` on legacy paths
-        that did not collect it.
+        ``lp_solves`` and ``assembly_seconds``), summed across worker
+        chunks.  ``None`` on legacy paths that did not collect it.
     kernel:
         ``{"threads": n}``: the resolved ``kernel_threads`` count the
         trials ran with.  ``None`` on legacy paths.
@@ -151,8 +148,8 @@ class Report:
 
 def run_trial_batch(
     instance, factory, rngs, semantics, max_steps, want_completions=False,
-    discipline="v1", streams=None, lp_reuse="exact", want_lp_stats=False,
-    validate=True, kernel_threads=1,
+    discipline="v1", streams=None, want_lp_stats=False, validate=True,
+    kernel_threads=1,
 ):
     """Run one chunk of Monte Carlo trials; returns the makespans.
 
@@ -169,9 +166,9 @@ def run_trial_batch(
     v2 the chunk reads its global rows of the run's batch streams
     (``streams`` arrives offset-rebased), so samples are still invariant
     to chunk layout — they are just v2 samples.  The discipline — and,
-    identically, the ``lp_reuse`` mode and the ``kernel_threads`` count —
-    is resolved by the *caller* and passed explicitly so workers never
-    consult their own environment.
+    identically, the ``kernel_threads`` count — is resolved by the
+    *caller* and passed explicitly so workers never consult their own
+    environment.
     ``validate=False`` marks the policy as trusted (registry-dispatched):
     per-step assignment validation runs
     on the first step only (see :func:`repro.sim.batch.run_policy_batch`).
@@ -187,7 +184,7 @@ def run_trial_batch(
     batch = run_policy_batch(
         instance, factory, trial_rngs=rngs, semantics=semantics,
         max_steps=max_steps, discipline=discipline, streams=streams,
-        lp_reuse=lp_reuse, validate=validate, kernel_threads=kernel_threads,
+        validate=validate, kernel_threads=kernel_threads,
     )
     out = (batch.makespans,)
     if want_completions:
@@ -299,8 +296,7 @@ def _sum_lp_deltas(deltas) -> dict:
 
 def _map_chunks(pool, n_workers, instance, factory, rngs, config,
                 want_completions=False, discipline="v1", streams=None,
-                lp_reuse="exact", want_lp_stats=False, validate=True,
-                kernel_threads=1):
+                want_lp_stats=False, validate=True, kernel_threads=1):
     """Fan trial chunks out over ``pool`` and reassemble them in order.
 
     Under discipline v2 every chunk receives the run's streams re-based at
@@ -316,7 +312,7 @@ def _map_chunks(pool, n_workers, instance, factory, rngs, config,
                 (instance, factory, rngs[lo:hi], config.semantics,
                  config.max_steps, want_completions, discipline,
                  None if streams is None else streams.with_offset(lo),
-                 lp_reuse, want_lp_stats, validate, kernel_threads)
+                 want_lp_stats, validate, kernel_threads)
                 for lo, hi in bounds
             ]
         ),
@@ -410,7 +406,6 @@ def _run_batched(
     # root addressed by global trial index (chunk-layout invariant).
     knobs = config.resolved()
     discipline = knobs.discipline
-    lp_reuse = knobs.lp_reuse
     kernel_threads = knobs.kernel_threads
     sub_root = None
     if substream is not None:
@@ -434,20 +429,20 @@ def _run_batched(
     ):
         return run_trial_batch(
             instance, factory, rngs, config.semantics, config.max_steps,
-            want_completions, discipline, streams, lp_reuse, want_lp_stats,
+            want_completions, discipline, streams, want_lp_stats,
             validate, kernel_threads,
         )
     n_workers = n_workers or min(os.cpu_count() or 1, config.n_trials)
     if pool is not None:
         return _map_chunks(
             pool, n_workers, instance, factory, rngs, config,
-            want_completions, discipline, streams, lp_reuse, want_lp_stats,
+            want_completions, discipline, streams, want_lp_stats,
             validate, kernel_threads,
         )
     with worker_pool(n_workers) as pool:
         return _map_chunks(
             pool, n_workers, instance, factory, rngs, config,
-            want_completions, discipline, streams, lp_reuse, want_lp_stats,
+            want_completions, discipline, streams, want_lp_stats,
             validate, kernel_threads,
         )
 

@@ -60,7 +60,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import kernels
-from repro.core.phased import RoundScheduleCache, active_lp_reuse
+from repro.core.phased import RoundScheduleCache
 from repro.core.suu_i_sem import paper_round_count
 from repro.errors import ReproError
 from repro.schedule.base import IDLE, IntegralAssignment
@@ -573,39 +573,6 @@ class ChainCursorBatch:
         cur.sid = self._cache.schedule_id(target, remaining_local)
         cur.step = 0
 
-    def _warm_sem_boundary(self, sem: np.ndarray, state) -> None:
-        """Coalesce the segment-SEM round solves due at this boundary
-        under ``lp_reuse="subset"``.
-
-        Collects every member trial about to start a new doubling round and
-        hands the distinct (target, survivor set) misses to
-        ``RoundScheduleCache.ensure_many``: one shared union-anchor solve
-        most members then derive from.  Purely cache-warming: the serial
-        ``_sem_key`` walk that follows produces identical keys whether or
-        not this ran.  In exact mode it returns at once — each miss is
-        solved where the walk first needs it.
-        """
-        if active_lp_reuse() != "subset":
-            return
-        requests = []
-        for b in sem.tolist():
-            if self.sem_left[b] <= 0:
-                continue
-            cur = self._sem[b]
-            if type(cur) is _RepeatCursor or cur.mode != "rounds":
-                continue
-            if cur.sid is not None and cur.step < self._cache.schedule(
-                cur.sid
-            ).length:
-                continue
-            if cur.round >= cur.n_rounds:
-                continue  # about to enter a fallback mode, not a round
-            remaining_local = cur.jobs_local[state.remaining[b][cur.jobs_global]]
-            if remaining_local.size:
-                requests.append((2.0 ** (cur.round - 1), remaining_local))
-        if len(requests) > 1:
-            self._cache.ensure_many(requests)
-
     def _sem_key(self, b: int, remaining_row: np.ndarray):
         cur = self._sem[b]
         if type(cur) is _RepeatCursor:
@@ -664,8 +631,6 @@ class ChainCursorBatch:
                 self._fallback_keys(fb, state)
 
             sem = pending[ph == _SEM]
-            if sem.size > 1:
-                self._warm_sem_boundary(sem, state)
             for b in sem.tolist():
                 if self.sem_left[b] > 0:
                     keys[b] = self._sem_key(b, state.remaining[b])

@@ -34,14 +34,12 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from contextlib import contextmanager
 
 import numpy as np
 
-from repro.core.lp1 import cached_capped_logmass, solve_lp1
+from repro.core.lp1 import solve_lp1
 from repro.core.rounding import round_assignment
 from repro.lp.stats import LP_STATS
-from repro.schedule.base import IDLE
 from repro.schedule.oblivious import FiniteObliviousSchedule
 
 __all__ = [
@@ -50,10 +48,6 @@ __all__ = [
     "install_solve_cache",
     "clear_solve_cache",
     "solve_cache_stats",
-    "resolve_lp_reuse",
-    "active_lp_reuse",
-    "lp_reuse_eps",
-    "lp_reuse_context",
     "RoundScheduleCache",
     "SemCursor",
     "sem_phase_key",
@@ -63,85 +57,6 @@ __all__ = [
 
 #: Phase key of a trial whose covered jobs have all completed (idle row).
 IDLE_KEY = ("idle",)
-
-# ---------------------------------------------------------------------------
-# Survivor-set reuse mode ("collapse the LP wall").
-#
-# ``exact`` (the default) keeps today's behavior bit for bit: every distinct
-# (target, survivor set) runs its own LP1 solve pipeline, memoized exactly.
-# ``subset`` additionally allows a new survivor set S' that is a *subset* of
-# an already-solved set S (a per-trial predecessor, a coalesced boundary
-# union, or the canonical full-job-set anchor) to reuse S's rounded round
-# schedule restricted to S''s columns and compacted.  Capped-mass coverage
-# is then *exact*: every job of S' keeps its full multiset of (machine,
-# step-count) assignments from S, so each still receives >= target capped
-# mass, bit for bit.  What reuse can cost is schedule *length* — the
-# donor's placement need not balance S''s surviving steps — and eps bounds
-# exactly that: a restriction is accepted only when its compacted length is
-# within ``(1 + eps)`` of a perfectly balanced repack of the same steps.
-# Only schedule length (and hence makespan, statistically) can differ from
-# a fresh solve; gate-failing restrictions fall back to their own solves.
-
-#: Recognized ``lp_reuse`` modes.
-LP_REUSE_MODES = ("exact", "subset")
-
-#: Default relative length overhead tolerated by a derived round schedule
-#: (vs a perfectly balanced repack of its surviving steps).
-DEFAULT_LP_REUSE_EPS = 0.25
-
-#: lp_reuse scope installed by :func:`lp_reuse_context` — thread-local,
-#: so trial shards (repro.sim.batch, kernel_threads > 1) running
-#: concurrent batches in one process never see each other's mode.
-_lp_reuse_tls = threading.local()
-
-
-def resolve_lp_reuse(mode: str | None = None) -> str:
-    """Validate ``mode``, consulting ``REPRO_LP_REUSE`` when None.
-
-    Delegates to :func:`repro.api.config.resolve_lp_reuse` — the single
-    config-resolution chain shared by every knob (this module keeps the
-    name for its long-standing callers).
-    """
-    # Deferred: repro.api.config is the one env-reading module and lives
-    # above this layer (importing it pulls the whole api package).
-    from repro.api.config import resolve_lp_reuse as _resolve
-
-    return _resolve(mode)
-
-
-def active_lp_reuse() -> str:
-    """The lp_reuse mode in effect (context override, else environment)."""
-    active = getattr(_lp_reuse_tls, "mode", None)
-    if active is not None:
-        return active
-    return resolve_lp_reuse()
-
-
-def lp_reuse_eps() -> float:
-    """Subset-reuse length-overhead tolerance (``REPRO_LP_REUSE_EPS``).
-
-    Delegates to :func:`repro.api.config.lp_reuse_eps`.
-    """
-    from repro.api.config import lp_reuse_eps as _resolve
-
-    return _resolve()
-
-
-@contextmanager
-def lp_reuse_context(mode: str | None):
-    """Scope an lp_reuse mode over a batch run.
-
-    The scope is genuinely thread-local: each trial shard's recursive
-    batch run enters its own context on its own thread, so concurrent
-    shards never clobber (or prematurely restore) each other's mode.
-    """
-    previous = getattr(_lp_reuse_tls, "mode", None)
-    _lp_reuse_tls.mode = resolve_lp_reuse(mode)
-    try:
-        yield
-    finally:
-        _lp_reuse_tls.mode = previous
-
 
 class ProcessSolveCache:
     """Process-wide memo for deterministic solve pipelines.
@@ -222,22 +137,6 @@ class ProcessSolveCache:
             if not keys:
                 del self._digests[digest]
 
-    def peek(self, key):
-        """The cached value for ``key`` (refreshing LRU), or None.
-
-        Unlike :meth:`lookup` a miss is free: no compute, no counter.  The
-        reuse/coalescing machinery peeks to decide *whether* a solve is
-        needed before committing to one.
-        """
-        if not self.enabled:
-            return None
-        with self._mu:
-            value = self._entries.get(key)
-            if value is not None:
-                self.hits += 1
-                self._touch(key)
-            return value
-
     def lookup(self, key, compute):
         """``compute()`` memoized under ``key`` (straight call if disabled)."""
         if not self.enabled:
@@ -317,8 +216,7 @@ def solve_cache_stats() -> dict:
     worker's cache through ``pool.submit(solve_cache_stats)`` — how the
     request server's ``/healthz`` surfaces warm-worker reuse.  The
     process-wide LP-wall counters (:mod:`repro.lp.stats`) ride along so
-    the served path reports real HiGHS solves, assembly time, subset-reuse
-    hits, and coalesced batches too.
+    the served path reports real HiGHS solves and assembly time too.
     """
     stats = {
         "entries": len(_SHARED_SOLVE_CACHE._entries),
@@ -352,9 +250,6 @@ class RoundScheduleCache:
         Number of lookups served from this batch's own table.
     """
 
-    #: Donor survivor sets kept per target for subset reuse, most recent last.
-    MAX_DONORS_PER_TARGET = 64
-
     def __init__(self, instance, scale: int):
         self.instance = instance
         self.scale = int(scale)
@@ -362,159 +257,11 @@ class RoundScheduleCache:
         self._memo: dict = {}
         self.solves = 0
         self.hits = 0
-        self.reuse_hits = 0
-        self.coalesced_batches = 0
-        self.coalesced_solves = 0
-        #: target -> list of (sorted survivor array, schedule) donors.
-        self._donors: dict[float, list] = {}
 
     def _solve(self, target: float, jobs: np.ndarray) -> FiniteObliviousSchedule:
         relaxation = solve_lp1(self.instance, jobs=jobs, target=target)
         assignment = round_assignment(relaxation, scale=self.scale)
         return FiniteObliviousSchedule.from_assignment(assignment)
-
-    def _shared_key(self, key):
-        return ("lp1-round", self.instance.digest(), self.scale) + key
-
-    def _sub_key(self, key, eps: float):
-        # Distinct prefix: derived schedules must never serve exact-mode
-        # lookups (exact mode stays bit-identical to a cold cache).
-        return ("lp1-round-sub", self.instance.digest(), self.scale, eps) + key
-
-    # -- subset reuse ---------------------------------------------------
-    def _register_donor(self, target: float, jobs: np.ndarray,
-                        schedule: FiniteObliviousSchedule) -> None:
-        pool = self._donors.setdefault(float(target), [])
-        pool.append((jobs, schedule))
-        if len(pool) > self.MAX_DONORS_PER_TARGET:
-            del pool[0]
-
-    def _derive_from_donors(self, target: float, jobs: np.ndarray, eps: float):
-        """A gate-passing derived schedule for ``jobs``, or None.
-
-        Existing superset donors are tried first (no solve at all), most
-        recent first; if none matches or passes the quality gate, the
-        *canonical* anchor — the full instance job set, a superset of
-        every survivor set that needs exactly one shared solve per
-        target, ever — is solved and tried.
-        """
-        pool = self._donors.get(float(target), [])
-        for donor_jobs, schedule in reversed(pool):
-            pos = np.searchsorted(donor_jobs, jobs)
-            if (pos < donor_jobs.size).all() and (donor_jobs[pos] == jobs).all():
-                derived = self._restrict(schedule, jobs, target, eps)
-                if derived is not None:
-                    return derived
-        full = np.arange(self.instance.n_jobs, dtype=np.int64)
-        if jobs.size == full.size or any(
-            donor_jobs.size == full.size for donor_jobs, _ in pool
-        ):
-            # The full set is the exact key itself, or the canonical anchor
-            # is already registered (and was tried, and failed, above).
-            return None
-        ukey = (float(target), full.tobytes())
-        anchor = shared_solve_cache().lookup(
-            self._shared_key(ukey), lambda: self._solve(target, full)
-        )
-        self._register_donor(target, full, anchor)
-        self.coalesced_batches += 1
-        LP_STATS.add("coalesced_batches")
-        return self._restrict(anchor, jobs, target, eps)
-
-    def _restrict(self, schedule: FiniteObliviousSchedule, jobs: np.ndarray,
-                  target: float, eps: float):
-        """The donor schedule restricted to ``jobs``, rebalanced and gated.
-
-        The restriction keeps, for every surviving job, its donor step
-        counts per machine — so each job still receives >= ``target``
-        capped mass — and drops steps the donor spent on departed jobs.
-        That alone is imbalanced: a fresh LP1 *minimizes* the max machine
-        load, while a restriction inherits placement balanced for the
-        donor's full set.  So steps are then greedily relocated from
-        over- to under-loaded machines, choosing at each move the job
-        whose capped-logmass delta between the two machines is largest
-        (least mass damage first) and never letting any job's mass drop
-        below ``target``.  The rebalanced length approaches the perfectly
-        balanced repack a fresh solve would produce.
-
-        The quality gate bounds the only real cost of reuse: the result
-        is returned only when the final length is within ``(1 + eps)`` of
-        the ceil-balanced repack of the same steps (and every requested
-        job actually appears — vacuously true for donors built from LP1
-        supersets, where mass >= target forces at least one step).
-        Returns None when the gate fails.
-        """
-        m = schedule.table.shape[1]
-        keep = np.isin(schedule.table, jobs)
-        counts = np.zeros((m, jobs.size), dtype=np.int64)
-        for i in range(m):
-            vals = schedule.table[keep[:, i], i]
-            np.add.at(counts[i], np.searchsorted(jobs, vals), 1)
-        if (counts.sum(axis=0) == 0).any():
-            return None
-        ell = cached_capped_logmass(self.instance, target)[:, jobs]
-        loads = counts.sum(axis=1)
-        ideal = -(-int(loads.sum()) // m)  # ceil balance
-        slack = (counts * ell).sum(axis=0) - target
-        while True:
-            a = int(np.argmax(loads))
-            b = int(np.argmin(loads))
-            if loads[a] <= ideal or loads[b] >= ideal:
-                break
-            delta = ell[b] - ell[a]
-            movable = (counts[a] > 0) & (slack + delta >= 0.0)
-            if not movable.any():
-                break
-            j = int(np.argmax(np.where(movable, delta, -np.inf)))
-            counts[a, j] -= 1
-            counts[b, j] += 1
-            loads[a] -= 1
-            loads[b] += 1
-            slack[j] += delta[j]
-        length = int(loads.max())
-        if length > (1.0 + eps) * ideal:
-            return None
-        out = np.full((length, m), IDLE, dtype=np.int64)
-        for i in range(m):
-            col = np.repeat(jobs, counts[i])
-            out[: col.size, i] = col
-        return FiniteObliviousSchedule(out)
-
-    def _obtain(self, key, count: bool = True) -> FiniteObliviousSchedule:
-        """The schedule for ``key = (target, jobs_bytes)`` honoring the
-        active lp_reuse mode (shared-cache first, then derivation from a
-        donor or a grown union anchor, then a fresh solve).
-
-        ``count=False`` suppresses the reuse-hit counters: ``ensure_many``
-        warms keys through this method, and the follow-up ``schedule_id``
-        call will count the (single) reuse when it peeks the warmed entry.
-        """
-        target = key[0]
-        jobs = np.frombuffer(key[1], dtype=np.int64)
-        shared = shared_solve_cache()
-        if active_lp_reuse() == "subset":
-            schedule = shared.peek(self._shared_key(key))
-            if schedule is not None:
-                self._register_donor(target, jobs, schedule)
-                return schedule
-            eps = lp_reuse_eps()
-            sub_key = self._sub_key(key, eps)
-            schedule = shared.peek(sub_key)
-            if schedule is None:
-                derived = self._derive_from_donors(target, jobs, eps)
-                if derived is not None:
-                    schedule = shared.lookup(sub_key, lambda: derived)
-            if schedule is not None:
-                if count:
-                    self.reuse_hits += 1
-                    LP_STATS.add("reuse_hits")
-                return schedule
-        schedule = shared.lookup(
-            self._shared_key(key), lambda: self._solve(target, jobs)
-        )
-        if active_lp_reuse() == "subset":
-            self._register_donor(target, jobs, schedule)
-        return schedule
 
     def schedule_id(self, target: float, jobs: np.ndarray) -> int:
         """Schedule id for ``LP1(jobs, target)`` rounded at ``self.scale``.
@@ -526,7 +273,10 @@ class RoundScheduleCache:
         key = (float(target), jobs.tobytes())
         sid = self._memo.get(key)
         if sid is None:
-            schedule = self._obtain(key)
+            schedule = shared_solve_cache().lookup(
+                ("lp1-round", self.instance.digest(), self.scale) + key,
+                lambda: self._solve(key[0], jobs),
+            )
             sid = len(self.schedules)
             self.schedules.append(schedule)
             self._memo[key] = sid
@@ -535,76 +285,14 @@ class RoundScheduleCache:
             self.hits += 1
         return sid
 
-    # -- coalesced boundary solves --------------------------------------
     def ensure_many(self, requests) -> None:
-        """Warm the caches for several upcoming ``(target, jobs)`` lookups.
+        """No-op, kept only as a benchmark tracer target.
 
-        Called by ``begin_step`` pre-passes under ``lp_reuse="subset"``
-        when a lock-step boundary is about to request multiple distinct
-        survivor-set schedules.  Purely a cache-warming step — the
-        subsequent serial :meth:`schedule_id` calls assign ids and produce
-        identical results whether or not this ran.
-
-        Per target, the *union* of the missing survivor sets is solved
-        once and registered as a donor (its composition is much closer to
-        this round's sets than the canonical full-set anchor, so
-        restrictions from it pass the quality gate more often); every miss
-        then warms through the donor machinery, with gate failures falling
-        back to their own solves.  In exact mode there is nothing to warm:
-        each miss is solved where the serial walk first needs it.
+        ``perfbench/tracer.py`` names it as the ``phased.ensure_many``
+        span target, and ``perfbench/test_perfbench.py`` asserts that
+        every target exists.  Nothing in the package calls it; delete it
+        once the benchmark drops that target.
         """
-        if active_lp_reuse() != "subset":
-            return
-        pending: dict = {}
-        for target, jobs in requests:
-            jobs = np.ascontiguousarray(jobs, dtype=np.int64)
-            key = (float(target), jobs.tobytes())
-            if key not in self._memo and key not in pending:
-                pending[key] = jobs
-        if not pending:
-            return
-        shared = shared_solve_cache()
-        eps = lp_reuse_eps()
-
-        misses: dict = {}
-        for key, jobs in pending.items():
-            hit = shared.peek(self._shared_key(key))
-            if hit is not None:
-                self._register_donor(key[0], jobs, hit)
-                continue
-            if shared.peek(self._sub_key(key, eps)) is not None:
-                continue
-            misses[key] = jobs
-        if not misses:
-            return
-
-        by_target: dict = {}
-        for key, jobs in misses.items():
-            by_target.setdefault(key[0], []).append((key, jobs))
-        for target, group in by_target.items():
-            if len(group) < 2:
-                continue
-            # One union-anchor solve per boundary group: a donor whose
-            # composition is much closer to this round's survivor sets
-            # than the canonical full-set anchor, so restrictions from
-            # it pass the quality gate more often.
-            union = group[0][1]
-            for _, jobs in group[1:]:
-                union = np.union1d(union, jobs)
-            union = np.ascontiguousarray(union, dtype=np.int64)
-            ukey = (target, union.tobytes())
-            schedule = shared.lookup(
-                self._shared_key(ukey), lambda u=union, t=target: self._solve(t, u)
-            )
-            self._register_donor(target, union, schedule)
-            self.coalesced_batches += 1
-            self.coalesced_solves += len(group)
-            LP_STATS.add("coalesced_batches")
-            LP_STATS.add("coalesced_solves", len(group))
-        # Every miss then warms serially through the donor machinery;
-        # gate-failing restrictions fall back to their own solves.
-        for key in misses:
-            self._obtain(key, count=False)
 
     def schedule(self, sid: int) -> FiniteObliviousSchedule:
         """The schedule registered under ``sid``."""

@@ -31,7 +31,6 @@ from repro.core.lp1 import solve_lp1
 from repro.core.phased import (
     RoundScheduleCache,
     SemCursor,
-    active_lp_reuse,
     sem_advance,
     sem_phase_key,
     sem_row_for_key,
@@ -204,36 +203,6 @@ class SUUISemPolicy(PhasedPolicy):
         self.rounds_used = 0
         self._idle = np.full(instance.n_machines, IDLE, dtype=np.int64)
         self._all_machines = np.empty(instance.n_machines, dtype=np.int64)
-
-    def begin_step(self, state) -> None:
-        """Boundary pre-pass under ``lp_reuse="subset"``: warm the
-        round-schedule cache for every trial about to start a new round
-        this step.
-
-        Purely cache-warming (see ``RoundScheduleCache.ensure_many``):
-        distinct survivor-set misses discovered at one lock-step boundary
-        derive from one shared union-anchor solve instead of solving one
-        by one inside the serial ``phase_key`` walk.  In exact mode there
-        is nothing to coalesce — each miss is solved where the walk first
-        needs it — so the pre-pass returns at once.
-        """
-        if active_lp_reuse() != "subset":
-            return
-        requests = []
-        for k, cursor in enumerate(self._cursors):
-            if cursor.mode != "rounds":
-                continue
-            if cursor.sid is not None and cursor.step < self._cache.schedule(
-                cursor.sid
-            ).length:
-                continue
-            if cursor.fallback and cursor.round >= cursor.n_rounds:
-                continue  # about to enter a fallback mode, not a round
-            remaining = np.flatnonzero(state.remaining[k] & cursor.universe_mask)
-            if remaining.size:
-                requests.append((2.0 ** (cursor.round - 1), remaining))
-        if requests:
-            self._cache.ensure_many(requests)
 
     def phase_key(self, trial: int, state):
         cursor = self._cursors[trial]

@@ -192,8 +192,7 @@ def lpwall_instance(
     survivor sets entering rounds 2+ big — and, across Monte Carlo trials,
     *distinct* (each trial completes a different random sliver of the
     universe), so a scalar sweep pays one full LP1 pipeline per (trial,
-    round): the "LP wall" that ``lp_reuse="subset"`` collapses by deriving
-    those near-identical survivor sets from one shared anchor solve.
+    round): the "LP wall".
 
     ``chain_length=None`` (default) yields independent jobs for the
     ``sem`` family; an integer builds consecutive-id chains (the

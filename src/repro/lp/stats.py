@@ -1,25 +1,16 @@
 """Process-wide LP-wall counters: where solver time actually goes.
 
-The ROADMAP's "collapse the LP wall" work needs the wall to be
-*observable*: how many LPs HiGHS really solved, how long pure-Python /
-numpy model assembly took before HiGHS ever ran, and how often the
-survivor-set reuse and coalescing machinery (:mod:`repro.core.phased`)
-turned a would-be solve into a derivation or a batched miss.  This module
-holds those counters in one process-wide, thread-safe object:
+The LP layer's cost has to be *observable*: how many LPs HiGHS really
+solved, and how long pure-Python / numpy model assembly took before
+HiGHS ever ran.  This module holds those counters in one process-wide,
+thread-safe object:
 
 * ``lp_solves`` — calls into the HiGHS backend (:func:`repro.lp.solver.
-  solve_lp`).  The ground truth for "distinct LP solves": caches and
-  reuse modes reduce *this* number, never just their own hit counters.
+  solve_lp`).  The ground truth for "distinct LP solves": caches reduce
+  *this* number, never just their own hit counters.
 * ``assembly_seconds`` — wall-clock spent in
   :meth:`repro.lp.model.LinearProgram.build_arrays` turning accumulated
   rows into the CSC arrays HiGHS consumes.
-* ``reuse_hits`` — schedules derived by survivor-set *subset reuse*
-  (``lp_reuse="subset"``) instead of a fresh solve.
-* ``coalesced_batches`` / ``coalesced_solves`` — subset-mode lock-step
-  boundaries whose distinct survivor-set misses were served by one
-  union-anchor solve (or by the full-set anchor), and how many misses
-  those batches covered.  Exact mode never coalesces, so both stay 0
-  there.
 
 Thread safety matters because LPs are solved on several threads at once:
 the request server's handler threads and the trial-shard threads of
@@ -40,13 +31,7 @@ import threading
 __all__ = ["LPWallStats", "LP_STATS", "lp_stats_snapshot", "lp_stats_delta", "reset_lp_stats"]
 
 #: The counter fields, in reporting order.
-FIELDS = (
-    "lp_solves",
-    "assembly_seconds",
-    "reuse_hits",
-    "coalesced_batches",
-    "coalesced_solves",
-)
+FIELDS = ("lp_solves", "assembly_seconds")
 
 
 class LPWallStats:
@@ -56,9 +41,6 @@ class LPWallStats:
         self._lock = threading.Lock()
         self.lp_solves = 0
         self.assembly_seconds = 0.0
-        self.reuse_hits = 0
-        self.coalesced_batches = 0
-        self.coalesced_solves = 0
 
     def add(self, field: str, amount=1) -> None:
         """Atomically add ``amount`` to ``field``."""
@@ -77,9 +59,6 @@ class LPWallStats:
         with self._lock:
             self.lp_solves = 0
             self.assembly_seconds = 0.0
-            self.reuse_hits = 0
-            self.coalesced_batches = 0
-            self.coalesced_solves = 0
 
 
 #: The process-wide instance every LP layer component reports into.

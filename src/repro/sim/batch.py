@@ -174,7 +174,6 @@ def run_policy_batch(
     trial_rngs=None,
     discipline: str | None = None,
     streams: BatchStreams | None = None,
-    lp_reuse: str | None = None,
     kernel_threads: int | None = None,
     validate: bool = True,
 ) -> BatchSimResult:
@@ -218,24 +217,16 @@ def run_policy_batch(
         Pre-built v2 :class:`~repro.util.rng.BatchStreams` (the service
         passes offset-rebased streams so worker chunks read their global
         rows).  Ignored under v1; built from ``rng`` when omitted under v2.
-    lp_reuse:
-        LP survivor-set reuse mode scoped over this batch: ``"exact"``
-        (bit-identical, the default), ``"subset"`` (reuse cached round
-        schedules for survivor subsets within the documented coverage
-        eps), or ``None`` to resolve through ``REPRO_LP_REUSE``.  See
-        :mod:`repro.core.phased`.
     kernel_threads:
         CPU threads for this one batch (``None`` resolves through
         ``REPRO_KERNEL_THREADS``, default 1).  With ``threads > 1`` the
         batch is split into contiguous trial shards along the service's
         chunk seam and run on a thread pool (requires a policy
         class/factory — a shared policy *instance* cannot be sharded and
-        runs serially; ``lp_reuse="subset"`` also stays serial, because
-        donor selection reads the shared solve cache whose order under
-        concurrent shards is scheduling-dependent).  Sharding is
-        bit-identical to ``kernel_threads=1``: trials are independent
-        rows, v1 shards slice the per-trial RNG tree, and v2's Philox
-        streams are addressed by global trial index (shard ``lo`` rebases
+        runs serially).  Sharding is bit-identical to
+        ``kernel_threads=1``: trials are independent rows, v1 shards
+        slice the per-trial RNG tree, and v2's Philox streams are
+        addressed by global trial index (shard ``lo`` rebases
         via ``streams.with_offset``), so shard boundaries are invisible
         in the samples.
     validate:
@@ -303,50 +294,37 @@ def run_policy_batch(
         probe = factory()
 
     # The threads axis: shard trials across a thread pool, along the
-    # service's chunk seam.  Subset LP reuse stays serial: donor
-    # schedules come from the shared process solve cache, whose
-    # population order under concurrent shards depends on thread
-    # scheduling — sharding would make the (already approximate) samples
-    # nondeterministic run to run.
-    # Imported here: repro.core pulls policy modules that import this one,
-    # and repro.api.config sits above both (the unified knob chain).
-    from repro.api.config import resolve_kernel_threads, resolve_lp_reuse
-    from repro.core.phased import lp_reuse_context
+    # service's chunk seam.  Imported here: the repro.api package, which
+    # holds the unified knob chain, imports this module.
+    from repro.api.config import resolve_kernel_threads
 
     threads = resolve_kernel_threads(kernel_threads)
-    if (
-        threads > 1
-        and n_trials >= 2
-        and factory is not None
-        and resolve_lp_reuse(lp_reuse) != "subset"
-    ):
+    if threads > 1 and n_trials >= 2 and factory is not None:
         return _run_sharded(
             instance, factory, trial_rngs, threads,
             semantics=semantics, max_steps=max_steps, thresholds=thresholds,
-            discipline=discipline, streams=streams, lp_reuse=lp_reuse,
-            validate=validate,
+            discipline=discipline, streams=streams, validate=validate,
         )
 
-    with lp_reuse_context(lp_reuse):
-        if supports_batch(probe):
-            return _run_vectorized(
-                instance, probe, trial_rngs, semantics, max_steps, thresholds,
-                discipline, streams, validate,
-            )
-        if supports_phased(probe, discipline):
-            return _run_phased(
-                instance, probe, trial_rngs, semantics, max_steps, thresholds,
-                discipline, streams, validate,
-            )
-        return _run_per_trial(
-            instance, probe, factory, trial_rngs, semantics, max_steps,
-            thresholds, discipline, validate,
+    if supports_batch(probe):
+        return _run_vectorized(
+            instance, probe, trial_rngs, semantics, max_steps, thresholds,
+            discipline, streams, validate,
         )
+    if supports_phased(probe, discipline):
+        return _run_phased(
+            instance, probe, trial_rngs, semantics, max_steps, thresholds,
+            discipline, streams, validate,
+        )
+    return _run_per_trial(
+        instance, probe, factory, trial_rngs, semantics, max_steps,
+        thresholds, discipline, validate,
+    )
 
 
 def _run_sharded(
     instance, factory, trial_rngs, threads, *, semantics, max_steps,
-    thresholds, discipline, streams, lp_reuse, validate,
+    thresholds, discipline, streams, validate,
 ) -> BatchSimResult:
     """Split one batch into contiguous trial shards on a thread pool.
 
@@ -378,8 +356,7 @@ def _run_sharded(
             streams=None
             if streams is None
             else streams.with_offset(streams.offset + lo),
-            lp_reuse=lp_reuse, kernel_threads=1,
-            validate=validate,
+            kernel_threads=1, validate=validate,
         )
 
     with ThreadPoolExecutor(max_workers=len(spans)) as pool:

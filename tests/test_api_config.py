@@ -7,11 +7,9 @@ import pytest
 from repro.api.config import (
     KNOB_NAMES,
     ResolvedKnobs,
-    lp_reuse_eps,
     resolve_discipline,
     resolve_kernel_threads,
     resolve_knobs,
-    resolve_lp_reuse,
     resolve_substreams,
     solve_cache_enabled,
 )
@@ -21,7 +19,6 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
 
 ENV_BY_KNOB = {
     "discipline": "REPRO_DISCIPLINE",
-    "lp_reuse": "REPRO_LP_REUSE",
     "kernel_threads": "REPRO_KERNEL_THREADS",
     "substreams": "REPRO_SUBSTREAMS",
 }
@@ -32,13 +29,11 @@ class TestPrecedence:
 
     DEFAULTS = {
         "discipline": "v1",
-        "lp_reuse": "exact",
         "kernel_threads": 1,
         "substreams": "shared",
     }
     NON_DEFAULT = {
         "discipline": "v2",
-        "lp_reuse": "subset",
         "kernel_threads": 3,
         "substreams": "per-policy",
     }
@@ -46,6 +41,9 @@ class TestPrecedence:
     def test_defaults(self, monkeypatch):
         for var in ENV_BY_KNOB.values():
             monkeypatch.delenv(var, raising=False)
+        # Variables of the deleted lp_reuse knob are no longer read.
+        monkeypatch.setenv("REPRO_LP_REUSE", "subset")
+        monkeypatch.setenv("REPRO_LP_REUSE_EPS", "2")
         assert resolve_knobs() == ResolvedKnobs(**self.DEFAULTS)
 
     def test_env_beats_default(self, monkeypatch):
@@ -71,10 +69,10 @@ class TestPrecedence:
         assert knobs.kernel_threads == 3
 
     def test_simconfig_resolved_matches(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LP_REUSE", "subset")
+        monkeypatch.setenv("REPRO_SUBSTREAMS", "per-policy")
         config = SimConfig(kernel_threads=2)
         assert config.resolved() == resolve_knobs(config=config)
-        assert config.resolved().lp_reuse == "subset"
+        assert config.resolved().substreams == "per-policy"
 
     def test_as_dict_covers_all_knobs(self):
         assert set(ResolvedKnobs().as_dict()) == set(KNOB_NAMES)
@@ -85,7 +83,6 @@ class TestLoudEnvErrors:
 
     CASES = [
         (resolve_discipline, "REPRO_DISCIPLINE", "v3", "discipline"),
-        (resolve_lp_reuse, "REPRO_LP_REUSE", "always", "lp_reuse"),
         (resolve_kernel_threads, "REPRO_KERNEL_THREADS", "many", "integer"),
         (resolve_kernel_threads, "REPRO_KERNEL_THREADS", "0", ">= 1"),
         (resolve_substreams, "REPRO_SUBSTREAMS", "independent", "substreams"),
@@ -103,16 +100,7 @@ class TestLoudEnvErrors:
         with pytest.raises(ValueError, match="kernel_threads"):
             resolve_kernel_threads(0)
 
-    def test_bad_eps(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LP_REUSE_EPS", "1.5")
-        with pytest.raises(ValueError, match="eps"):
-            lp_reuse_eps()
-
     def test_eps_and_solve_cache(self, monkeypatch):
-        monkeypatch.delenv("REPRO_LP_REUSE_EPS", raising=False)
-        assert lp_reuse_eps() == 0.25
-        monkeypatch.setenv("REPRO_LP_REUSE_EPS", "0.1")
-        assert lp_reuse_eps() == pytest.approx(0.1)
         monkeypatch.delenv("REPRO_SOLVE_CACHE", raising=False)
         assert solve_cache_enabled()
         monkeypatch.setenv("REPRO_SOLVE_CACHE", "0")
@@ -123,13 +111,10 @@ class TestDelegation:
     """The legacy resolver names route through the one chain."""
 
     def test_legacy_names_delegate(self, monkeypatch):
-        from repro.core import phased
         from repro.util import rng
 
         monkeypatch.setenv("REPRO_DISCIPLINE", "v2")
-        monkeypatch.setenv("REPRO_LP_REUSE", "subset")
         assert rng.resolve_discipline() == "v2"
-        assert phased.resolve_lp_reuse() == "subset"
 
 
 class TestGrepClean:

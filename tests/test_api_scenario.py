@@ -36,6 +36,24 @@ class TestScenarioValidation:
             Scenario(n_jobs=0)
         with pytest.raises(InvalidScenarioError):
             Scenario(n_machines=0)
+        # Sizes, counts and seeds must be integers (bools are not), and
+        # seeds non-negative: JSON bodies carry floats and booleans.
+        for kwargs, needle in [
+            ({"n_jobs": 2.5}, "n_jobs must be an integer"),
+            ({"n_jobs": True}, "n_jobs must be an integer"),
+            ({"n_machines": 1.5}, "n_machines must be an integer"),
+            ({"shape": "layered", "n_layers": 2.5}, "n_layers must be an integer"),
+            ({"shape": "chains", "n_chains": 1.5}, "n_chains must be an integer"),
+            ({"shape": "forest", "n_trees": True}, "n_trees must be an integer"),
+            ({"seed": -1}, "seed must be >= 0"),
+            ({"seed": 1.5}, "seed must be an integer"),
+            ({"seed": True}, "seed must be an integer"),
+        ]:
+            with pytest.raises(InvalidScenarioError, match=needle):
+                Scenario(**kwargs)
+        # numpy integers are integers.
+        sc = Scenario(n_jobs=np.int64(6), n_machines=np.int64(3), seed=np.int64(4))
+        assert sc.to_instance().n_jobs == 6
 
     def test_all_declared_shapes_and_models_materialize(self):
         for shape in SCENARIO_SHAPES:
@@ -143,6 +161,20 @@ class TestSimConfig:
             SimConfig(semantics="classical")
         with pytest.raises(InvalidScenarioError):
             SimConfig(max_steps=0)
+        for kwargs, needle in [
+            ({"n_trials": 2.5}, "n_trials must be an integer"),
+            ({"n_trials": True}, "n_trials must be an integer"),
+            ({"seed": -1}, "seed must be >= 0"),
+            ({"seed": 1.5}, "seed must be an integer"),
+            ({"max_steps": 10.5}, "max_steps must be an integer"),
+            ({"kernel_threads": True}, "kernel_threads must be an integer"),
+        ]:
+            with pytest.raises(InvalidScenarioError, match=needle):
+                SimConfig(**kwargs)
+        # numpy integers are integers.
+        cfg = SimConfig(n_trials=np.int64(5), seed=np.int64(2),
+                        max_steps=np.int64(100))
+        assert cfg.n_trials == 5 and cfg.seed == 2
 
 
 class TestScenarioGrid:

@@ -40,6 +40,7 @@ from repro.instance import (
     forest_instance,
     independent_instance,
     layered_instance,
+    lpwall_instance,
     prelude_chain_instance,
 )
 from repro.instance.generators import random_dag_instance
@@ -73,6 +74,10 @@ def make_instance(kind):
         return layered_instance([5, 5], 4, rng=6)
     if kind == "random_dag":
         return random_dag_instance(12, 4, rng=11)
+    if kind == "lpwall":
+        return lpwall_instance(n_jobs=18, n_machines=2, rng=4)
+    if kind == "lpwall_chains":
+        return lpwall_instance(n_jobs=18, n_machines=2, chain_length=3, rng=4)
     raise ValueError(kind)
 
 
@@ -633,14 +638,39 @@ class TestCrossChunkSolveCache:
         assert solve_cache_stats()["entries"] == 0
         clear_solve_cache()
 
-    def test_results_identical_with_and_without_cache(self, monkeypatch):
-        inst = make_instance("independent")
-        factory = policy_factory("sem")
+    @pytest.mark.parametrize(
+        "policy, kind, semantics, discipline, n_trials",
+        [("sem", "independent", "suu", "v1", 6)]
+        # The LP-wall grid: survivor-set rounds (sem, adapt) and chain
+        # segments (suu-c, suu-t) on long-job instances, both disciplines.
+        + [
+            (policy, kind, semantics, discipline, 24)
+            for policy, kind, semantics in [
+                ("sem", "lpwall", "suu"),
+                ("adapt", "lpwall", "suu"),
+                ("suu-c", "lpwall_chains", "suu"),
+                ("suu-t", "lpwall_chains", "suu_star"),
+            ]
+            for discipline in ("v1", "v2")
+        ],
+    )
+    def test_results_identical_with_and_without_cache(
+        self, monkeypatch, policy, kind, semantics, discipline, n_trials
+    ):
+        inst = make_instance(kind)
+        factory = policy_factory(policy)
+
+        def run():
+            return run_policy_batch(
+                inst, factory, n_trials, rng=4, semantics=semantics,
+                discipline=discipline,
+            )
+
         clear_solve_cache()
-        warm = run_policy_batch(inst, factory, 6, rng=4, discipline="v1")
-        again = run_policy_batch(inst, factory, 6, rng=4, discipline="v1")
+        warm = run()
+        again = run()
         monkeypatch.setenv("REPRO_SOLVE_CACHE", "0")
-        cold = run_policy_batch(inst, factory, 6, rng=4, discipline="v1")
+        cold = run()
         assert np.array_equal(warm.makespans, again.makespans)
         assert np.array_equal(warm.makespans, cold.makespans)
         clear_solve_cache()

@@ -743,27 +743,6 @@ class TestTrialParallelBitIdentity:
                                kernel_threads=4)
         assert np.array_equal(ref.makespans, got.makespans)
 
-    def test_subset_lp_reuse_stays_serial(self, monkeypatch):
-        # Subset reuse picks donor schedules from the shared process
-        # solve cache, whose fill order under concurrent shards depends
-        # on thread scheduling — the shard gate declines rather than go
-        # nondeterministic run to run (explicitly or env-resolved).
-        from repro.sim import batch as batch_mod
-
-        def forbid(*args, **kwargs):  # pragma: no cover - regression trap
-            raise AssertionError("lp_reuse='subset' must not shard")
-
-        monkeypatch.setattr(batch_mod, "_run_sharded", forbid)
-        inst = make_instance("independent")
-        ref = run_policy_batch(inst, GreedyLRPolicy, 6, rng=9)
-        got = run_policy_batch(inst, GreedyLRPolicy, 6, rng=9,
-                               kernel_threads=4, lp_reuse="subset")
-        assert np.array_equal(ref.makespans, got.makespans)
-        monkeypatch.setenv("REPRO_LP_REUSE", "subset")
-        got_env = run_policy_batch(inst, GreedyLRPolicy, 6, rng=9,
-                                   kernel_threads=4)
-        assert np.array_equal(ref.makespans, got_env.makespans)
-
     def test_single_trial_stays_serial(self):
         inst = make_instance("independent")
         ref = run_policy_batch(inst, GreedyLRPolicy, 1, rng=9)

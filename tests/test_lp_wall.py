@@ -1,57 +1,37 @@
-"""Collapsing the LP wall: assembly identity, survivor reuse, coalescing.
+"""The LP wall: assembly identity, exact-mode solve cost, counters.
 
-Four layers of the LP-wall work are pinned here:
+Three layers of the LP-wall work are pinned here:
 
 * the vectorized CSR assembly of (LP1)/(LP2) is *byte-identical* to the
   per-coefficient dict builders it replaced (inline oracles below);
-* ``lp_reuse="exact"`` (and the default) stays bit-identical to a cold
-  cache, even after a ``"subset"`` run has populated the shared cache;
-* ``lp_reuse="subset"`` collapses the distinct-solve count >= 5x on an
-  LP-wall instance while the makespan distribution stays statistically
-  indistinguishable, and its derived schedules preserve per-job capped
-  mass exactly while respecting the (1 + eps) length gate;
-* the counters (``lp_solves`` / ``reuse_hits`` / ``coalesced_batches``)
-  surface through ``simulate()`` reports and ``GET /healthz``.
+* exact survivor-set rounds pay at least one LP solve per trial on an
+  LP-wall instance;
+* the counters (``lp_solves`` / ``assembly_seconds``) surface through
+  ``simulate()`` reports and ``GET /healthz``, and the counters of the
+  removed survivor-subset reuse mode do not.
 """
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-import pytest
 
 import repro.core.lp1 as lp1_module
 from repro.api import SimConfig, simulate
 from repro.core.lp1 import MASS_EPS, cached_capped_logmass, solve_lp1
 from repro.core.lp2 import solve_lp2
-from repro.core.phased import (
-    RoundScheduleCache,
-    clear_solve_cache,
-    lp_reuse_context,
-    lp_reuse_eps,
-    resolve_lp_reuse,
-    solve_cache_stats,
-)
-from repro.core.adaptive import SUUIAdaptiveLPPolicy
-from repro.core.rounding import PAPER_SCALE
-from repro.core.suu_c import SUUCPolicy
+from repro.core.phased import clear_solve_cache, solve_cache_stats
 from repro.core.suu_i_sem import SUUISemPolicy
-from repro.core.suu_t import SUUTPolicy
-from repro.errors import InvalidScenarioError
 from repro.instance import lpwall_instance
 from repro.lp.model import LinearProgram
 from repro.lp.stats import lp_stats_snapshot, reset_lp_stats
-from repro.schedule.base import IDLE
 from repro.sim.batch import run_policy_batch
 
 #: Counter names the LP-wall instrumentation must surface everywhere.
-LP_COUNTER_KEYS = (
-    "lp_solves",
-    "assembly_seconds",
-    "reuse_hits",
-    "coalesced_batches",
-    "coalesced_solves",
-)
+LP_COUNTER_KEYS = ("lp_solves", "assembly_seconds")
+
+#: Counters of the deleted survivor-subset reuse mode; none may resurface.
+REMOVED_COUNTER_KEYS = ("reuse_hits", "coalesced_batches", "coalesced_solves")
 
 
 # ---------------------------------------------------------------------------
@@ -153,188 +133,21 @@ class TestVectorizedAssemblyIdentity:
 
 
 # ---------------------------------------------------------------------------
-# Mode plumbing and validation.
+# Exact survivor-set rounds pay the LP wall.
 
 
-class TestReuseModeResolution:
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="lp_reuse"):
-            resolve_lp_reuse("bogus")
-
-    def test_env_default_and_override(self, monkeypatch):
-        monkeypatch.delenv("REPRO_LP_REUSE", raising=False)
-        assert resolve_lp_reuse() == "exact"
-        monkeypatch.setenv("REPRO_LP_REUSE", "subset")
-        assert resolve_lp_reuse() == "subset"
-        assert resolve_lp_reuse("exact") == "exact"  # explicit beats env
-        monkeypatch.setenv("REPRO_LP_REUSE", "bogus")
-        with pytest.raises(ValueError, match="bogus"):
-            resolve_lp_reuse()
-
-    def test_eps_env_validation(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LP_REUSE_EPS", "0.1")
-        assert lp_reuse_eps() == 0.1
-        for bad in ("-0.1", "1.0", "1.5"):
-            monkeypatch.setenv("REPRO_LP_REUSE_EPS", bad)
-            with pytest.raises(ValueError, match="eps"):
-                lp_reuse_eps()
-
-    def test_context_scopes_the_mode(self, monkeypatch):
-        monkeypatch.delenv("REPRO_LP_REUSE", raising=False)
-        with lp_reuse_context("subset"):
-            assert resolve_lp_reuse(None) == "exact"  # env untouched
-            from repro.core.phased import active_lp_reuse
-
-            assert active_lp_reuse() == "subset"
-        assert resolve_lp_reuse(None) == "exact"
-
-    def test_sim_config_validates_and_resolves(self, monkeypatch):
-        monkeypatch.delenv("REPRO_LP_REUSE", raising=False)
-        with pytest.raises(InvalidScenarioError, match="lp_reuse"):
-            SimConfig(lp_reuse="bogus")
-        assert SimConfig().resolved_lp_reuse() == "exact"
-        assert SimConfig(lp_reuse="subset").resolved_lp_reuse() == "subset"
-        monkeypatch.setenv("REPRO_LP_REUSE", "subset")
-        assert SimConfig().resolved_lp_reuse() == "subset"
-
-
-# ---------------------------------------------------------------------------
-# Exact mode stays bit-identical; subset mode collapses the solve count.
-
-
-def _sem_batch(instance, n_trials, **kwargs):
-    return run_policy_batch(
-        instance,
-        SUUISemPolicy,
-        n_trials,
-        rng=11,
-        semantics="suu",
-        max_steps=50_000,
-        discipline="v2",
-        **kwargs,
-    )
-
-
-class TestExactModeBitIdentity:
-    @pytest.mark.parametrize("discipline", ["v1", "v2"])
-    @pytest.mark.parametrize(
-        "policy, chain_length, semantics",
-        [
-            (SUUISemPolicy, None, "suu"),
-            (SUUIAdaptiveLPPolicy, None, "suu"),
-            (SUUCPolicy, 3, "suu"),
-            (SUUTPolicy, 3, "suu_star"),
-        ],
-    )
-    def test_exact_equals_default_byte_for_byte(
-        self, policy, chain_length, semantics, discipline
-    ):
-        instance = lpwall_instance(
-            n_jobs=18, n_machines=2, chain_length=chain_length, rng=4
-        )
-
-        def run(**kwargs):
-            clear_solve_cache()
-            return run_policy_batch(
-                instance,
-                policy,
-                24,
-                rng=11,
-                semantics=semantics,
-                max_steps=50_000,
-                discipline=discipline,
-                **kwargs,
-            )
-
-        base = run()
-        exact = run(lp_reuse="exact")
-        assert base.makespans.tobytes() == exact.makespans.tobytes()
-
-    def test_subset_entries_never_serve_exact_lookups(self):
-        # A subset run populates the shared cache with derived schedules
-        # (under their own "lp1-round-sub" key prefix) and donor anchors;
-        # an exact run on the *same warm cache* must still be bit-identical
-        # to a cold-cache run.
-        instance = lpwall_instance(n_jobs=24, n_machines=2)
-        clear_solve_cache()
-        cold = _sem_batch(instance, 64)
-        clear_solve_cache()
-        _sem_batch(instance, 64, lp_reuse="subset")
-        warm = _sem_batch(instance, 64)
-        assert warm.makespans.tobytes() == cold.makespans.tobytes()
-
-
-class TestSubsetReuseCollapse:
-    def test_solve_budget_and_statistical_equivalence(self):
+class TestExactModeSolveWall:
+    def test_exact_pays_a_solve_per_trial(self):
         instance = lpwall_instance(n_jobs=48, n_machines=2)
         clear_solve_cache()
         reset_lp_stats()
-        exact = _sem_batch(instance, 200, lp_reuse="exact")
-        exact_solves = lp_stats_snapshot()["lp_solves"]
-        clear_solve_cache()
-        reset_lp_stats()
-        subset = _sem_batch(instance, 200, lp_reuse="subset")
-        stats = lp_stats_snapshot()
-        # The wall: exact pays >= one solve per trial entering round 2;
-        # subset derives those survivor sets from shared anchors.
-        assert exact_solves >= 200
-        assert stats["lp_solves"] * 5 <= exact_solves
-        assert stats["reuse_hits"] > 0
-        assert stats["coalesced_batches"] >= 1
-        # Statistically indistinguishable makespans (same RNG tree, so the
-        # only drift comes from derived schedule lengths).
-        e, s = exact.makespans.mean(), subset.makespans.mean()
-        assert abs(s - e) <= 0.05 * e
-
-
-class TestExactModeNeverCoalesces:
-    def test_boundary_pre_passes_return_before_warming(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(
-            RoundScheduleCache, "ensure_many", lambda self, requests: calls.append(requests)
-        )
-        sem_instance = lpwall_instance(n_jobs=16, n_machines=2)
-        chain_instance = lpwall_instance(n_jobs=12, n_machines=2, chain_length=3, rng=4)
-        clear_solve_cache()
-        reset_lp_stats()
-        _sem_batch(sem_instance, 32, lp_reuse="exact")
         run_policy_batch(
-            chain_instance, SUUCPolicy, 16, rng=5, discipline="v2", lp_reuse="exact"
+            instance, SUUISemPolicy, 200, rng=11, semantics="suu",
+            max_steps=50_000, discipline="v2",
         )
-        assert calls == []
-        stats = lp_stats_snapshot()
-        assert stats["coalesced_batches"] == stats["coalesced_solves"] == 0
-        assert stats["lp_solves"] > 0
-
-
-class TestRestrictProperties:
-    def test_restriction_preserves_mass_and_respects_length_gate(self):
-        instance = lpwall_instance(n_jobs=32, n_machines=3, rng=7)
-        target, eps = 1.0, 0.25
-        cache = RoundScheduleCache(instance, PAPER_SCALE)
-        donor = cache._solve(target, np.arange(32, dtype=np.int64))
-        ell = cached_capped_logmass(instance, target)
-        rng = np.random.default_rng(3)
-        derived_any = False
-        for _ in range(8):
-            jobs = np.sort(
-                rng.choice(32, size=int(rng.integers(6, 20)), replace=False)
-            ).astype(np.int64)
-            schedule = cache._restrict(donor, jobs, target, eps)
-            if schedule is None:
-                continue  # gate-failing restrictions fall back to solves
-            derived_any = True
-            table = schedule.table
-            assert np.isin(table[table != IDLE], jobs).all()
-            total = 0
-            for j in jobs:
-                where = (table == j).sum(axis=0)  # steps per machine
-                mass = float((where * ell[:, j]).sum())
-                assert mass >= target - 1e-9  # capped mass is exact
-                total += int(where.sum())
-            ideal = -(-total // instance.n_machines)
-            assert table.shape[0] <= (1.0 + eps) * ideal  # length gate
-        assert derived_any
+        # Every trial entering round 2 has its own survivor set, and each
+        # distinct set is one LP1 solve.
+        assert lp_stats_snapshot()["lp_solves"] >= 200
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +161,7 @@ class TestCounterSurfacing:
             instance, SUUISemPolicy, SimConfig(n_trials=4, seed=1, discipline="v2")
         )
         assert report.lp_stats is not None
-        for key in LP_COUNTER_KEYS:
-            assert key in report.lp_stats
+        assert tuple(report.lp_stats) == LP_COUNTER_KEYS
         assert report.lp_stats["lp_solves"] > 0
         assert report.to_dict()["lp"] == report.lp_stats
 
@@ -367,6 +179,8 @@ class TestCounterSurfacing:
         solve_cache = payload["executor"]["solve_cache"]
         for key in LP_COUNTER_KEYS:
             assert key in solve_cache
+        for key in REMOVED_COUNTER_KEYS:
+            assert key not in solve_cache
 
 
 class TestCappedLogmassMemo:

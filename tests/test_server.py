@@ -128,6 +128,44 @@ class TestSchedulingServiceRouting:
             ("POST", "/simulate",
              _simulate_body(config={**CONFIG, "kernel": "numpy"}),
              "invalid config: unknown SimConfig fields ['kernel']"),
+            ("POST", "/simulate", _simulate_body(config={"n_trials": 2.5}),
+             "invalid config: n_trials must be an integer"),
+            ("POST", "/simulate", _simulate_body(config={"n_trials": True}),
+             "invalid config: n_trials must be an integer"),
+            ("POST", "/simulate", _simulate_body(config={"seed": -1}),
+             "invalid config: seed must be >= 0"),
+            ("POST", "/simulate", _simulate_body(config={"seed": 1.5}),
+             "invalid config: seed must be an integer"),
+            ("POST", "/simulate", _simulate_body(config={"max_steps": 10.5}),
+             "invalid config: max_steps must be an integer"),
+            ("POST", "/simulate",
+             _simulate_body(config={"kernel_threads": True}),
+             "invalid config: kernel_threads must be an integer"),
+            ("POST", "/simulate",
+             _simulate_body(scenario={**SCENARIO, "n_jobs": 2.5}),
+             "invalid scenario: n_jobs must be an integer"),
+            ("POST", "/simulate",
+             _simulate_body(scenario={**SCENARIO, "n_jobs": True}),
+             "invalid scenario: n_jobs must be an integer"),
+            ("POST", "/simulate",
+             _simulate_body(scenario={**SCENARIO, "n_machines": 1.5}),
+             "invalid scenario: n_machines must be an integer"),
+            ("POST", "/simulate",
+             _simulate_body(scenario={**SCENARIO, "shape": "layered",
+                                      "n_layers": 2.5}),
+             "invalid scenario: n_layers must be an integer"),
+            ("POST", "/simulate",
+             _simulate_body(scenario={**SCENARIO, "seed": -1}),
+             "invalid scenario: seed must be >= 0"),
+            ("POST", "/simulate",
+             _simulate_body(scenario={**SCENARIO, "seed": 1.5}),
+             "invalid scenario: seed must be an integer"),
+            ("POST", "/simulate",
+             _simulate_body(scenario={**SCENARIO, "seed": True}),
+             "invalid scenario: seed must be an integer"),
+            ("POST", "/simulate",
+             _simulate_body(config={**CONFIG, "lp_reuse": "subset"}),
+             "invalid config: unknown SimConfig fields ['lp_reuse']"),
         ],
     )
     def test_client_errors_are_400s(self, service, method, path, body,

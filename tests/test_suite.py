@@ -12,7 +12,6 @@ import pytest
 from repro.api.config import (
     DISCIPLINE_ENV_VAR,
     KERNEL_THREADS_ENV_VAR,
-    LP_REUSE_ENV_VAR,
     SUBSTREAMS_ENV_VAR,
 )
 from repro.api.scenario import Scenario, ScenarioGrid, SimConfig
@@ -42,8 +41,7 @@ SMALL = {
 def clear_knob_env(monkeypatch):
     """Unset every knob environment variable, so a test's assertions see
     the default knobs however the surrounding environment is set."""
-    for var in (DISCIPLINE_ENV_VAR, LP_REUSE_ENV_VAR, KERNEL_THREADS_ENV_VAR,
-                SUBSTREAMS_ENV_VAR):
+    for var in (DISCIPLINE_ENV_VAR, KERNEL_THREADS_ENV_VAR, SUBSTREAMS_ENV_VAR):
         monkeypatch.delenv(var, raising=False)
 
 
@@ -82,6 +80,8 @@ class TestSpecLoading:
             small_spec(sweep={"dicipline": ["v1"]})
         with pytest.raises(SuiteError, match="kernel"):
             small_spec(sweep={"kernel": ["numpy"]})
+        with pytest.raises(SuiteError, match="lp_reuse"):
+            small_spec(sweep={"lp_reuse": ["subset"]})
 
     def test_bad_sweep_value(self):
         with pytest.raises(SuiteError, match="sweep value"):
@@ -131,6 +131,10 @@ class TestStrictRoundTrip:
             SimConfig.from_dict({"trials": 10})
         with pytest.raises(InvalidScenarioError, match="'kernel'"):
             SimConfig.from_dict({"n_trials": 10, "kernel": "numpy"})
+        with pytest.raises(InvalidScenarioError, match="'lp_reuse'"):
+            SimConfig.from_dict({"n_trials": 10, "lp_reuse": "subset"})
+        with pytest.raises(TypeError, match="lp_reuse"):
+            SimConfig(lp_reuse="exact")
 
     def test_grid_rejects_unknown_top_level(self):
         grid = ScenarioGrid(Scenario(), n_jobs=[4, 8])
@@ -164,8 +168,7 @@ class TestDigest:
     @pytest.mark.parametrize("field,value", [
         ("n_trials", 41), ("seed", 5), ("semantics", "suu_star"),
         ("max_steps", 39999), ("discipline", "v2"),
-        ("kernel_threads", 2), ("lp_reuse", "subset"),
-        ("substreams", "per-policy"),
+        ("kernel_threads", 2), ("substreams", "per-policy"),
     ])
     def test_config_field_changes_digest(self, field, value, monkeypatch):
         clear_knob_env(monkeypatch)
@@ -190,9 +193,10 @@ class TestDigest:
             cell_digest(cell))
 
     def test_env_knob_changes_digest(self, monkeypatch):
+        clear_knob_env(monkeypatch)
         cell = demo_cell()
         base = cell_digest(cell)
-        monkeypatch.setenv(LP_REUSE_ENV_VAR, "subset")
+        monkeypatch.setenv(SUBSTREAMS_ENV_VAR, "per-policy")
         assert cell_digest(cell) != base
 
     def test_experiment_digest_insensitive_to_arg_order(self):
