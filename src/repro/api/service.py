@@ -40,7 +40,7 @@ import numpy as np
 
 from repro.api.registry import default_policy_for, policy_factory, policy_info
 from repro.api.scenario import Scenario, ScenarioGrid, SimConfig
-from repro.core.phased import install_solve_cache
+from repro.core.phased import install_solve_cache, shared_solve_cache
 from repro.instance.instance import SUUInstance
 from repro.lp.stats import lp_stats_delta, lp_stats_snapshot
 from repro.sim.batch import run_policy_batch
@@ -574,11 +574,20 @@ def _simulate_instance(
 
 
 def _lower_bound(instance) -> float:
+    """The report's ``lower_bound``, memoized per process.
+
+    Cached in the shared solve cache under ``("lower-bound", digest)``:
+    the bound is a deterministic function of the instance, so repeat
+    ``simulate()`` calls and server requests on one scenario solve its
+    LPs once (``REPRO_SOLVE_CACHE=0`` re-solves every time).
+    """
     # Deferred import: analysis -> core -> api is a cycle while those
     # packages are still initializing, so the bound is resolved at call time.
     from repro.analysis.bounds import lower_bound
 
-    return float(lower_bound(instance))
+    return shared_solve_cache().lookup(
+        ("lower-bound", instance.digest()), lambda: float(lower_bound(instance))
+    )
 
 
 def evaluate_grid(

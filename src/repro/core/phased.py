@@ -10,12 +10,12 @@ shareable pieces:
 
 * :class:`RoundScheduleCache` — the *expensive* piece, shared across all
   lock-stepped trials of one batch.  Round schedules are memoized by
-  ``(target, remaining-set)``; the LP solve / rounding / layout pipeline is
-  deterministic (no RNG anywhere in it), so every trial entering a round
-  with the same survivor set replays one solve.  Each distinct schedule
-  gets a small-integer id, which is what phase keys embed: two trials with
-  the same ``(schedule id, step)`` are provably about to receive the same
-  assignment row.
+  ``(target, remaining-set)``; the LP solve / rounding / layout pipeline
+  (:func:`round_schedule`) is deterministic (no RNG anywhere in it), so
+  every trial entering a round with the same survivor set replays one
+  solve.  Each distinct schedule gets a small-integer id, which is what
+  phase keys embed: two trials with the same ``(schedule id, step)`` are
+  provably about to receive the same assignment row.
 * :class:`SemCursor` — the *cheap* per-trial piece: a faithful replica of
   :class:`~repro.core.suu_i_sem.SUUISemPolicy`'s control state (mode,
   round index, schedule id, step cursor).  :func:`sem_phase_key` advances
@@ -25,9 +25,11 @@ shareable pieces:
   :func:`sem_advance` bumps the step cursor after the row executes.
 
 Bit-identity rests on the determinism of the solve pipeline: a memoized
-schedule is byte-for-byte the schedule the scalar policy would have built
-for the same (target, survivor set), so cursor-driven trials reproduce the
-scalar assignment sequence exactly.
+schedule is byte-for-byte the schedule a fresh solve would build for the
+same (target, survivor set), so cursor-driven trials reproduce the scalar
+assignment sequence exactly.  The scalar policies build their schedules
+through the same :func:`round_schedule`, so scalar and batch runs in one
+process share its process-wide entries.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ __all__ = [
     "install_solve_cache",
     "clear_solve_cache",
     "solve_cache_stats",
+    "round_schedule",
     "RoundScheduleCache",
     "SemCursor",
     "sem_phase_key",
@@ -61,14 +64,20 @@ IDLE_KEY = ("idle",)
 class ProcessSolveCache:
     """Process-wide memo for deterministic solve pipelines.
 
-    :class:`RoundScheduleCache` (and SUU-C's chain-plan preparation) are
-    deterministic functions of ``(instance, configuration)``; within one
-    batch they are already memoized, but every batch — and, under the
-    process backend, every worker *chunk* — used to start cold and
-    re-solve the shared round-1 LP.  This cache outlives batches: entries
-    are keyed by ``(kind, instance digest, *configuration)``, so a grid
-    sweep's cells (and all chunks a worker handles) share one solve per
-    distinct key.
+    Three kinds of entry live here, each a deterministic function of
+    ``(instance, configuration)``:
+
+    * ``"lp1-round"`` — rounded LP1 schedules (:func:`round_schedule`),
+      built by SEM rounds, adaptive re-solves, SUU-I-OBL's schedule and
+      every :class:`RoundScheduleCache`, scalar and batch alike;
+    * ``"chain-plan"`` — SUU-C/SUU-T chain plans (LP2 and its rounding);
+    * ``"lower-bound"`` — the lower bound every ``simulate()`` report
+      carries.
+
+    The cache outlives batches: entries are keyed by ``(kind, instance
+    digest, *configuration)``, so the trials of a batch, the per-trial
+    policies of a v1 chain run, a grid sweep's cells, all chunks a worker
+    handles and repeat server requests share one solve per distinct key.
 
     Sharing never changes results: the pipelines behind every entry are
     RNG-free, so a cached value is byte-for-byte what a fresh solve would
@@ -91,7 +100,8 @@ class ProcessSolveCache:
     The cache is per *process*.  Worker pools install (size) it through
     their initializer (:func:`install_solve_cache`); in-process use hits
     the module-level instance directly.  ``REPRO_SOLVE_CACHE=0`` disables
-    it entirely.
+    it entirely: every lookup then computes afresh, so scalar and batch
+    runs each build their own schedules.
     """
 
     def __init__(self, max_entries: int = 512, max_instances: int = 32):
@@ -228,15 +238,45 @@ def solve_cache_stats() -> dict:
     return stats
 
 
+def round_schedule(instance, target: float, jobs, scale: int) -> FiniteObliviousSchedule:
+    """The rounded ``LP1(jobs, target)`` schedule, memoized per process.
+
+    Solves (LP1), rounds it at ``scale`` (Lemma 2) and lays the integral
+    assignment out as a :class:`~repro.schedule.oblivious.
+    FiniteObliviousSchedule`: the one copy of that pipeline, behind SEM
+    rounds, adaptive re-solves, SUU-I-OBL's schedule and every
+    :class:`RoundScheduleCache`.  ``jobs`` is a sorted array of distinct
+    job ids, or ``None`` for all jobs (keyed as ``arange(n)``: both build
+    the same LP).  The result is cached in :func:`shared_solve_cache`
+    under ``("lp1-round", digest, scale, target, jobs bytes)``; the
+    pipeline is RNG-free and the schedule's table read-only, so callers
+    share one schedule safely.
+    """
+    if jobs is None:
+        jobs = np.arange(instance.n_jobs, dtype=np.int64)
+    else:
+        jobs = np.ascontiguousarray(jobs, dtype=np.int64)
+    target, scale = float(target), int(scale)
+
+    def solve() -> FiniteObliviousSchedule:
+        relaxation = solve_lp1(instance, jobs=jobs, target=target)
+        assignment = round_assignment(relaxation, scale=scale)
+        return FiniteObliviousSchedule.from_assignment(assignment)
+
+    return shared_solve_cache().lookup(
+        ("lp1-round", instance.digest(), scale, target, jobs.tobytes()), solve
+    )
+
+
 class RoundScheduleCache:
-    """Memoized LP1-round schedules, shared across lock-stepped trials.
+    """Per-batch schedule ids over :func:`round_schedule`.
 
     One cache serves one batch execution of one policy (phase keys embed
-    its schedule ids, which are only meaningful within it).  Local misses
-    consult the cross-batch :func:`shared_solve_cache` before solving, so
-    grid sweeps and process-backend worker chunks pay the shared round-1
-    LP once per (instance, target, survivor set) per process rather than
-    once per batch.
+    its schedule ids, which are only meaningful within it).  A local miss
+    asks :func:`round_schedule`, which consults the process-wide
+    :func:`shared_solve_cache` before solving, so trials, batches, grid
+    cells and process-backend worker chunks pay each (instance, target,
+    survivor set) pipeline once per process.
 
     Attributes
     ----------
@@ -244,8 +284,9 @@ class RoundScheduleCache:
         Number of *local* cache misses — lookups this batch had not seen
         before (some may be served by the process-wide cache without an
         actual LP solve; see :func:`solve_cache_stats` for that split).
-        The scalar loop would have paid one solve per (trial, round); the
-        difference is the dominant part of the grouped-dispatch speedup.
+        With the process cache off (``REPRO_SOLVE_CACHE=0``) the scalar
+        loop pays one solve per (trial, round); the difference is the
+        dominant part of the grouped-dispatch speedup.
     hits:
         Number of lookups served from this batch's own table.
     """
@@ -258,27 +299,20 @@ class RoundScheduleCache:
         self.solves = 0
         self.hits = 0
 
-    def _solve(self, target: float, jobs: np.ndarray) -> FiniteObliviousSchedule:
-        relaxation = solve_lp1(self.instance, jobs=jobs, target=target)
-        assignment = round_assignment(relaxation, scale=self.scale)
-        return FiniteObliviousSchedule.from_assignment(assignment)
-
     def schedule_id(self, target: float, jobs: np.ndarray) -> int:
         """Schedule id for ``LP1(jobs, target)`` rounded at ``self.scale``.
 
         ``jobs`` is the sorted array of still-remaining covered jobs (what
-        the scalar policies pass to ``solve_lp1``).
+        the scalar policies pass to :func:`round_schedule`).
         """
         jobs = np.ascontiguousarray(jobs, dtype=np.int64)
         key = (float(target), jobs.tobytes())
         sid = self._memo.get(key)
         if sid is None:
-            schedule = shared_solve_cache().lookup(
-                ("lp1-round", self.instance.digest(), self.scale) + key,
-                lambda: self._solve(key[0], jobs),
-            )
             sid = len(self.schedules)
-            self.schedules.append(schedule)
+            self.schedules.append(
+                round_schedule(self.instance, key[0], jobs, self.scale)
+            )
             self._memo[key] = sid
             self.solves += 1
         else:

@@ -141,7 +141,9 @@ class SUUCPolicy(PhasedPolicy):
 
     Grouped batch dispatch covers discipline v2 only: v1 rows depend on
     each trial's own chain delays, so the batch kernel runs one scalar
-    policy per trial there (see :mod:`repro.sim.batch`).
+    policy per trial there (see :mod:`repro.sim.batch`); their segment
+    SEM rounds still share each LP1 schedule through the process solve
+    cache (:func:`~repro.core.phased.round_schedule`).
     """
 
     name = "SUU-C"

@@ -7,7 +7,9 @@ calls into a request/response service:
 * ``POST /simulate`` — body ``{"scenario": {...}, "policy": "auto",
   "config": {...}}``; returns the report as JSON (summary statistics by
   default; ``"include_samples": true`` adds the raw makespan samples,
-  ``"per_job": true`` the per-job tail statistics).
+  ``"per_job": true`` the per-job tail statistics).  An absent or
+  ``null`` ``config`` runs the defaults; any other non-object
+  ``config``, or a non-boolean flag, is a 400.
 * ``POST /grid`` — body ``{"grid": {...}}`` (a serialized
   :class:`~repro.api.scenario.ScenarioGrid`) or ``{"scenarios":
   [{...}, ...]}``, plus ``"policies"`` / ``"config"``; returns every
@@ -97,6 +99,20 @@ def _parse(cls, data, what: str):
         raise HttpError(400, f"invalid {what}: {exc}") from exc
 
 
+def _config(body: dict) -> SimConfig:
+    """The request's ``config``; absent or ``null`` means the defaults."""
+    data = body.get("config")
+    return _parse(SimConfig, {} if data is None else data, "config")
+
+
+def _flag(body: dict, key: str) -> bool:
+    """An optional JSON-boolean request field (absent means false)."""
+    value = body.get(key, False)
+    if not isinstance(value, bool):
+        raise HttpError(400, f"{key} must be a JSON boolean")
+    return value
+
+
 def _report_payload(report, include_samples: bool) -> dict:
     """A report as response JSON — summary-sized unless samples are asked
     for (load tests want small constant-size responses)."""
@@ -177,19 +193,19 @@ class SchedulingService:
         if not isinstance(body, dict):
             raise HttpError(400, "request body must be a JSON object")
         scenario = _parse(Scenario, _require(body, "scenario"), "scenario")
-        config = _parse(SimConfig, body.get("config") or {}, "config")
+        config = _config(body)
         policy = body.get("policy", "auto")
         if not isinstance(policy, str):
             raise HttpError(400, "policy must be a registry name string")
+        per_job = _flag(body, "per_job")
+        include = _flag(body, "include_samples")
         try:
             report = simulate(
-                scenario, policy, config,
-                executor=self.executor,
-                per_job=bool(body.get("per_job", False)),
+                scenario, policy, config, executor=self.executor, per_job=per_job,
             )
         except ReproError as exc:
             raise HttpError(400, str(exc)) from exc
-        return _report_payload(report, bool(body.get("include_samples", False)))
+        return _report_payload(report, include)
 
     def grid(self, body: dict) -> dict:
         if not isinstance(body, dict):
@@ -209,15 +225,16 @@ class SchedulingService:
             isinstance(p, str) for p in policies
         ):
             raise HttpError(400, "policies must be a list of registry names")
-        config = _parse(SimConfig, body.get("config") or {}, "config")
+        config = _config(body)
+        per_job = _flag(body, "per_job")
+        include = _flag(body, "include_samples")
         try:
             reports = evaluate_grid(
                 grid, tuple(policies), config=config, executor=self.executor,
-                per_job=bool(body.get("per_job", False)),
+                per_job=per_job,
             )
         except ReproError as exc:
             raise HttpError(400, str(exc)) from exc
-        include = bool(body.get("include_samples", False))
         return {
             "reports": [_report_payload(r, include) for r in reports],
             "n": len(reports),

@@ -15,6 +15,7 @@ from repro.api import (
     list_policies,
     simulate,
 )
+from repro.core.phased import clear_solve_cache, shared_solve_cache
 from repro.errors import UnknownPolicyError
 
 #: Shape each precedence-restricted policy needs (others run on anything).
@@ -95,13 +96,23 @@ class TestSimulateAPI:
 
 
 class TestProcessBackendEquivalence:
-    def test_process_reproduces_serial_bit_identically(self):
+    @pytest.mark.parametrize("solve_cache", ["1", "0"])
+    def test_process_reproduces_serial_bit_identically(self, monkeypatch, solve_cache):
+        monkeypatch.setenv("REPRO_SOLVE_CACHE", solve_cache)
+        clear_solve_cache()
         sc = Scenario(n_jobs=10, n_machines=4, model="specialist", seed=6)
         cfg = SimConfig(n_trials=8, seed=17)
         serial = simulate(sc, "greedy", cfg, backend="serial")
         process = simulate(sc, "greedy", cfg, backend="process", n_workers=3)
         assert np.array_equal(serial.stats.samples, process.stats.samples)
-        assert serial.lower_bound == process.lower_bound
+        # The bound is memoized per process: one entry for both calls, the
+        # same value as a fresh solve, and nothing stored with the cache off.
+        instance = sc.to_instance()
+        assert serial.lower_bound == process.lower_bound == repro.lower_bound(instance)
+        bound_keys = [k for k in shared_solve_cache()._entries if k[0] == "lower-bound"]
+        expected = [("lower-bound", instance.digest())] if solve_cache == "1" else []
+        assert bound_keys == expected
+        clear_solve_cache()
 
     def test_chunking_never_drops_or_reorders_trials(self):
         from repro.api.service import _chunk_bounds

@@ -574,29 +574,51 @@ class TestShardInvariance:
 # Cross-chunk solve cache
 # ----------------------------------------------------------------------
 class TestCrossChunkSolveCache:
-    def test_second_batch_hits_for_round_schedules(self):
-        """Two batches (two chunks of a sweep, in miniature) share the
-        round-1 LP: the second batch's round solves are all cache hits."""
+    @pytest.mark.parametrize(
+        "policy, kind, second",
+        [
+            ("sem", "independent", "batch"),
+            # v1 SUU-C runs one scalar policy per trial; their segment SEM
+            # rounds go through the same process cache.
+            ("suu-c", "chains", "batch"),
+            # A scalar SEM run replaying a batch trial solves nothing new.
+            ("sem", "independent", "scalar"),
+        ],
+    )
+    def test_second_batch_hits_for_round_schedules(
+        self, monkeypatch, policy, kind, second
+    ):
+        """A second run — another batch (a second chunk of a sweep, in
+        miniature) or a scalar run — reads the first batch's round
+        schedules from the process cache instead of re-solving them."""
+        monkeypatch.delenv("REPRO_SOLVE_CACHE", raising=False)
         clear_solve_cache()
-        inst = make_instance("independent")
-        factory = policy_factory("sem")
+        inst = make_instance(kind)
+        factory = policy_factory(policy)
         run_policy_batch(inst, factory, 8, rng=1, discipline="v1")
         first = solve_cache_stats()
         assert first["solves"] > 0
-        run_policy_batch(inst, factory, 8, rng=2, discipline="v1")
-        second = solve_cache_stats()
-        # Round-1 (target 1/2, full survivor set) is shared; later rounds
-        # with coinciding survivor sets hit too.  At minimum, no batch
-        # re-solves round 1.
-        assert second["hits"] > first["hits"]
-        round1_keys = [
+        round_keys = [
             k for k in shared_solve_cache()._entries if k[0] == "lp1-round"
-            and k[3] == 0.5
         ]
-        assert len(round1_keys) == 1  # one (instance, target=1/2) entry
+        assert round_keys
+        if second == "scalar":
+            trial0 = ensure_rng(1).spawn(8)[0]
+            run_policy(inst, factory(), trial0)
+            assert solve_cache_stats()["lp_solves"] == first["lp_solves"]
+        else:
+            run_policy_batch(inst, factory, 8, rng=2, discipline="v1")
+            assert solve_cache_stats()["hits"] > first["hits"]
+        if policy == "sem":
+            # Round 1 (target 1/2, full survivor set) is shared; later
+            # rounds with coinciding survivor sets hit too.  At minimum,
+            # no batch re-solves round 1.
+            round1_keys = [k for k in round_keys if k[3] == 0.5]
+            assert len(round1_keys) == 1  # one (instance, target=1/2) entry
         clear_solve_cache()
 
-    def test_chain_plan_shared_across_batches(self):
+    def test_chain_plan_shared_across_batches(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SOLVE_CACHE", raising=False)
         clear_solve_cache()
         inst = make_instance("chains")
         factory = policy_factory("suu-c")
@@ -612,9 +634,10 @@ class TestCrossChunkSolveCache:
         assert stats["solves"] >= solves_after_first
         clear_solve_cache()
 
-    def test_grid_sweep_shares_round1_lp(self):
+    def test_grid_sweep_shares_round1_lp(self, monkeypatch):
         """Two policies on the same scenario in one sweep: the shared
         round-1 LP is solved once for the whole grid."""
+        monkeypatch.delenv("REPRO_SOLVE_CACHE", raising=False)
         clear_solve_cache()
         grid = [Scenario(shape="independent", n_jobs=10, n_machines=4, seed=3)]
         evaluate_grid(grid, ("sem", "adapt"), config=SimConfig(n_trials=5, seed=1))

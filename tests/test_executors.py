@@ -19,6 +19,14 @@ SCENARIO = Scenario(shape="independent", n_jobs=8, n_machines=3,
 QUICK = SimConfig(n_trials=8, seed=3)
 
 
+@pytest.fixture()
+def solve_cache_on(monkeypatch):
+    """Pin the solve cache on: these tests assert its behaviour, and the
+    suite also runs under ``REPRO_SOLVE_CACHE=0``."""
+    monkeypatch.delenv("REPRO_SOLVE_CACHE", raising=False)
+
+
+@pytest.mark.usefixtures("solve_cache_on")
 class TestProcessSolveCacheLRU:
     """Satellite: LRU entry eviction (not insertion-order FIFO)."""
 
@@ -60,6 +68,7 @@ class TestProcessSolveCacheLRU:
         assert not cache._entries
 
 
+@pytest.mark.usefixtures("solve_cache_on")
 class TestProcessSolveCacheInstanceScoping:
     """Satellite: per-instance-digest grouping and wholesale eviction."""
 
@@ -156,7 +165,9 @@ class TestWarmPoolExecutor:
         with WarmPoolExecutor(n_workers=1, solve_cache_entries=64) as ex:
             yield ex
 
-    def test_lifecycle_reuse_identity_and_cache_warmth(self, warm):
+    def test_lifecycle_reuse_identity_and_cache_warmth(self, warm, solve_cache_on):
+        # The pool spawns below (prewarm), after the cache is pinned on, so
+        # the worker inherits the pinned environment.
         assert not warm.warm
         assert warm.cache_stats() is None  # cold: nothing to sample
         warm.prewarm()

@@ -5,12 +5,15 @@ Three layers of the LP-wall work are pinned here:
 * the vectorized CSR assembly of (LP1)/(LP2) is *byte-identical* to the
   per-coefficient dict builders it replaced (inline oracles below);
 * exact survivor-set rounds pay at least one LP solve per trial on an
-  LP-wall instance;
+  LP-wall instance, and concurrent round fetches share the process
+  memo without changing a schedule;
 * the counters (``lp_solves`` / ``assembly_seconds``) surface through
   ``simulate()`` reports and ``GET /healthz``, and the counters of the
   removed survivor-subset reuse mode do not.
 """
 
+import random
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -20,7 +23,8 @@ import repro.core.lp1 as lp1_module
 from repro.api import SimConfig, simulate
 from repro.core.lp1 import MASS_EPS, cached_capped_logmass, solve_lp1
 from repro.core.lp2 import solve_lp2
-from repro.core.phased import clear_solve_cache, solve_cache_stats
+from repro.core.phased import clear_solve_cache, round_schedule, solve_cache_stats
+from repro.core.rounding import PAPER_SCALE
 from repro.core.suu_i_sem import SUUISemPolicy
 from repro.instance import lpwall_instance
 from repro.lp.model import LinearProgram
@@ -181,6 +185,44 @@ class TestCounterSurfacing:
             assert key in solve_cache
         for key in REMOVED_COUNTER_KEYS:
             assert key not in solve_cache
+
+
+class TestRoundScheduleMemo:
+    def test_four_threads_match_serial(self, monkeypatch):
+        """Trial shards fetch round schedules concurrently: every thread
+        gets the table a fresh serial solve builds, and the process cache
+        keeps one entry per (target, survivor set)."""
+        instance = lpwall_instance(n_jobs=12, n_machines=2, rng=3)
+        requests = [
+            (target, np.arange(k, 12, dtype=np.int64))
+            for target in (0.5, 1.0) for k in range(6)
+        ]
+        monkeypatch.setenv("REPRO_SOLVE_CACHE", "0")
+        serial = [round_schedule(instance, t, jobs, PAPER_SCALE).table
+                  for t, jobs in requests]
+        monkeypatch.delenv("REPRO_SOLVE_CACHE")
+        clear_solve_cache()
+        barrier = threading.Barrier(4)
+
+        def work(seed):
+            order = list(range(len(requests)))
+            random.Random(seed).shuffle(order)
+            barrier.wait(timeout=30)
+            out = {i: round_schedule(instance, *requests[i], PAPER_SCALE) for i in order}
+            return [out[i].table for i in range(len(requests))]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(work, seed) for seed in range(4)]
+                results = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for tables in results:
+            assert all(np.array_equal(a, b) for a, b in zip(tables, serial))
+        assert solve_cache_stats()["entries"] == len(requests)
+        clear_solve_cache()
 
 
 class TestCappedLogmassMemo:

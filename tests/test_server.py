@@ -70,6 +70,12 @@ class TestSchedulingServiceRouting:
         _status, payload = service.handle("POST", "/simulate", _simulate_body())
         assert "samples" not in payload
         assert "per_job" not in payload
+        # A null config, like an absent one, runs the defaults.
+        _status, payload = service.handle(
+            "POST", "/simulate", _simulate_body(config=None, include_samples=False)
+        )
+        assert payload["n_trials"] == SimConfig().n_trials
+        assert "samples" not in payload
 
     def test_simulate_per_job_statistics(self, service):
         _status, payload = service.handle(
@@ -166,6 +172,25 @@ class TestSchedulingServiceRouting:
             ("POST", "/simulate",
              _simulate_body(config={**CONFIG, "lp_reuse": "subset"}),
              "invalid config: unknown SimConfig fields ['lp_reuse']"),
+        ]
+        # Falsy non-objects are not "no config", and string flags are not
+        # booleans: both routes reject them instead of running defaults.
+        + [
+            ("POST", path, {**body, **extra}, fragment)
+            for path, body in [
+                ("/simulate", _simulate_body()),
+                ("/grid", {"scenarios": [SCENARIO], "policies": "greedy",
+                           "config": CONFIG}),
+            ]
+            for extra, fragment in [
+                ({"config": []}, "config must be a JSON object"),
+                ({"config": ""}, "config must be a JSON object"),
+                ({"config": 0}, "config must be a JSON object"),
+                ({"config": False}, "config must be a JSON object"),
+                ({"include_samples": "false"},
+                 "include_samples must be a JSON boolean"),
+                ({"per_job": "no"}, "per_job must be a JSON boolean"),
+            ]
         ],
     )
     def test_client_errors_are_400s(self, service, method, path, body,
@@ -290,7 +315,9 @@ class TestHttpLoopback:
 
 
 class TestWarmPoolOverHttp:
-    def test_warm_pool_reuse_is_visible_in_healthz(self):
+    def test_warm_pool_reuse_is_visible_in_healthz(self, monkeypatch):
+        # Pinned on before the worker spawns: the test asserts cache hits.
+        monkeypatch.delenv("REPRO_SOLVE_CACHE", raising=False)
         with WarmPoolExecutor(n_workers=1, solve_cache_entries=64) as ex:
             ex.prewarm()
             with serve_background(ex) as handle:

@@ -40,6 +40,19 @@ class TestSUUIObl:
         sched = build_obl_schedule(small_independent)
         assert sched.length <= int(np.ceil(6 * rel.t_star)) + 1
 
+    def test_full_job_set_shares_the_cached_schedule(self, monkeypatch, small_independent):
+        monkeypatch.delenv("REPRO_SOLVE_CACHE", raising=False)
+        n = small_independent.n_jobs
+        sched = build_obl_schedule(small_independent)
+        assert build_obl_schedule(small_independent, jobs=range(n)) is sched
+        assert build_obl_schedule(small_independent, jobs=reversed(range(n))) is sched
+        assert not sched.table.flags.writeable
+        # With the cache off each call solves afresh, to the same table.
+        monkeypatch.setenv("REPRO_SOLVE_CACHE", "0")
+        fresh = build_obl_schedule(small_independent, jobs=range(n))
+        assert fresh is not sched
+        assert np.array_equal(fresh.table, sched.table)
+
     def test_job_subset(self, small_independent):
         policy = SUUIOblPolicy(jobs=[0, 1])
         policy.start(small_independent, np.random.default_rng(0))
@@ -70,7 +83,7 @@ class TestSUUISem:
     def test_round_targets_double(self, monkeypatch):
         """Round k must solve LP1 at target 2^(k-2)."""
         targets = []
-        import repro.core.suu_i_sem as mod
+        import repro.core.phased as mod
 
         original = mod.solve_lp1
 
@@ -78,6 +91,9 @@ class TestSUUISem:
             targets.append(target)
             return original(instance, jobs=jobs, target=target)
 
+        # Rounds are memoized in the process solve cache; with it off,
+        # every round runs its own solve.
+        monkeypatch.setenv("REPRO_SOLVE_CACHE", "0")
         monkeypatch.setattr(mod, "solve_lp1", spy)
         # Jobs that fail a lot: q = 0.95 on every machine forces rounds.
         inst = SUUInstance(np.full((2, 6), 0.95))
