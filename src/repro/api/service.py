@@ -13,10 +13,11 @@ injected request *executor* (``executor=``, see
 :mod:`repro.server.executors`) that owns a long-lived worker pool reused
 across calls — the request server's warm-pool story.  The process
 backend dispatches contiguous chunks of trials across a
-``multiprocessing`` pool; because every trial's RNG stream is spawned
-up-front from the config seed (the same ``Generator.spawn`` tree the
-serial loop walks), the two backends produce **bit-identical** makespan
-samples — parallelism never changes results, only wall-clock time.  That
+``multiprocessing`` pool; because trial ``k``'s RNG stream is child ``k``
+of the config seed's spawn tree (the same ``Generator.spawn`` tree the
+serial loop walks, built on first use wherever the trial runs), the two
+backends produce **bit-identical** makespan samples — parallelism never
+changes results, only wall-clock time.  That
 invariance holds under both RNG disciplines (``SimConfig.discipline``):
 v1 replays the serial tree, v2 addresses its batch-native streams by
 global trial index, so chunk layout is invisible either way.  Worker
@@ -47,9 +48,10 @@ from repro.sim.batch import run_policy_batch
 from repro.sim.results import MakespanStats
 from repro.util.rng import (
     BatchStreams,
+    SpawnedRngs,
     ensure_rng,
     run_seed_sequence,
-    spawn_rngs,
+    spawn_rngs,  # noqa: F401 - perfbench's tracer wraps this name (rng.spawn)
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (deferred: layer cycle)
@@ -224,8 +226,9 @@ def _with_kwargs(fn, kwargs):
 #: Below this many trials the process backend runs the batch kernel
 #: in-process: with the kernel paying its per-step cost once per timestep,
 #: a small batch finishes faster than worker dispatch + pickling even
-#: starts.  Chunk layout never changes samples (the per-trial RNG tree is
-#: spawned up-front), so the fast path is bit-identical by construction.
+#: starts.  Chunk layout never changes samples (trial ``k`` always reads
+#: child ``k`` of the run's spawn tree), so the fast path is bit-identical
+#: by construction.
 SERIAL_BATCH_THRESHOLD = 256
 
 #: Solve-cache capacity installed into pool workers.  A worker serves
@@ -273,7 +276,7 @@ def _chunk_bounds(n_items: int, n_chunks: int) -> list[tuple[int, int]]:
     ``n_items / MIN_CHUNK_TRIALS`` — the auto heuristic that keeps every
     chunk large enough for the vectorized kernel to amortize its per-step
     cost.  Chunk layout is invisible in the results (samples concatenate
-    in trial order with pre-spawned RNG streams).
+    in trial order, and trial ``k`` reads child ``k`` of the spawn tree).
     """
     n_chunks = max(1, min(n_chunks, n_items, n_items // MIN_CHUNK_TRIALS or 1))
     base, extra = divmod(n_items, n_chunks)
@@ -299,9 +302,12 @@ def _map_chunks(pool, n_workers, instance, factory, rngs, config,
                 want_lp_stats=False, validate=True, kernel_threads=1):
     """Fan trial chunks out over ``pool`` and reassemble them in order.
 
-    Under discipline v2 every chunk receives the run's streams re-based at
-    its global start index, so a chunk computes exactly the rows of the
-    whole-run draw it covers — chunk layout stays invisible in the samples.
+    Each chunk receives its span of ``rngs`` (from :func:`_run_batched`, a
+    lazy :class:`~repro.util.rng.SpawnedRngs` slice that pickles as a few
+    ints).  Under discipline v2 every chunk receives the run's streams
+    re-based at its global start index, so a chunk computes exactly the
+    rows of the whole-run draw it covers — chunk layout stays invisible
+    in the samples.
     LP-wall counter deltas (measured inside each worker) sum across chunks.
     """
     bounds = _chunk_bounds(config.n_trials, n_workers)
@@ -382,8 +388,10 @@ def _run_batched(
 ):
     """Dispatch the trials on the requested backend; returns all samples.
 
-    The per-trial RNG tree is spawned up-front either way, so the samples
-    are bit-identical across backends, worker counts, and chunk layouts.
+    Trial ``k`` reads child ``k`` of the run's spawn tree
+    (:class:`~repro.util.rng.SpawnedRngs`, built on first use; chunks
+    ship spans of it, not generator states), so the samples are
+    bit-identical across backends, worker counts, and chunk layouts.
     ``pool`` lets :func:`evaluate_grid` (and injected request executors)
     reuse one long-lived pool (with ``n_workers`` workers) across many
     cells/requests instead of paying pool startup per call.
@@ -414,9 +422,11 @@ def _run_batched(
     if discipline == "v2":
         streams = BatchStreams(sub_root if sub_root is not None else
                                run_seed_sequence(config.seed))
-    base_rng = (ensure_rng(config.seed) if sub_root is None
-                else np.random.default_rng(sub_root))
-    rngs = spawn_rngs(base_rng, config.n_trials)
+    # The trial generators are built on first use: the vectorized v2
+    # path reads only trial 0's, and chunks ship spans, not states.
+    root = (ensure_rng(config.seed).bit_generator.seed_seq if sub_root is None
+            else sub_root)
+    rngs = SpawnedRngs(root, config.n_trials)
     # Serial-batch fast path: for fast-path-eligible policies, small
     # batches lose more to pool dispatch than they gain from parallelism.
     # Identical samples either way — only the transport changes.
@@ -499,7 +509,7 @@ def simulate(
         executors.WarmPoolExecutor`) that owns the dispatch transport —
         long-lived warm pools reused across calls instead of a per-call
         pool spin-up.  Overrides ``backend``; samples stay bit-identical
-        regardless (the per-trial RNG tree is spawned up-front).
+        regardless (trial ``k`` reads child ``k`` of the spawn tree).
     per_job:
         Also collect the per-trial completion matrix and attach
         :class:`~repro.analysis.perjob.PerJobStats` to the report

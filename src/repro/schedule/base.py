@@ -29,15 +29,16 @@ Batched execution
 -----------------
 :class:`VectorizedPolicy` extends the contract to the trial-vectorized
 kernel in :mod:`repro.sim.batch`: ``assign_batch`` receives a
-:class:`BatchSimulationState` holding ``(n_trials, n_jobs)`` masks and
-returns an ``(n_trials, m)`` assignment — one row per concurrently
-simulated trial, all at the same global timestep.  A policy advertising
-batch support must be a *deterministic* function of the instance and the
-state it is shown; that is what makes the batch kernel's makespans
-trial-for-trial identical to the scalar SUU* engine under shared
-thresholds (the rng passed to ``start_batch`` exists for forward
-compatibility and must not influence assignments if that guarantee is to
-hold).
+:class:`BatchSimulationState` holding ``(rows, n_jobs)`` masks and
+returns a ``(rows, m)`` assignment — one row per concurrently simulated
+trial, all at the same global timestep (row ``b`` is trial
+``state.trials[b]``; finished trials may be dropped between steps).  A
+policy advertising batch support must be a *deterministic* function of
+the instance and the state it is shown; that is what makes the batch
+kernel's makespans trial-for-trial identical to the scalar SUU* engine
+under shared thresholds (the rng passed to ``start_batch`` exists for
+forward compatibility and must not influence assignments if that
+guarantee is to hold).
 
 Phase-grouped execution
 -----------------------
@@ -132,22 +133,33 @@ class SimulationState:
 
 @dataclass(frozen=True)
 class BatchSimulationState:
-    """Snapshot of ``n_trials`` lock-stepped executions at one timestep.
+    """Snapshot of lock-stepped executions at one timestep, one row each.
 
     The batched analogue of :class:`SimulationState`: every per-job array
-    gains a leading trial axis.  Snapshots are live read-only views with
+    gains a leading row axis.  Snapshots are live read-only views with
     the same lifetime rule — valid only during the ``assign_batch`` call.
+
+    Row ``b`` shows batch trial ``trials[b]``.  The rows may shrink
+    between steps: once fewer than half of them are live, the engine
+    drops the finished trials (live-row stepping), so a policy must size
+    its output by :attr:`n_trials` and find per-trial state through
+    ``trials``.  Grouped (phased) dispatch keeps every row, so there
+    ``trials`` is ``arange(B)`` and row ``b`` is trial ``b``.
 
     Attributes
     ----------
     t:
-        Current global timestep (all trials advance in lock step; trials
-        whose jobs have all completed are frozen but still shown).
+        Current global timestep (all trials advance in lock step; a
+        finished trial keeps its row until the engine drops finished rows
+        between steps).
     remaining / eligible / mass_accrued:
-        Shape ``(n_trials, n_jobs)`` — row ``b`` is trial ``b``'s view.
+        Shape ``(rows, n_jobs)`` — row ``b`` is trial ``trials[b]``'s view.
     active:
-        Shape ``(n_trials,)`` — True while trial ``b`` has remaining jobs.
-        Assignments returned for inactive trials are ignored.
+        Shape ``(rows,)`` — True while row ``b``'s trial has remaining
+        jobs.  Assignments returned for inactive rows are ignored.
+    trials:
+        Shape ``(rows,)``, int64, ascending — the batch trial index of
+        each row.
     """
 
     t: int
@@ -155,10 +167,11 @@ class BatchSimulationState:
     eligible: np.ndarray
     mass_accrued: np.ndarray
     active: np.ndarray
+    trials: np.ndarray
 
     @property
     def n_trials(self) -> int:
-        """Number of concurrently simulated trials."""
+        """Number of rows shown (trials not yet dropped)."""
         return int(self.remaining.shape[0])
 
 
@@ -212,11 +225,12 @@ class VectorizedPolicy(Policy):
 
     @abc.abstractmethod
     def assign_batch(self, state: BatchSimulationState) -> np.ndarray:
-        """Return assignments for every trial: shape ``(n_trials, m)``.
+        """Return assignments for every row: shape ``(state.n_trials, m)``.
 
         Row ``b``, entry ``i`` is the job machine ``i`` runs during step
-        ``state.t`` of trial ``b``, or :data:`IDLE`.  Rows of inactive
-        trials are ignored by the engine.
+        ``state.t`` of trial ``state.trials[b]``, or :data:`IDLE`.  Rows
+        of inactive trials are ignored by the engine.  The row count may
+        shrink between steps as finished trials are dropped.
         """
         raise NotImplementedError
 

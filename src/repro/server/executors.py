@@ -34,6 +34,7 @@ dispatcher — plug in without touching this module.
 from __future__ import annotations
 
 import threading
+from concurrent.futures.process import BrokenProcessPool
 
 from repro.api.service import WORKER_SOLVE_CACHE_ENTRIES, worker_pool
 from repro.core.phased import solve_cache_stats
@@ -126,6 +127,13 @@ class WarmPoolExecutor(RequestExecutor):
     initializer, so LP round schedules / chain plans computed for one
     request are hits for the next.
 
+    A worker that dies (an OOM kill, a crash) breaks the whole
+    ``ProcessPoolExecutor``.  The next :meth:`acquire` replaces a pool that
+    has flagged itself broken with a fresh one and counts it in
+    ``restarts``; the broken pool is shut down without waiting.  A request
+    whose chunks were in flight when the worker died still fails (its
+    result is lost with the worker); requests after it succeed.
+
     Thread-safe: the request server handles requests on a thread pool,
     and ``ProcessPoolExecutor`` submissions are themselves thread-safe,
     so many in-flight requests can share the one pool.
@@ -150,6 +158,7 @@ class WarmPoolExecutor(RequestExecutor):
         self.solve_cache_entries = int(solve_cache_entries)
         self.requests = 0
         self.pools_built = 0
+        self.restarts = 0
         self._pool = None
         self._lock = threading.Lock()
 
@@ -170,22 +179,31 @@ class WarmPoolExecutor(RequestExecutor):
         list(pool.map(_noop, range(2 * n)))
 
     def _ensure_pool(self):
+        broken = None
         with self._lock:
+            if self._pool is not None and _is_broken(self._pool):
+                broken, self._pool = self._pool, None
+                self.restarts += 1
             if self._pool is None:
                 self._pool = worker_pool(
                     self.n_workers,
                     solve_cache_entries=self.solve_cache_entries,
                 )
                 self.pools_built += 1
-            return self._pool
+            pool = self._pool
+        if broken is not None:
+            broken.shutdown(wait=False, cancel_futures=True)
+        return pool
 
     @property
     def warm(self) -> bool:
-        """Whether a live pool exists right now."""
-        return self._pool is not None
+        """Whether a live pool exists right now (a broken one is not)."""
+        pool = self._pool
+        return pool is not None and not _is_broken(pool)
 
     def cache_stats(self) -> dict | None:
-        """One warm worker's solve-cache counters (``None`` when cold).
+        """One warm worker's solve-cache counters (``None`` when cold or
+        broken).
 
         Sampled with a single task, so with ``n_workers > 1`` it reads
         *a* worker, not an aggregate — exact for single-worker pools
@@ -194,9 +212,12 @@ class WarmPoolExecutor(RequestExecutor):
         """
         with self._lock:
             pool = self._pool
-        if pool is None:
+        if pool is None or _is_broken(pool):
             return None
-        return pool.submit(solve_cache_stats).result()
+        try:
+            return pool.submit(solve_cache_stats).result()
+        except BrokenProcessPool:  # a worker died since the check above
+            return None
 
     def close(self) -> None:
         with self._lock:
@@ -209,6 +230,7 @@ class WarmPoolExecutor(RequestExecutor):
         stats.update(
             requests=self.requests,
             pools_built=self.pools_built,
+            restarts=self.restarts,
             warm=self.warm,
             n_workers=self.n_workers,
         )
@@ -220,6 +242,12 @@ class WarmPoolExecutor(RequestExecutor):
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "warm" if self.warm else "cold"
         return f"WarmPoolExecutor(n_workers={self.n_workers}, {state})"
+
+
+def _is_broken(pool) -> bool:
+    """Whether a ``ProcessPoolExecutor`` has flagged itself broken (a
+    worker died); a broken pool refuses every later submission."""
+    return bool(getattr(pool, "_broken", False))
 
 
 def _noop(_i):

@@ -19,6 +19,21 @@ itself is a deterministic function of the state it is shown, which is the
 number pairing (`compare_policies`) survives unchanged because the shared
 thresholds remain the coupling variable.
 
+Live-row stepping
+-----------------
+A batch's makespans have a long tail (SUU-I-OBL repeats its schedule for
+O(log n) passes w.h.p.), so stepping every row until the slowest trial
+finishes spends most of the kernel's row work on finished trials.  The
+engine therefore steps only the rows of live trials: once fewer than half
+of the rows it steps are live, it gathers the live rows of every state
+array and keeps a row → trial map, exposed to policies as
+:attr:`BatchSimulationState.trials`; completion times and busy counts are
+scattered back into full-size results.  Vectorized policies are row-wise
+and per-trial dispatch looks each row's policy up through the map, so
+both compact; grouped dispatch keeps every row, because phased policies
+index their per-trial state by trial id.  Compaction changes which rows
+exist, never what a trial draws, so samples are unchanged.
+
 Grouped dispatch for adaptive policies
 --------------------------------------
 Adaptive policies (``sem``, ``suu-c``, ``suu-t``, ``layered``, ``adapt``)
@@ -84,6 +99,7 @@ call with any policy.
 from __future__ import annotations
 
 import copy
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,10 +220,12 @@ def run_policy_batch(
         ``(n_trials, n_jobs)`` (ignored under ``"suu"``); row ``k`` plays
         the role of scalar ``run_policy``'s ``thresholds`` for trial ``k``.
     trial_rngs:
-        Optional pre-spawned per-trial generators (one per trial), exactly
-        the ``rng.spawn(n_trials)`` list the serial estimators build.  This
+        Optional per-trial generators (one per trial), exactly the
+        ``rng.spawn(n_trials)`` children the serial estimators build.  This
         is how the Monte Carlo front ends keep batched results bit-identical
-        to their serial paths.
+        to their serial paths.  Any sequence is used as it is — a lazy
+        :class:`~repro.util.rng.SpawnedRngs` builds only the generators
+        the run reads — and any other iterable is listed first.
     discipline:
         RNG discipline: ``"v1"`` (serial replay, bit-identical to the
         scalar path), ``"v2"`` (batch-native streams; statistically
@@ -253,7 +271,8 @@ def run_policy_batch(
         raise ValueError(f"unknown semantics {semantics!r}")
     discipline = resolve_discipline(discipline)
     if trial_rngs is not None:
-        trial_rngs = list(trial_rngs)
+        if not isinstance(trial_rngs, Sequence):
+            trial_rngs = list(trial_rngs)
         if n_trials is not None and n_trials != len(trial_rngs):
             raise ValueError(
                 f"n_trials={n_trials} disagrees with {len(trial_rngs)} trial_rngs"
@@ -406,11 +425,12 @@ def _run_per_trial(
 class _PerTrialDispatch:
     """The kernel's assignment callable for per-trial dispatch.
 
-    Each step it shows every live trial's policy that trial's row of the
-    batch state, as the scalar engine's :class:`SimulationState`, and
-    checks the returned row the way the scalar engine does before writing
-    it into the ``(n_trials, m)`` buffer (a float row would otherwise be
-    silently truncated to job ids).  Inactive trials keep IDLE rows.
+    Each step it shows every live row's policy (trial ``state.trials[r]``'s
+    own) that row of the batch state, as the scalar engine's
+    :class:`SimulationState`, and checks the returned row the way the
+    scalar engine does before writing it into the ``(rows, m)`` buffer (a
+    float row would otherwise be silently truncated to job ids).
+    Inactive rows keep IDLE.
     """
 
     def __init__(self, policies, name: str, n_trials: int, n_machines: int):
@@ -419,11 +439,11 @@ class _PerTrialDispatch:
         self._out = np.empty((n_trials, n_machines), dtype=np.int64)
 
     def __call__(self, state: BatchSimulationState) -> np.ndarray:
-        out = self._out
+        out = self._out[: state.n_trials]
         out.fill(IDLE)
         m = out.shape[1]
         for k in np.flatnonzero(state.active):
-            row = np.asarray(self._policies[k].assign(SimulationState(
+            row = np.asarray(self._policies[state.trials[k]].assign(SimulationState(
                 t=state.t,
                 remaining=state.remaining[k],
                 eligible=state.eligible[k],
@@ -567,26 +587,39 @@ def _run_phased(
         theta, outcome_rngs = _v1_outcomes(pairs, semantics, thresholds, n)
         policy.start_phased(instance, [p for p, _ in pairs])
     dispatch = _GroupedDispatch(policy, B, instance.n_machines)
+    # Phased policies index their per-trial state by trial id, so grouped
+    # dispatch keeps every row.
     return _drive_batch(
         instance, policy.name, dispatch, B, semantics, max_steps, theta,
-        outcome_rngs, discipline, streams, validate,
+        outcome_rngs, discipline, streams, validate, compact=False,
     )
 
 
 def _drive_batch(
     instance, policy_name, assign, B, semantics, max_steps, theta,
     outcome_rngs, discipline="v1", streams=None, validate=True,
-    vectorized=True,
+    vectorized=True, compact=True,
 ) -> BatchSimResult:
     """The lock-stepped all-trials engine (see module docstring).
 
     ``assign`` is the per-step assignment callable — ``assign_batch`` for
     vectorized policies, a :class:`_GroupedDispatch` for phased ones, a
     :class:`_PerTrialDispatch` for the rest — mapping the shared
-    :class:`BatchSimulationState` to ``(B, m)`` job ids.
+    :class:`BatchSimulationState` to ``(rows, m)`` job ids.
     Under ``suu`` semantics, completions come from the per-trial
     ``outcome_rngs`` (v1) or from one whole-batch stream draw per step
     (v2, ``streams`` set).
+
+    Live-row stepping: with ``compact`` set, a step that finds fewer than
+    half of its rows live first gathers the live rows of every state array
+    (``theta`` and ``outcome_rngs`` too) and of the row → trial map
+    ``trials``, writing the finished rows' completion times and busy
+    counts into the full-size results.  Halving bounds the gathers to
+    log2(B) and their total work to under two copies of the initial state.
+    The v2 uniforms are still drawn whole-width and then gathered, so every
+    trial reads the words it would read unstepped; samples do not change.
+    Grouped dispatch passes ``compact=False``: phased policies index their
+    per-trial state by trial id.
 
     The step body itself lives in :mod:`repro.kernels`: one fused
     ``drive_step`` call per step on the v2-``suu`` and ``suu_star``
@@ -605,6 +638,10 @@ def _drive_batch(
     completion_times = np.zeros((B, n), dtype=np.int64)
     busy = np.zeros(B, dtype=np.int64)
     active = np.ones(B, dtype=bool)
+    trials = np.arange(B, dtype=np.int64)
+    # The full-size results; the working arrays above are these until the
+    # first compaction.
+    all_completion_times, all_busy = completion_times, busy
     # Independent instances can never trip the precedence check (eligible
     # is identically remaining), so the kernels skip the validation
     # gather and the in-degree bookkeeping.
@@ -616,6 +653,7 @@ def _drive_batch(
         eligible=_readonly_view(eligible),
         mass_accrued=_readonly_view(mass_accrued),
         active=_readonly_view(active),
+        trials=_readonly_view(trials),
     )
 
     # The completion rule the fused step applies: mode 0 thresholds
@@ -626,19 +664,40 @@ def _drive_batch(
     mode = 1 if semantics == "suu" else 0
 
     t = 0
-    while active.any():
+    live = B
+    while live:
         if t >= max_steps:
             raise SimulationHorizonError(
                 f"{policy_name!r} exceeded max_steps={max_steps} with "
-                f"{int(active.sum())} of {B} trials unfinished",
+                f"{live} of {B} trials unfinished",
                 steps=t,
             )
+        if compact and live * 2 < trials.size:
+            done = ~active
+            all_completion_times[trials[done]] = completion_times[done]
+            all_busy[trials[done]] = busy[done]
+            keep = np.flatnonzero(active)
+            trials, active = trials[keep], active[keep]
+            remaining, eligible = remaining[keep], eligible[keep]
+            indeg, mass_accrued = indeg[keep], mass_accrued[keep]
+            completion_times, busy = completion_times[keep], busy[keep]
+            if theta is not None:
+                theta = theta[keep]
+            if outcome_rngs is not None:
+                outcome_rngs = [outcome_rngs[k] for k in keep]
+            for name, arr in (
+                ("remaining", remaining), ("eligible", eligible),
+                ("mass_accrued", mass_accrued), ("active", active),
+                ("trials", trials),
+            ):
+                object.__setattr__(state, name, _readonly_view(arr))
+        rows = trials.size
         object.__setattr__(state, "t", t)
         a = np.asarray(assign(state))
-        if a.shape != (B, m):
+        if a.shape != (rows, m):
             raise ScheduleViolationError(
                 f"{policy_name!r} returned batch assignment of shape "
-                f"{a.shape}, expected ({B}, {m})"
+                f"{a.shape}, expected ({rows}, {m})"
             )
         if a.dtype.kind not in "iu":
             raise ScheduleViolationError(
@@ -655,7 +714,7 @@ def _drive_batch(
                 a, ell, remaining, eligible, busy, independent, check
             )
             if status != kernels.OK:
-                _raise_violation(status, policy_name, a, vb, vi, t)
+                _raise_violation(status, policy_name, a, vb, vi, t, trials)
             done_now = _draw_suu_completions(step_mass, outcome_rngs)
             mass_accrued += step_mass
             t += 1
@@ -664,20 +723,28 @@ def _drive_batch(
                 succ_indptr, succ_indices, active, independent,
             )
         else:
-            u = streams.step_uniforms(t, B, n) if mode == 1 else None
+            u = None
+            if mode == 1:
+                u = streams.step_uniforms(t, B, n)
+                if rows < B:
+                    u = u[trials]
             status, vb, vi = kernels.drive_step(
                 a, ell, theta, u, mode, t + 1, remaining, eligible,
                 indeg, mass_accrued, completion_times, busy, active,
                 succ_indptr, succ_indices, independent, check,
             )
             if status != kernels.OK:
-                _raise_violation(status, policy_name, a, vb, vi, t)
+                _raise_violation(status, policy_name, a, vb, vi, t, trials)
             t += 1
+        live = int(np.count_nonzero(active))
 
+    if trials.size < B:
+        all_completion_times[trials] = completion_times
+        all_busy[trials] = busy
     return BatchSimResult(
-        makespans=completion_times.max(axis=1),
-        completion_times=completion_times,
-        busy_machine_steps=busy,
+        makespans=all_completion_times.max(axis=1),
+        completion_times=all_completion_times,
+        busy_machine_steps=all_busy,
         semantics=semantics,
         policy_name=policy_name,
         vectorized=vectorized,
@@ -685,8 +752,10 @@ def _drive_batch(
     )
 
 
-def _raise_violation(status, policy_name, a, b, i, t):
-    """Raise the ScheduleViolationError a kernel reported as a status code."""
+def _raise_violation(status, policy_name, a, b, i, t, trials):
+    """Raise the ScheduleViolationError a kernel reported as a status code.
+
+    ``b`` is the offending row; the message names its batch trial."""
     if status == kernels.BAD_RANGE:
         raise ScheduleViolationError(
             f"{policy_name!r} assigned an out-of-range job id"
@@ -694,7 +763,7 @@ def _raise_violation(status, policy_name, a, b, i, t):
     raise ScheduleViolationError(
         f"{policy_name!r} assigned machine {int(i)} to job "
         f"{int(a[b, i])} whose predecessors are incomplete "
-        f"(t={t}, trial={int(b)})"
+        f"(t={t}, trial={int(trials[b])})"
     )
 
 

@@ -54,6 +54,8 @@ results invariant under backend and chunk layout.
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +63,7 @@ import numpy as np
 __all__ = [
     "ensure_rng",
     "spawn_rngs",
+    "SpawnedRngs",
     "DISCIPLINES",
     "DISCIPLINE_ENV_VAR",
     "resolve_discipline",
@@ -108,6 +111,76 @@ def spawn_rngs(rng: np.random.Generator, count: int) -> list[np.random.Generator
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     return list(rng.spawn(count))
+
+
+class SpawnedRngs(Sequence):
+    """The generators ``default_rng(root).spawn(count)`` returns, built lazily.
+
+    Element ``k`` is built on first access and equals (same bit-generator
+    state) child ``k`` of that spawn.  ``root`` is only read: its spawn
+    counter does not advance, so hand this a sequence nothing else spawns
+    from.  A batch that reads one trial's generator (the vectorized path
+    under discipline v2) thus never builds the other ``count - 1``.
+
+    Like the list it stands in for, a repeated ``seq[k]`` returns the same
+    object, and a contiguous slice shares its parent's built generators.
+    Contiguous slices stay lazy; a pickled sequence carries only the
+    root's ints and its span, never generator states, and rebuilds
+    elements on the other side.
+    """
+
+    def __init__(self, root: np.random.SeedSequence, count: int):
+        count = operator.index(count)
+        if count < 0:
+            raise ValueError(f"count must be >= 0, got {count}")
+        self._entropy = root.entropy
+        self._key = tuple(root.spawn_key)
+        self._pool_size = root.pool_size
+        # Spawn index of element 0 (a root that already spawned hands out
+        # later children, as SeedSequence.spawn would).
+        self._first = root.n_children_spawned
+        self._count = count
+        self._built: dict = {}
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            span = range(self._count)[index]
+            if span.step != 1:
+                return [self[k] for k in span]
+            part = object.__new__(type(self))
+            part.__dict__.update(self.__dict__)
+            part._first = self._first + span.start
+            part._count = len(span)
+            return part
+        k = operator.index(index)
+        if k < 0:
+            k += self._count
+        if not 0 <= k < self._count:
+            raise IndexError(f"index {index} out of range for {self._count} generators")
+        i = self._first + k
+        gen = self._built.get(i)
+        if gen is None:
+            # setdefault: concurrent shards that race on one index agree.
+            gen = self._built.setdefault(i, self._child(i))
+        return gen
+
+    def __iter__(self):
+        return (self[k] for k in range(self._count))
+
+    def _child(self, i: int) -> np.random.Generator:
+        """Spawn child ``i`` of the root, as ``Generator.spawn`` builds it."""
+        seq = np.random.SeedSequence(
+            self._entropy, spawn_key=self._key + (i,), pool_size=self._pool_size
+        )
+        return np.random.Generator(np.random.PCG64(seq))
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state["_built"] = {}
+        return state
 
 
 def resolve_discipline(discipline: str | None = None) -> str:

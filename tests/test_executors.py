@@ -1,5 +1,9 @@
 """Request executors and solve-cache hygiene: lifecycle, reuse, identity."""
 
+import os
+import signal
+import time
+
 import numpy as np
 import pytest
 
@@ -208,3 +212,21 @@ class TestWarmPoolExecutor:
         assert ex.acquire() is not None
         assert ex.pools_built == 2
         ex.close()
+
+    def test_dead_worker_pool_is_rebuilt_for_the_next_request(self):
+        with WarmPoolExecutor(n_workers=1) as ex:
+            ex.prewarm()
+            before = simulate(SCENARIO, "greedy", QUICK, executor=ex)
+            pid = ex.acquire().submit(os.getpid).result(timeout=30)
+            os.kill(pid, signal.SIGKILL)
+            deadline = time.monotonic() + 10.0
+            while ex.warm and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not ex.warm, "the pool never flagged the dead worker"
+            assert ex.cache_stats() is None  # broken: sampled, not raised
+            after = simulate(SCENARIO, "greedy", QUICK, executor=ex)
+            assert np.array_equal(after.stats.samples, before.stats.samples)
+            stats = ex.stats()
+            assert stats["restarts"] == 1
+            assert stats["pools_built"] == 2
+            assert stats["warm"] is True
