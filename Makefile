@@ -18,11 +18,6 @@ SERVICE_BASELINE ?= BENCH_6.json
 # warm pool (the gated ratio collapses ~10x when every request respawns).
 SERVICE_TOLERANCE ?= 0.5
 KERNELS_JSON ?= bench_kernels_current.json
-KERNELS_BASELINE ?= BENCH_8.json
-# The checked/trusted validation-hoist ratio is ~1.0x (the checks are
-# whole-batch array ops), so almost all of it is noise; the pair is
-# there to *measure* the delta and keep the gate non-empty.
-KERNELS_TOLERANCE ?= 0.5
 PARALLEL_JSON ?= bench_parallel_current.json
 PARALLEL_BASELINE ?= BENCH_9.json
 # Serial-vs-threaded ratios depend on how loaded the runner's cores are;
@@ -31,19 +26,24 @@ PARALLEL_BASELINE ?= BENCH_9.json
 PARALLEL_TOLERANCE ?= 0.5
 COV_FLOOR ?= 85
 
-.PHONY: test test-v2 lint cov bench bench-check \
+.PHONY: test test-legs lint cov bench bench-check \
 	bench-service bench-service-check \
-	bench-kernels bench-kernels-check bench-parallel \
+	bench-kernels bench-parallel \
 	bench-parallel-check smoke suite-smoke tables
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
 
-# Tier-1 under RNG discipline v2 (env-selected default): exercises the
-# batch-native streams through every service/montecarlo test while the
-# pinned bit-identity suites keep checking v1.
-test-v2:
+# Tier-1 under each env leg CI runs beside the plain suite: RNG
+# discipline v2 (the batch-native streams through every service and
+# montecarlo test; the pinned bit-identity suites keep checking v1), the
+# process solve cache off (scalar and batch sides solve their own LPs),
+# and two kernel threads (every batch thread-sharded, bit-identical to
+# serial).
+test-legs:
 	PYTHONPATH=src REPRO_DISCIPLINE=v2 $(PYTHON) -m pytest -x -q
+	PYTHONPATH=src REPRO_SOLVE_CACHE=0 $(PYTHON) -m pytest -x -q
+	PYTHONPATH=src REPRO_KERNEL_THREADS=2 $(PYTHON) -m pytest -x -q
 
 # CI's lint job, locally: ruff for style/imports, ruff format for layout,
 # mypy (permissive config in pyproject.toml) for obvious type breakage.
@@ -81,14 +81,10 @@ bench-service-check: bench-service
 		$(SERVICE_JSON) --mode ratio --tolerance $(SERVICE_TOLERANCE)
 
 # Stepping-kernel benchmarks at 10k trials: the chain-heavy and greedy
-# kernel rows plus the checked/trusted validation-hoist pair.
+# kernel rows (recorded, ungated; BENCH_8.json holds the trajectory).
 bench-kernels:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_kernels.py \
 		--benchmark-json=$(KERNELS_JSON) -q
-
-bench-kernels-check: bench-kernels
-	$(PYTHON) benchmarks/check_regression.py $(KERNELS_BASELINE) \
-		$(KERNELS_JSON) --mode ratio --tolerance $(KERNELS_TOLERANCE)
 
 # Trial-parallelism benchmarks: serial vs kernel_threads pairs at 10k
 # trials — GIL-bound trial-shard rows; the threaded side hard-asserts

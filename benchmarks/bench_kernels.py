@@ -7,17 +7,11 @@ Two layers:
   max-flow, the simulation engine's step loop, and the exact
   oblivious-repeat sampler.
 * Stepping-kernel rows at Monte Carlo scale (10k trials):
-
-  - ``test_kern_base_<key>`` — one :func:`run_policy_batch` call of the
-    :mod:`repro.kernels` stepping kernels on a chain-heavy SUU-C row
-    (whose segment SEM runs also solve an exact LP1 per distinct
-    survivor set) and an independent greedy row (recorded, unpaired).
-  - ``test_kern_checked_<key>`` / ``test_kern_trusted_<key>`` — the
-    per-step assignment-validation knob (``validate=True`` vs the
-    trusted first-step-only mode), paired by
-    ``benchmarks/check_regression.py --mode ratio``.  The measured delta
-    is small (~1.0x: the checks are whole-batch array ops); the pair
-    exists to *measure* it and keeps BENCH_8's ratio gate non-empty.
+  ``test_kern_base_<key>`` — one :func:`run_policy_batch` call of the
+  :mod:`repro.kernels` stepping kernels, every step checked, on a
+  chain-heavy SUU-C row (whose segment SEM runs also solve an exact LP1
+  per distinct survivor set) and an independent greedy row (recorded,
+  unpaired).
 
 Run the kernel rows with ``make bench-kernels``; ``BENCH_8.json``
 records the measured trajectory.
@@ -118,18 +112,14 @@ KERNEL_CONFIGS = {
     ),
 }
 
-#: Checked-side samples recorded for the trusted side of the same pair
-#: (tests run in definition order within one process).
-_CHECKED_SIDE: dict[str, np.ndarray] = {}
 
-
-def _run_row(key: str, validate: bool = True):
+def _run_row(key: str):
     instance, factory, kwargs = KERNEL_CONFIGS[key]()
     clear_solve_cache()
     start = time.perf_counter()
     result = run_policy_batch(
         instance, factory, N_TRIALS, rng=SEED, max_steps=100_000,
-        discipline="v2", validate=validate, **kwargs,
+        discipline="v2", **kwargs,
     )
     return result.makespans, time.perf_counter() - start
 
@@ -147,24 +137,3 @@ def test_kern_base_suuc_chains_10000(benchmark):
 
 def test_kern_base_greedy_10000(benchmark):
     _base_row(benchmark, "greedy_10000")
-
-
-def test_kern_checked_greedy_10000(benchmark):
-    samples, _ = benchmark.pedantic(
-        lambda: _run_row("greedy_10000", validate=True),
-        rounds=1, iterations=1,
-    )
-    _CHECKED_SIDE["greedy_10000"] = samples
-    assert samples.size == N_TRIALS
-
-
-def test_kern_trusted_greedy_10000(benchmark):
-    samples, _ = benchmark.pedantic(
-        lambda: _run_row("greedy_10000", validate=False),
-        rounds=1, iterations=1,
-    )
-    assert samples.size == N_TRIALS
-    checked = _CHECKED_SIDE.get("greedy_10000")
-    if checked is not None:
-        # Hoisting validation must never change a sample on clean runs.
-        assert np.array_equal(samples, checked)

@@ -45,13 +45,11 @@ _BATCH_MARK = "test_batch_kernel_"
 #: (slow-side mark, fast-side mark) families reduced to speedup ratios.
 #: scalar/batch gates the kernel speedups; serve_base/serve_warm gates
 #: the request server's executor-lifecycle throughput ratios (BENCH_6);
-#: kern_checked/kern_trusted gates the per-step validation hoist
-#: (BENCH_8); par_serial/par_threads gates the kernel_threads axis —
-#: serial vs trial-sharded runs of the same workload (BENCH_9).
+#: par_serial/par_threads gates the kernel_threads axis — serial vs
+#: trial-sharded runs of the same workload (BENCH_9).
 _RATIO_MARKS = (
     (_SCALAR_MARK, _BATCH_MARK),
     ("test_serve_base_", "test_serve_warm_"),
-    ("test_kern_checked_", "test_kern_trusted_"),
     ("test_par_serial_", "test_par_threads_"),
 )
 

@@ -24,10 +24,7 @@ from repro.api.config import (
     DISCIPLINES,
     SUBSTREAMS_MODES,
     ResolvedKnobs,
-    resolve_discipline,
-    resolve_kernel_threads,
     resolve_knobs,
-    resolve_substreams,
 )
 from repro.errors import InvalidScenarioError
 from repro.instance.generators import (
@@ -151,19 +148,6 @@ class SimConfig:
         :mod:`repro.api.config` (explicit field → environment variable →
         default) — the snapshot that feeds suite-cell digests."""
         return resolve_knobs(config=self)
-
-    def resolved_discipline(self) -> str:
-        """The discipline trials will actually run under (env-resolved)."""
-        return resolve_discipline(self.discipline)
-
-    def resolved_kernel_threads(self) -> int:
-        """The trial-parallel worker count trials will run with
-        (env-resolved)."""
-        return resolve_kernel_threads(self.kernel_threads)
-
-    def resolved_substreams(self) -> str:
-        """The sweep substream mode trials will run under (env-resolved)."""
-        return resolve_substreams(self.substreams)
 
     def to_dict(self) -> dict:
         """JSON-compatible representation."""

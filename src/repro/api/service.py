@@ -148,12 +148,16 @@ class Report:
         )
 
 
-def run_trial_batch(
-    instance, factory, rngs, semantics, max_steps, want_completions=False,
-    discipline="v1", streams=None, want_lp_stats=False, validate=True,
-    kernel_threads=1,
-):
-    """Run one chunk of Monte Carlo trials; returns the makespans.
+def run_trial_batch(instance, factory, rngs, config, knobs, streams,
+                    want_completions):
+    """Run one chunk of Monte Carlo trials.
+
+    Returns ``(makespans, completions, lp_delta)``: the chunk's makespan
+    samples; its ``(n_trials, n_jobs)`` completion matrix when
+    ``want_completions`` is set (the raw material of
+    :func:`repro.analysis.per_job_stats`), else ``None``; and the chunk's
+    LP-wall counter delta (:func:`repro.lp.stats.lp_stats_delta` around
+    the run, measured in the process that ran it).
 
     Module-level (rather than a closure) so the process backend can ship it
     to ``spawn``-ed workers.  ``factory`` must therefore be picklable — the
@@ -167,55 +171,36 @@ def run_trial_batch(
     backends, and dispatch mode all produce bit-identical samples; under
     v2 the chunk reads its global rows of the run's batch streams
     (``streams`` arrives offset-rebased), so samples are still invariant
-    to chunk layout — they are just v2 samples.  The discipline — and,
-    identically, the ``kernel_threads`` count — is resolved by the
-    *caller* and passed explicitly so workers never consult their own
-    environment.
-    ``validate=False`` marks the policy as trusted (registry-dispatched):
-    per-step assignment validation runs
-    on the first step only (see :func:`repro.sim.batch.run_policy_batch`).
-
-    With ``want_completions=True`` the chunk's ``(n_trials, n_jobs)``
-    completion matrix rides along as a second return value (the raw
-    material of :func:`repro.analysis.per_job_stats`); with
-    ``want_lp_stats=True`` the chunk's LP-wall counter delta
-    (:func:`repro.lp.stats.lp_stats_delta` around the run, measured inside
-    the worker process) rides along as the final element.
+    to chunk layout — they are just v2 samples.  ``config`` supplies the
+    semantics and the horizon; ``knobs`` is the caller's frozen
+    :class:`~repro.api.config.ResolvedKnobs` snapshot, which supplies the
+    discipline and the ``kernel_threads`` count, so a worker's own
+    environment never changes a run.  Every step of every trial is
+    checked (see :func:`repro.sim.batch.run_policy_batch`).
     """
-    before = lp_stats_snapshot() if want_lp_stats else None
+    before = lp_stats_snapshot()
     batch = run_policy_batch(
-        instance, factory, trial_rngs=rngs, semantics=semantics,
-        max_steps=max_steps, discipline=discipline, streams=streams,
-        validate=validate, kernel_threads=kernel_threads,
+        instance, factory, trial_rngs=rngs, semantics=config.semantics,
+        max_steps=config.max_steps, discipline=knobs.discipline,
+        streams=streams, kernel_threads=knobs.kernel_threads,
     )
-    out = (batch.makespans,)
-    if want_completions:
-        out = out + (batch.completion_times,)
-    if want_lp_stats:
-        out = out + (lp_stats_delta(before),)
-    return out if len(out) > 1 else out[0]
+    completions = batch.completion_times if want_completions else None
+    return batch.makespans, completions, lp_stats_delta(before)
 
 
 def _resolve_policy(policy, instance, policy_kwargs):
-    """Normalize a policy spec into ``(label, zero-arg factory, trusted)``.
-
-    ``trusted`` is True for registry-dispatched specs (a name or
-    ``"auto"``): those policies carry the library's own test coverage, so
-    the batch driver validates their assignments on the first step only
-    (``validate=False``).  User-supplied classes and factories keep full
-    per-step validation.
-    """
+    """Normalize a policy spec into ``(label, zero-arg factory)``."""
     if isinstance(policy, str):
         name = default_policy_for(instance) if policy == "auto" else policy
         info = policy_info(name)
-        return info.name, policy_factory(info.name, **policy_kwargs), True
+        return info.name, policy_factory(info.name, **policy_kwargs)
     if isinstance(policy, type):
         label = getattr(policy, "name", policy.__name__)
-        return label, _with_kwargs(policy, policy_kwargs), False
+        return label, _with_kwargs(policy, policy_kwargs)
     # Otherwise treat it as a zero-argument factory (each trial needs a
     # fresh policy, so already-constructed instances are not accepted).
     label = getattr(policy, "name", getattr(policy, "__name__", "policy"))
-    return str(label), _with_kwargs(policy, policy_kwargs), False
+    return str(label), _with_kwargs(policy, policy_kwargs)
 
 
 def _with_kwargs(fn, kwargs):
@@ -297,41 +282,38 @@ def _sum_lp_deltas(deltas) -> dict:
     return total
 
 
-def _map_chunks(pool, n_workers, instance, factory, rngs, config,
-                want_completions=False, discipline="v1", streams=None,
-                want_lp_stats=False, validate=True, kernel_threads=1):
+def _map_chunks(pool, n_workers, instance, factory, rngs, config, knobs,
+                streams, want_completions):
     """Fan trial chunks out over ``pool`` and reassemble them in order.
 
     Each chunk receives its span of ``rngs`` (from :func:`_run_batched`, a
     lazy :class:`~repro.util.rng.SpawnedRngs` slice that pickles as a few
-    ints).  Under discipline v2 every chunk receives the run's streams
-    re-based at its global start index, so a chunk computes exactly the
-    rows of the whole-run draw it covers — chunk layout stays invisible
-    in the samples.
-    LP-wall counter deltas (measured inside each worker) sum across chunks.
+    ints) and the caller's ``config`` and ``knobs``.  Under discipline v2
+    every chunk receives the run's streams re-based at its global start
+    index, so a chunk computes exactly the rows of the whole-run draw it
+    covers — chunk layout stays invisible in the samples.
+    Returns :func:`run_trial_batch`'s triple for the whole run: makespans
+    and completion matrices concatenate in trial order, and the LP-wall
+    counter deltas (measured inside each worker) sum.
     """
     bounds = _chunk_bounds(config.n_trials, n_workers)
-    chunks = list(pool.map(
+    chunks = pool.map(
         run_trial_batch,
         *zip(
             *[
-                (instance, factory, rngs[lo:hi], config.semantics,
-                 config.max_steps, want_completions, discipline,
+                (instance, factory, rngs[lo:hi], config, knobs,
                  None if streams is None else streams.with_offset(lo),
-                 want_lp_stats, validate, kernel_threads)
+                 want_completions)
                 for lo, hi in bounds
             ]
         ),
-    ))
-    if not (want_completions or want_lp_stats):
-        return np.concatenate(chunks)
-    parts = [c if isinstance(c, tuple) else (c,) for c in chunks]
-    out = (np.concatenate([p[0] for p in parts]),)
-    if want_completions:
-        out = out + (np.concatenate([p[1] for p in parts]),)
-    if want_lp_stats:
-        out = out + (_sum_lp_deltas(p[-1] for p in parts),)
-    return out
+    )
+    makespans, completions, deltas = zip(*chunks)
+    return (
+        np.concatenate(makespans),
+        np.concatenate(completions) if want_completions else None,
+        _sum_lp_deltas(deltas),
+    )
 
 
 def _fast_path_eligible(factory, discipline: str = "v1") -> bool:
@@ -382,12 +364,16 @@ def _spec_fast_path_eligible(spec, discipline: str = "v1") -> bool:
 
 
 def _run_batched(
-    instance, factory, config: SimConfig, backend: str, n_workers, pool=None,
-    want_completions=False, force_transport=False, want_lp_stats=False,
-    validate=True, substream=None,
+    instance, factory, config: SimConfig, knobs, backend: str, n_workers,
+    pool=None, want_completions=False, force_transport=False,
+    substream=None,
 ):
-    """Dispatch the trials on the requested backend; returns all samples.
+    """Dispatch the trials on the requested backend.
 
+    Returns :func:`run_trial_batch`'s ``(makespans, completions,
+    lp_delta)`` triple for the whole run.  ``knobs`` is the frozen
+    :class:`~repro.api.config.ResolvedKnobs` snapshot the caller resolved
+    once; every chunk runs under it.
     Trial ``k`` reads child ``k`` of the run's spawn tree
     (:class:`~repro.util.rng.SpawnedRngs`, built on first use; chunks
     ship spans of it, not generator states), so the samples are
@@ -398,8 +384,6 @@ def _run_batched(
     ``force_transport`` disables the small-batch fast path: an explicitly
     injected executor owns the transport decision, and its warm workers
     (not this process) are where cache reuse should accumulate.
-    ``validate=False`` marks a trusted (registry-dispatched) policy —
-    per-step assignment validation runs on the first step only.
     ``substream`` (``config.substreams == "per-policy"`` in grid sweeps)
     re-roots *all* the run's randomness — the v1 trial tree and the v2
     batch streams alike — at :meth:`BatchStreams.child` of that index, so
@@ -408,18 +392,13 @@ def _run_batched(
     """
     if backend not in _BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; expected one of {_BACKENDS}")
-    # Resolve every knob here, once, through the unified chain
-    # (:func:`repro.api.config.resolve_knobs`), so workers never consult
-    # their own environment; under v2 the whole run shares one stream
-    # root addressed by global trial index (chunk-layout invariant).
-    knobs = config.resolved()
-    discipline = knobs.discipline
-    kernel_threads = knobs.kernel_threads
+    # Under v2 the whole run shares one stream root addressed by global
+    # trial index (chunk-layout invariant).
     sub_root = None
     if substream is not None:
         sub_root = BatchStreams(run_seed_sequence(config.seed)).child(substream).root
     streams = None
-    if discipline == "v2":
+    if knobs.discipline == "v2":
         streams = BatchStreams(sub_root if sub_root is not None else
                                run_seed_sequence(config.seed))
     # The trial generators are built on first use: the vectorized v2
@@ -435,25 +414,16 @@ def _run_batched(
     if backend == "serial" or (
         not force_transport
         and _small_batch(config)
-        and _fast_path_eligible(factory, discipline)
+        and _fast_path_eligible(factory, knobs.discipline)
     ):
         return run_trial_batch(
-            instance, factory, rngs, config.semantics, config.max_steps,
-            want_completions, discipline, streams, want_lp_stats,
-            validate, kernel_threads,
+            instance, factory, rngs, config, knobs, streams, want_completions
         )
     n_workers = n_workers or min(os.cpu_count() or 1, config.n_trials)
-    if pool is not None:
+    with nullcontext(pool) if pool is not None else worker_pool(n_workers) as pool:
         return _map_chunks(
-            pool, n_workers, instance, factory, rngs, config,
-            want_completions, discipline, streams, want_lp_stats,
-            validate, kernel_threads,
-        )
-    with worker_pool(n_workers) as pool:
-        return _map_chunks(
-            pool, n_workers, instance, factory, rngs, config,
-            want_completions, discipline, streams, want_lp_stats,
-            validate, kernel_threads,
+            pool, n_workers, instance, factory, rngs, config, knobs, streams,
+            want_completions,
         )
 
 
@@ -528,8 +498,9 @@ def simulate(
     else:
         declarative, instance = scenario, scenario.to_instance()
     return _simulate_instance(
-        declarative, instance, policy, config, backend, n_workers,
-        policy_kwargs, pool=pool, per_job=per_job, force_transport=forced,
+        declarative, instance, policy, config, config.resolved(), backend,
+        n_workers, policy_kwargs, pool=pool, per_job=per_job,
+        force_transport=forced,
     )
 
 
@@ -538,6 +509,7 @@ def _simulate_instance(
     instance,
     policy,
     config,
+    knobs,
     backend,
     n_workers,
     policy_kwargs,
@@ -549,26 +521,25 @@ def _simulate_instance(
 ):
     """Shared core of :func:`simulate` / :func:`evaluate_grid`.
 
+    ``knobs`` is the caller's one ``config.resolved()`` snapshot.
     ``pool`` and ``bound`` let grid sweeps (and injected executors) reuse
     one process pool and one LP lower-bound solve across the cells that
     share a scenario; ``substream`` is the per-policy stream index grid
     sweeps pass under ``config.substreams == "per-policy"``.
     """
-    label, factory, trusted = _resolve_policy(policy, instance, policy_kwargs)
-    out = _run_batched(
-        instance, factory, config, backend, n_workers, pool=pool,
+    label, factory = _resolve_policy(policy, instance, policy_kwargs)
+    samples, completions, lp_stats = _run_batched(
+        instance, factory, config, knobs, backend, n_workers, pool=pool,
         want_completions=per_job, force_transport=force_transport,
-        want_lp_stats=True, validate=not trusted, substream=substream,
+        substream=substream,
     )
-    samples = out[0]
-    lp_stats = out[-1]
     job_stats = None
     if per_job:
         # Deferred import: analysis -> core -> api is a cycle at package
         # init time (see _lower_bound).
         from repro.analysis.perjob import per_job_stats
 
-        job_stats = per_job_stats(out[1], policy_name=label)
+        job_stats = per_job_stats(completions, policy_name=label)
     if bound is None:
         bound = _lower_bound(instance)
     return Report(
@@ -579,7 +550,7 @@ def _simulate_instance(
         config=config,
         per_job=job_stats,
         lp_stats=lp_stats,
-        kernel={"threads": config.resolved_kernel_threads()},
+        kernel={"threads": knobs.kernel_threads},
     )
 
 
@@ -627,7 +598,6 @@ def evaluate_grid(
         policies = (policies,)
     config = config or SimConfig()
     knobs = config.resolved()
-    discipline = knobs.discipline
     backend, n_workers, injected_pool, forced = _resolve_executor(
         executor, backend, n_workers
     )
@@ -640,7 +610,7 @@ def evaluate_grid(
     # cells are solved once per worker, not once per chunk.
     if executor is None and backend == "process" and not (
         _small_batch(config)
-        and all(_spec_fast_path_eligible(p, discipline) for p in policies)
+        and all(_spec_fast_path_eligible(p, knobs.discipline) for p in policies)
     ):
         n_workers = n_workers or min(os.cpu_count() or 1, config.n_trials)
         pool_cm = worker_pool(n_workers)
@@ -656,7 +626,7 @@ def evaluate_grid(
             for k, policy in enumerate(policies):
                 reports.append(
                     _simulate_instance(
-                        scenario, instance, policy, config, backend,
+                        scenario, instance, policy, config, knobs, backend,
                         n_workers, {}, pool=pool, bound=bound,
                         per_job=per_job, force_transport=forced,
                         substream=k if per_policy else None,

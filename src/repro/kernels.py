@@ -65,19 +65,19 @@ def get_backend():
     return sys.modules[__name__]
 
 
-def accrue(a, ell, remaining, eligible, busy, independent, check):
+def accrue(a, ell, remaining, eligible, busy, independent):
     """One step's mass accrual: assignments -> delivered mass per job.
 
     Returns ``(status, trial, machine, step_mass)``; on a non-zero status
     the step must be abandoned (the batch engine raises).  ``busy`` is
-    updated in place.  ``check`` gates the job-id range and precedence
-    (eligibility) validation.  ``remaining`` / ``eligible`` must be
-    C-contiguous (their ``.ravel()`` views share memory), which
-    :func:`repro.sim.batch._drive_batch` guarantees.
+    updated in place.  Job ids are always range-checked, and precedence
+    unless ``independent`` (where it cannot fail).  ``remaining`` /
+    ``eligible`` must be C-contiguous (their ``.ravel()`` views share
+    memory), which :func:`repro.sim.batch._drive_batch` guarantees.
     """
     B, m = a.shape
     n = remaining.shape[1]
-    if check and ((a >= n).any() or (a < -1).any()):
+    if (a >= n).any() or (a < -1).any():
         bad = (a >= n) | (a < -1)
         b, i = np.argwhere(bad)[0]
         return BAD_RANGE, int(b), int(i), np.zeros((B, n), dtype=np.float64)
@@ -90,7 +90,7 @@ def accrue(a, ell, remaining, eligible, busy, independent, check):
     # precedence violations.  Inactive trials have remaining all-False,
     # so they can never trip the check.
     effective = assigned & remaining.ravel()[flat_all]
-    if check and not independent:
+    if not independent:
         bad = effective & ~eligible.ravel()[flat_all]
         if bad.any():
             b, i = np.argwhere(bad)[0]
@@ -124,7 +124,7 @@ def commit(done_now, t_next, completion_times, remaining, eligible, indeg,
 
 def drive_step(a, ell, theta, u, mode, t_next, remaining, eligible, indeg,
                mass_accrued, completion_times, busy, active,
-               succ_indptr, succ_indices, independent, check):
+               succ_indptr, succ_indices, independent):
     """One engine step: accrual, completion test, and state commit.
 
     ``mode`` selects the completion rule: 0 = SUU* thresholds
@@ -133,7 +133,7 @@ def drive_step(a, ell, theta, u, mode, t_next, remaining, eligible, indeg,
     :func:`accrue` codes.
     """
     status, b, i, step_mass = accrue(
-        a, ell, remaining, eligible, busy, independent, check
+        a, ell, remaining, eligible, busy, independent
     )
     if status != OK:
         return status, b, i

@@ -99,6 +99,7 @@ call with any policy.
 from __future__ import annotations
 
 import copy
+import os
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -191,7 +192,6 @@ def run_policy_batch(
     discipline: str | None = None,
     streams: BatchStreams | None = None,
     kernel_threads: int | None = None,
-    validate: bool = True,
 ) -> BatchSimResult:
     """Execute ``n_trials`` independent runs of ``policy``, vectorized.
 
@@ -247,23 +247,14 @@ def run_policy_batch(
         addressed by global trial index (shard ``lo`` rebases
         via ``streams.with_offset``), so shard boundaries are invisible
         in the samples.
-    validate:
-        When True (default), the per-step assignment checks (shape,
-        dtype, job-id range, precedence eligibility) run every timestep.
-        When False, the range/eligibility checks run only on the first
-        step — the trusted-policy fast path used by the registry-backed
-        service front ends.  Shape/dtype checks always run (they are
-        O(1)); nothing range-checks job ids after the first step, so
-        with ``validate=False`` an out-of-range id from a misbehaving
-        policy yields a semantically wrong trajectory (its mass lands on
-        another trial's row) or an ``IndexError``, not a
-        :class:`ScheduleViolationError`.
 
     Raises
     ------
     ScheduleViolationError
-        If the policy assigns a machine to a job whose predecessors have
-        not all completed (in any trial).
+        At any step of any trial: if the policy returns a malformed
+        assignment (wrong shape, non-integer dtype, or a job id outside
+        ``[-1, n_jobs)``), or assigns a machine to a job whose
+        predecessors have not all completed.
     SimulationHorizonError
         If any trial exceeds ``max_steps``.
     """
@@ -322,28 +313,28 @@ def run_policy_batch(
         return _run_sharded(
             instance, factory, trial_rngs, threads,
             semantics=semantics, max_steps=max_steps, thresholds=thresholds,
-            discipline=discipline, streams=streams, validate=validate,
+            discipline=discipline, streams=streams,
         )
 
     if supports_batch(probe):
         return _run_vectorized(
             instance, probe, trial_rngs, semantics, max_steps, thresholds,
-            discipline, streams, validate,
+            discipline, streams,
         )
     if supports_phased(probe, discipline):
         return _run_phased(
             instance, probe, trial_rngs, semantics, max_steps, thresholds,
-            discipline, streams, validate,
+            discipline, streams,
         )
     return _run_per_trial(
         instance, probe, factory, trial_rngs, semantics, max_steps,
-        thresholds, discipline, validate,
+        thresholds, discipline,
     )
 
 
 def _run_sharded(
     instance, factory, trial_rngs, threads, *, semantics, max_steps,
-    thresholds, discipline, streams, validate,
+    thresholds, discipline, streams,
 ) -> BatchSimResult:
     """Split one batch into contiguous trial shards on a thread pool.
 
@@ -375,10 +366,14 @@ def _run_sharded(
             streams=None
             if streams is None
             else streams.with_offset(streams.offset + lo),
-            kernel_threads=1, validate=validate,
+            kernel_threads=1,
         )
 
-    with ThreadPoolExecutor(max_workers=len(spans)) as pool:
+    # ``kernel_threads`` is bounded only from below (a served request sets
+    # it), so the pool is capped at the CPU count; the spans, and so the
+    # samples, depend on ``threads`` alone.
+    workers = min(len(spans), os.cpu_count() or 1)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         parts = list(pool.map(run_span, spans))
     first = parts[0]
     return BatchSimResult(
@@ -398,7 +393,7 @@ def _run_sharded(
 
 def _run_per_trial(
     instance, probe, factory, trial_rngs, semantics, max_steps, thresholds,
-    discipline, validate=True,
+    discipline,
 ) -> BatchSimResult:
     """Per-trial dispatch: one scalar policy per trial, lock-stepped.
 
@@ -418,7 +413,7 @@ def _run_per_trial(
     dispatch = _PerTrialDispatch(policies, probe.name, B, instance.n_machines)
     return _drive_batch(
         instance, probe.name, dispatch, B, semantics, max_steps, theta,
-        outcome_rngs, discipline, None, validate, vectorized=False,
+        outcome_rngs, discipline, None, vectorized=False,
     )
 
 
@@ -482,7 +477,7 @@ def _v1_outcomes(pairs, semantics, thresholds, n):
 
 def _run_vectorized(
     instance, policy, trial_rngs, semantics, max_steps, thresholds,
-    discipline, streams, validate=True,
+    discipline, streams,
 ) -> BatchSimResult:
     """The broadcast path: one ``assign_batch`` call drives all trials."""
     B, n = len(trial_rngs), instance.n_jobs
@@ -506,7 +501,7 @@ def _run_vectorized(
         theta, outcome_rngs = _v1_outcomes(pairs, semantics, None, n)
     return _drive_batch(
         instance, policy.name, policy.assign_batch, B, semantics, max_steps,
-        theta, outcome_rngs, discipline, streams, validate,
+        theta, outcome_rngs, discipline, streams,
     )
 
 
@@ -556,7 +551,7 @@ class _GroupedDispatch:
 
 def _run_phased(
     instance, policy, trial_rngs, semantics, max_steps, thresholds,
-    discipline, streams, validate=True,
+    discipline, streams,
 ) -> BatchSimResult:
     """The grouped-dispatch path for :class:`PhasedPolicy` implementations."""
     B, n = len(trial_rngs), instance.n_jobs
@@ -591,14 +586,14 @@ def _run_phased(
     # dispatch keeps every row.
     return _drive_batch(
         instance, policy.name, dispatch, B, semantics, max_steps, theta,
-        outcome_rngs, discipline, streams, validate, compact=False,
+        outcome_rngs, discipline, streams, compact=False,
     )
 
 
 def _drive_batch(
     instance, policy_name, assign, B, semantics, max_steps, theta,
-    outcome_rngs, discipline="v1", streams=None, validate=True,
-    vectorized=True, compact=True,
+    outcome_rngs, discipline="v1", streams=None, vectorized=True,
+    compact=True,
 ) -> BatchSimResult:
     """The lock-stepped all-trials engine (see module docstring).
 
@@ -704,14 +699,13 @@ def _drive_batch(
                 f"{policy_name!r} returned non-integer assignment dtype {a.dtype}"
             )
         a = np.ascontiguousarray(a, dtype=np.int64)
-        check = validate or t == 0
 
         if v1_suu:
             # The per-trial Generator draws in _draw_suu_completions keep
             # v1 bit-identical to the serial engine, so this path splits
             # the step around them.
             status, vb, vi, step_mass = kernels.accrue(
-                a, ell, remaining, eligible, busy, independent, check
+                a, ell, remaining, eligible, busy, independent
             )
             if status != kernels.OK:
                 _raise_violation(status, policy_name, a, vb, vi, t, trials)
@@ -731,7 +725,7 @@ def _drive_batch(
             status, vb, vi = kernels.drive_step(
                 a, ell, theta, u, mode, t + 1, remaining, eligible,
                 indeg, mass_accrued, completion_times, busy, active,
-                succ_indptr, succ_indices, independent, check,
+                succ_indptr, succ_indices, independent,
             )
             if status != kernels.OK:
                 _raise_violation(status, policy_name, a, vb, vi, t, trials)

@@ -129,16 +129,16 @@ class TestResolution:
 
     def test_simconfig_field_roundtrip(self):
         config = SimConfig(n_trials=5, discipline="v2")
-        assert config.resolved_discipline() == "v2"
+        assert config.resolved().discipline == "v2"
         assert SimConfig.from_dict(config.to_dict()) == config
         # Pre-discipline JSON (no key) still loads, resolving to v1.
         legacy = {"n_trials": 3, "seed": 1, "semantics": "suu", "max_steps": 10}
-        assert SimConfig.from_dict(legacy).resolved_discipline() == "v1"
+        assert SimConfig.from_dict(legacy).resolved().discipline == "v1"
 
     def test_simconfig_env_resolution(self, monkeypatch):
         monkeypatch.setenv("REPRO_DISCIPLINE", "v2")
-        assert SimConfig().resolved_discipline() == "v2"
-        assert SimConfig(discipline="v1").resolved_discipline() == "v1"
+        assert SimConfig().resolved().discipline == "v2"
+        assert SimConfig(discipline="v1").resolved().discipline == "v1"
 
     def test_simconfig_validates(self):
         with pytest.raises(InvalidScenarioError, match="discipline"):

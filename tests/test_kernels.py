@@ -10,9 +10,10 @@ Six layers of guarantees:
   plain per-trial loop oracle (below) reproduces the whole-batch numpy
   passes — on random states, and installed at the seam across a policy
   × semantics × discipline grid of full batch runs.
-* **Validation hoist**: per-step assignment validation always runs at
-  ``t == 0``; ``validate=False`` (the trusted registry path) skips later
-  steps, and the service layer wires the trust flag automatically.
+* **Validation**: every step of every batch range-checks the assigned
+  job ids and, on instances with precedence edges, checks precedence —
+  through :func:`run_policy_batch` and through :func:`simulate` by
+  registry name alike, serially and in trial shards.
 * **Threading**: the thread count reaches :func:`simulate` /
   ``evaluate_grid`` reports, the request server (``/healthz``), and the
   CLI; stale ``kernel`` inputs fail loudly; per-policy substreams
@@ -76,7 +77,7 @@ class TestResolution:
 class TestThreadsResolution:
     def test_default_is_serial(self):
         assert resolve_kernel_threads() == 1
-        assert SimConfig().resolved_kernel_threads() == 1
+        assert SimConfig().resolved().kernel_threads == 1
 
     def test_argument_wins_over_env(self, monkeypatch):
         monkeypatch.setenv(KERNEL_THREADS_ENV_VAR, "8")
@@ -85,7 +86,7 @@ class TestThreadsResolution:
     def test_env_resolution(self, monkeypatch):
         monkeypatch.setenv(KERNEL_THREADS_ENV_VAR, "3")
         assert resolve_kernel_threads() == 3
-        assert SimConfig().resolved_kernel_threads() == 3
+        assert SimConfig().resolved().kernel_threads == 3
 
     @pytest.mark.parametrize("bad", [0, -2, "two", "1.5"])
     def test_bad_argument_fails_loudly(self, bad):
@@ -98,7 +99,7 @@ class TestThreadsResolution:
             resolve_kernel_threads()
 
     def test_simconfig_validates_kernel_threads(self):
-        assert SimConfig(kernel_threads=4).resolved_kernel_threads() == 4
+        assert SimConfig(kernel_threads=4).resolved().kernel_threads == 4
         with pytest.raises(InvalidScenarioError, match="kernel_threads"):
             SimConfig(kernel_threads=0)
         with pytest.raises(InvalidScenarioError, match="kernel_threads"):
@@ -156,20 +157,19 @@ def install_counted(monkeypatch, impls):
 # Per-job masses accumulate machine-ascending, as np.bincount sums them,
 # so float results match the numpy kernels bit for bit.
 # ----------------------------------------------------------------------
-def loop_accrue(a, ell, remaining, eligible, busy, independent, check):
+def loop_accrue(a, ell, remaining, eligible, busy, independent):
     B, m = a.shape
     n = remaining.shape[1]
-    if check:
-        for b in range(B):
-            for i in range(m):
-                if not -1 <= a[b, i] < n:
-                    return kernels.BAD_RANGE, b, i, np.zeros((B, n))
-        for b in range(B):
-            for i in range(m):
-                j = a[b, i]
-                if (not independent and j >= 0 and remaining[b, j]
-                        and not eligible[b, j]):
-                    return kernels.BAD_PRECEDENCE, b, i, np.zeros((B, n))
+    for b in range(B):
+        for i in range(m):
+            if not -1 <= a[b, i] < n:
+                return kernels.BAD_RANGE, b, i, np.zeros((B, n))
+    for b in range(B):
+        for i in range(m):
+            j = a[b, i]
+            if (not independent and j >= 0 and remaining[b, j]
+                    and not eligible[b, j]):
+                return kernels.BAD_PRECEDENCE, b, i, np.zeros((B, n))
     step_mass = np.zeros((B, n))
     for b in range(B):
         for i in range(m):
@@ -202,9 +202,9 @@ def loop_commit(done_now, t_next, completion_times, remaining, eligible,
 
 def loop_drive_step(a, ell, theta, u, mode, t_next, remaining, eligible,
                     indeg, mass_accrued, completion_times, busy, active,
-                    succ_indptr, succ_indices, independent, check):
+                    succ_indptr, succ_indices, independent):
     status, vb, vi, step_mass = loop_accrue(
-        a, ell, remaining, eligible, busy, independent, check
+        a, ell, remaining, eligible, busy, independent
     )
     if status != kernels.OK:
         return status, vb, vi
@@ -424,10 +424,10 @@ def _chain2_state(done=None):
     return graph, ell, state
 
 
-def _accrue(a, ell, st, independent=False, check=True):
+def _accrue(a, ell, st, independent=False):
     return kernels.accrue(
         np.array(a, dtype=np.int64), ell, st["remaining"], st["eligible"],
-        st["busy"], independent, check,
+        st["busy"], independent,
     )
 
 
@@ -444,7 +444,7 @@ def _drive_step(a, ell, st, mode, theta=None, u=None, t_next=1):
         np.array(a, dtype=np.int64), ell, theta, u, mode, t_next,
         st["remaining"], st["eligible"], st["indeg"], st["mass_accrued"],
         st["completion_times"], st["busy"], st["active"],
-        st["succ_indptr"], st["succ_indices"], False, True,
+        st["succ_indptr"], st["succ_indices"], False,
     )
 
 
@@ -487,12 +487,11 @@ class TestKernelFunctions:
         assert (status, b, i) == (kernels.BAD_PRECEDENCE, 1, 0)
         assert np.array_equal(st["busy"], [0, 0])
 
-    def test_accrue_skips_precedence_check_when_unchecked(self):
-        for kwargs in ({"check": False}, {"independent": True}):
-            _, ell, st = _chain2_state()
-            status, _, _, mass = _accrue([[2, -1], [1, 0]], ell, st, **kwargs)
-            assert status == kernels.OK
-            assert mass[1, 1] == 0.25 and mass[1, 0] == 0.125
+    def test_accrue_skips_precedence_check_when_independent(self):
+        _, ell, st = _chain2_state()
+        status, _, _, mass = _accrue([[2, -1], [1, 0]], ell, st, independent=True)
+        assert status == kernels.OK
+        assert mass[1, 1] == 0.25 and mass[1, 0] == 0.125
 
     def test_commit_without_completions_changes_nothing(self):
         _, _, st = _chain2_state(done=[[True, False, False], [False] * 3])
@@ -602,7 +601,7 @@ def _random_step_state(rng, edge_prob, B=5, n=7, m=3):
         None, 4, remaining, eligible, indeg, mass,
         np.where(done, 2, 0).astype(np.int64),
         rng.integers(0, 9, B).astype(np.int64), remaining.any(axis=1),
-        indptr, indices, not edges, True,
+        indptr, indices, not edges,
     )
 
 
@@ -797,34 +796,75 @@ class _BadJobPolicy(VectorizedPolicy):
         return np.full((state.n_trials, self._m), -5, dtype=np.int64)
 
 
+class _LateBadPolicy(VectorizedPolicy):
+    """Idle at the first step, then both machines work the first eligible
+    job of each row — except at step 1, where machine 0 works
+    ``late_job`` in the rows ``late_rows`` selects."""
+
+    name = "late-bad"
+    late_job = 0
+    late_rows = slice(None)
+
+    def start(self, instance, rng):
+        pass
+
+    def assign(self, state):  # pragma: no cover - scalar path unused
+        raise NotImplementedError
+
+    def assign_batch(self, state):
+        eligible = state.eligible
+        first = np.where(eligible.any(axis=1), eligible.argmax(axis=1), -1)
+        out = np.repeat(first[:, None], 2, axis=1).astype(np.int64)
+        if state.t == 0:
+            out[:] = -1
+        elif state.t == 1:
+            out[self.late_rows, 0] = self.late_job
+        return out
+
+
+class _LateRangePolicy(_LateBadPolicy):
+    """Job id 2 (one past the last job of the two-job chain) in the first
+    row only: unchecked, its mass would land on the next row's job 0."""
+
+    name = "late-range"
+    late_job = 2
+    late_rows = 0
+
+
+class _LatePrecedencePolicy(_LateBadPolicy):
+    """Job 1 while job 0 is still unfinished, in every row."""
+
+    name = "late-precedence"
+    late_job = 1
+
+
 def _chain2_instance():
     graph = PrecedenceGraph(2, [(0, 1)])
     return SUUInstance(np.full((2, 2), 0.5), graph)
 
 
-#: Serial, and trial shards (each shard validates its own first step and
-#: raises through the thread pool).
+#: Serial, and trial shards (each shard checks its own rows and raises
+#: through the thread pool).
 validate_threads = pytest.mark.parametrize(
     "kernel_threads", [1, 4], ids=["serial", "shards"]
 )
 
 
-class TestValidateKnob:
+class TestEveryStepChecked:
     @validate_threads
     def test_first_step_always_validated(self, kernel_threads):
-        # Even trusted runs check t == 0: a policy broken from the start
-        # fails fast regardless of the knob.
+        # A policy broken from the start fails at the first step.
         with pytest.raises(ScheduleViolationError, match="predecessors"):
             run_policy_batch(
                 _chain2_instance(), lambda: _EagerChainPolicy(early_job=1),
-                3, rng=0, validate=False, kernel_threads=kernel_threads,
+                3, rng=0, kernel_threads=kernel_threads,
             )
 
     @validate_threads
     def test_range_check_at_first_step(self, kernel_threads):
         with pytest.raises(ScheduleViolationError, match="out-of-range"):
             run_policy_batch(
-                _chain2_instance(), _BadJobPolicy, 3, rng=0, validate=False,
+                _chain2_instance(), _BadJobPolicy, 3, rng=0,
                 kernel_threads=kernel_threads,
             )
 
@@ -832,35 +872,32 @@ class TestValidateKnob:
     def test_late_violation_caught_when_validating(self, kernel_threads):
         with pytest.raises(ScheduleViolationError, match="predecessors"):
             run_policy_batch(
-                _chain2_instance(), _EagerChainPolicy, 8, rng=0, validate=True,
+                _chain2_instance(), _EagerChainPolicy, 8, rng=0,
                 kernel_threads=kernel_threads,
             )
 
-    @validate_threads
-    def test_late_violation_skipped_when_trusted(self, kernel_threads):
-        # The trust contract: after the first step the driver stops
-        # checking, so the (broken) policy runs to completion unharmed.
-        result = run_policy_batch(
-            _chain2_instance(), _EagerChainPolicy, 8, rng=0, validate=False,
-            kernel_threads=kernel_threads,
+    @pytest.mark.parametrize(
+        "cls,match",
+        [(_LateRangePolicy, "out-of-range"),
+         (_LatePrecedencePolicy, "predecessors")],
+        ids=["range", "precedence"],
+    )
+    @pytest.mark.parametrize("kernel_threads", [1, 2], ids=["serial", "shards"])
+    def test_registry_policies_checked_at_every_step(self, cls, match,
+                                                     kernel_threads,
+                                                     monkeypatch):
+        # A policy reached by registry name gets the same checks as any
+        # other, at every step: here the bad row first appears at step 1.
+        from repro.api import registry
+
+        registry.policy_names()  # register the built-ins first
+        monkeypatch.setitem(
+            registry._REGISTRY, cls.name,
+            registry.PolicyInfo(name=cls.name, cls=cls),
         )
-        assert (result.makespans >= 1).all()
-
-    def test_registry_policies_run_trusted(self, small_independent, monkeypatch):
-        import repro.api.service as service
-        import repro.sim.batch as batch
-
-        seen = []
-
-        def spy(*args, **kwargs):
-            seen.append(kwargs.get("validate"))
-            return batch.run_policy_batch(*args, **kwargs)
-
-        monkeypatch.setattr(service, "run_policy_batch", spy)
-        config = SimConfig(n_trials=4, seed=1)
-        simulate(small_independent, "greedy-lr", config)
-        simulate(small_independent, GreedyLRPolicy, config)
-        assert seen == [False, True]
+        config = SimConfig(n_trials=8, seed=1, kernel_threads=kernel_threads)
+        with pytest.raises(ScheduleViolationError, match=match):
+            simulate(_chain2_instance(), cls.name, config)
 
 
 class TestSubstreams:

@@ -2,6 +2,7 @@
 
 import http.client
 import json
+import os
 import socket
 import threading
 import time
@@ -82,6 +83,42 @@ class TestSchedulingServiceRouting:
             "POST", "/simulate", _simulate_body(per_job=True)
         )
         assert payload["per_job"]["n_jobs"] == SCENARIO["n_jobs"]
+
+    def test_simulate_shard_pool_capped_at_cpu_count(self, service,
+                                                      monkeypatch):
+        # A client picks kernel_threads; the shard pool must still not
+        # exceed the CPU count.  The stand-in records the requested width
+        # and maps serially, so no thread starts whatever is asked for.
+        import repro.sim.batch as batch
+
+        widths = []
+
+        class RecordingPool:
+            def __init__(self, max_workers=None):
+                widths.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(batch, "ThreadPoolExecutor", RecordingPool)
+        cpus = os.cpu_count() or 1
+        wide = 4 * cpus
+        config = {"n_trials": wide, "seed": 3}
+        _status, serial = service.handle("POST", "/simulate", _simulate_body(
+            config={**config, "kernel_threads": 1}, include_samples=True,
+        ))
+        assert widths == []
+        _status, sharded = service.handle("POST", "/simulate", _simulate_body(
+            config={**config, "kernel_threads": wide}, include_samples=True,
+        ))
+        assert widths and max(widths) <= cpus
+        assert sharded["samples"] == serial["samples"]
 
     def test_grid_with_scenario_list(self, service):
         body = {
