@@ -55,9 +55,12 @@ def run_equivalence(
         ),
     }
     for label, (inst, factory) in workloads.items():
+        # The SUU side is pinned to v1's per-trial coin flips: under v2 a
+        # batch samples SUU from thresholds as well (by this very theorem),
+        # and both sides would then be SUU*.
         a = estimate_expected_makespan(
             inst, factory, n_trials, rng.spawn(1)[0], semantics="suu",
-            max_steps=max_steps,
+            max_steps=max_steps, discipline="v1",
         )
         b = estimate_expected_makespan(
             inst, factory, n_trials, rng.spawn(1)[0], semantics="suu_star",

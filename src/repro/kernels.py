@@ -6,9 +6,12 @@ chain cursors' whole-batch boundary transitions
 state arrays:
 
 ==================== ====================================================
-``accrue``           one step's mass accrual + assignment validation
+``accrue``           one step's dense mass accrual + assignment validation
+                     (the v1 ``suu`` coin-flip path)
 ``commit``           completion commit / in-degree + eligibility refresh
-``drive_step``       the fused step: accrue + completion test + commit
+``drive_step``       the threshold step on the assigned ``(rows, m)``
+                     cells only: validation, per-job sums in a caller's
+                     scratch, completion test, commit
 ``chain_finish``     chain-cursor advance at a drained superstep
 ``chain_build``      chain start / pause recovery / signature encoding
 ``expand_signature`` superstep signature -> shared assignment rows
@@ -19,10 +22,10 @@ Callers reach them as attributes of this module (``kernels.drive_step(
 a wrapper installed on the object :func:`get_backend` returns — how
 ``perfbench``'s tracer attributes kernel time — sees every call.
 
-The kernels are serial: ``kernel_threads > 1`` splits a batch into
-contiguous trial shards that :func:`repro.sim.batch.run_policy_batch`
-runs on a thread pool, each shard calling these functions on its own
-rows.
+The kernels are serial and keep no module state: ``kernel_threads > 1``
+splits a batch into contiguous trial shards that
+:func:`repro.sim.batch.run_policy_batch` runs on a thread pool, each
+shard calling these functions on its own rows and its own scratch.
 """
 
 from __future__ import annotations
@@ -124,30 +127,80 @@ def commit(done_now, t_next, completion_times, remaining, eligible, indeg,
 
 def drive_step(a, ell, theta, u, mode, t_next, remaining, eligible, indeg,
                mass_accrued, completion_times, busy, active,
-               succ_indptr, succ_indices, independent):
-    """One engine step: accrual, completion test, and state commit.
+               succ_indptr, succ_indices, independent, scratch):
+    """One engine step under SUU* thresholds, on the assigned cells only.
 
-    ``mode`` selects the completion rule: 0 = SUU* thresholds
-    (``theta``; ``u`` unused), 1 = per-step uniforms (``u``, discipline
-    v2; ``theta`` unused).  Returns ``(status, trial, machine)`` with the
-    :func:`accrue` codes.
+    A job finishes once its accrued mass reaches its threshold ``theta``
+    (SUU*; by Theorem 10 also how the engine samples SUU).  Only the
+    ``(rows, m)`` cells the machines were assigned to can change, so every
+    pass runs on them, addressed by ``flat = row * n + max(a, 0)``: the
+    range check, ``effective = (a >= 0) & remaining``, the precedence
+    check (unless ``independent``), and the machine weights.  Each job's
+    step mass is summed in ``scratch``, a zeroed ``(>= rows * n,)``
+    float64 buffer the caller owns (one per batch, so concurrent trial
+    shards share nothing), by one ``np.add.at`` over the cells in row-major
+    order: machine-ascending within each job, the order of :func:`accrue`'s
+    ``np.bincount`` and of the scalar engine, so the float sums are
+    bit-equal.  The touched cells are zeroed again before returning.  A
+    cell's sum, its new mass and its completion test are functions of its
+    flat index alone, so a job that several machines ran reads and writes
+    the same values at each of its cells.
+
+    ``u`` and ``mode`` are reserved slots, kept so that arguments 0-15
+    keep their positions (``perfbench``'s tracer reads ``active`` at 12):
+    ``mode`` must be 0, and ``u`` is ignored.  ``remaining``, ``eligible``,
+    ``mass_accrued``, ``completion_times`` and ``theta`` must be
+    C-contiguous (they are read and written through ``.ravel()`` views).
+    Returns ``(status, trial, machine)`` with the :func:`accrue` codes; on
+    a violation no state array is touched.
     """
-    status, b, i, step_mass = accrue(
-        a, ell, remaining, eligible, busy, independent
-    )
-    if status != OK:
-        return status, b, i
-    if mode == 0:
-        done_now = (step_mass > 0.0) & (mass_accrued + step_mass >= theta)
+    if mode != 0:
+        raise ValueError(f"drive_step supports only mode 0 (thresholds), got {mode!r}")
+    rows, m = a.shape
+    n = remaining.shape[1]
+    if (a >= n).any() or (a < -1).any():
+        b, i = np.argwhere((a >= n) | (a < -1))[0]
+        return BAD_RANGE, int(b), int(i)
+    job = np.maximum(a, 0)  # IDLE -> job 0 with zero weight below
+    flat = (np.arange(rows, dtype=np.int64) * n)[:, None] + job
+    # As in the scalar engine: assignments to completed jobs idle
+    # silently, assignments to remaining-but-ineligible jobs are
+    # precedence violations.
+    effective = (a >= 0) & remaining.ravel()[flat]
+    if not independent:
+        bad = effective & ~eligible.ravel()[flat]
+        if bad.any():
+            b, i = np.argwhere(bad)[0]
+            return BAD_PRECEDENCE, int(b), int(i)
+    machine_base = (np.arange(m, dtype=np.int64) * n)[None, :]
+    weights = ell.ravel()[machine_base + job] * effective
+    # Unbuffered, in index order: never a pairwise or reordered sum.
+    np.add.at(scratch, flat.ravel(), weights.ravel())
+    step = scratch[flat]
+    scratch[flat] = 0.0
+    mass = mass_accrued.ravel()
+    new_mass = mass[flat] + step
+    mass[flat] = new_mass
+    busy += effective.sum(axis=1)
+    done = (step > 0.0) & (new_mass >= theta.ravel()[flat])
+    if not done.any():
+        return OK, -1, -1
+    cells = flat[done]
+    if independent:
+        completion_times.ravel()[cells] = t_next
+        remaining.ravel()[cells] = False
+        eligible.ravel()[cells] = False
+        finished = cells // n  # rows that finished a job (repeats harmless)
+        active[finished] = remaining[finished].any(axis=1)
     else:
-        # v2 suu: jobs survive a step of delivered mass L with probability
-        # 2^-L, tested against the whole-batch uniform matrix.
-        done_now = (step_mass > 0.0) & (u >= np.power(2.0, -step_mass))
-    mass_accrued += step_mass
-    commit(
-        done_now, t_next, completion_times, remaining, eligible, indeg,
-        succ_indptr, succ_indices, active, independent,
-    )
+        # The dense mask counts a job two machines finished once, so
+        # commit takes one in-degree off each successor.
+        done_now = np.zeros((rows, n), dtype=bool)
+        done_now.ravel()[cells] = True
+        commit(
+            done_now, t_next, completion_times, remaining, eligible, indeg,
+            succ_indptr, succ_indices, active, independent,
+        )
     return OK, -1, -1
 
 

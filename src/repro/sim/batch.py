@@ -19,6 +19,13 @@ itself is a deterministic function of the state it is shown, which is the
 number pairing (`compare_policies`) survives unchanged because the shared
 thresholds remain the coupling variable.
 
+Theorem 10 also says SUU's per-step coin flips and SUU*'s thresholds give
+every policy the same distribution of histories.  The v2 discipline uses
+that as its sampler: a ``suu`` batch draws its thresholds once, like a
+``suu_star`` one, and each step touches only the cells machines were
+assigned to (:func:`repro.kernels.drive_step`).  The scalar engine keeps
+both rules, and is how the repo tests the theorem itself.
+
 Live-row stepping
 -----------------
 A batch's makespans have a long tail (SUU-I-OBL repeats its schedule for
@@ -74,9 +81,10 @@ front ends route every policy through this kernel.
 Under **v2** (a documented break: different streams, same distributions)
 outcome randomness is drawn in whole-batch blocks from the per-run
 :class:`~repro.util.rng.BatchStreams` spawn tree instead of replaying the
-serial tree trial by trial: ``suu`` completions come from a single
-``(n_trials, n_jobs)`` uniform matrix per step, ``suu_star`` thresholds
-from one matrix draw, and v2-capable phased policies
+serial tree trial by trial: one ``(n_trials, n_jobs)`` threshold matrix
+per batch under *either* semantics (Theorem 10; so v2 ``suu`` and v2
+``suu_star`` are one stream, and v2 ``suu`` samples drawn before this
+sampler cannot be reproduced), and v2-capable phased policies
 (:meth:`~repro.schedule.base.PhasedPolicy.start_phased_v2`) receive the
 streams to draw matrix-valued internal randomness (SUU-C's chain-delay
 matrix).  Rows are addressed by global trial index, so v2 samples are
@@ -92,8 +100,9 @@ dispatch does not cover (SUU-C/SUU-T under v1, whose rows depend on each
 trial's own chain delays), run one scalar policy per trial, lock-stepped
 through the same engine: each step every live trial's policy is asked for
 its row.  Trials share no rows on this path, so it consumes the v1 RNG
-tree under either discipline, and :func:`run_policy_batch` is safe to
-call with any policy.
+tree under either discipline — ``suu`` keeps its per-trial coin flips
+even under v2 — and :func:`run_policy_batch` is safe to call with any
+policy.
 """
 
 from __future__ import annotations
@@ -214,7 +223,11 @@ def run_policy_batch(
         root when ``streams`` is omitted).
     semantics:
         ``"suu"`` or ``"suu_star"``, with the same meaning as
-        :func:`~repro.sim.engine.run_policy`.
+        :func:`~repro.sim.engine.run_policy`.  Under discipline v2,
+        vectorized and phased policies sample ``"suu"`` as SUU*
+        thresholds (Theorem 10), so the two semantics give byte-equal
+        samples from one seed; per-trial dispatch and v1 flip each
+        trial's coins step by step.
     thresholds:
         Optional pre-drawn SUU* threshold matrix, shape
         ``(n_trials, n_jobs)`` (ignored under ``"suu"``); row ``k`` plays
@@ -238,10 +251,11 @@ def run_policy_batch(
     kernel_threads:
         CPU threads for this one batch (``None`` resolves through
         ``REPRO_KERNEL_THREADS``, default 1).  With ``threads > 1`` the
-        batch is split into contiguous trial shards along the service's
-        chunk seam and run on a thread pool (requires a policy
-        class/factory — a shared policy *instance* cannot be sharded and
-        runs serially).  Sharding is bit-identical to
+        batch is split into ``min(threads, n_trials, os.cpu_count())``
+        contiguous trial shards along the service's chunk seam, one
+        thread each (requires a policy class/factory — a shared policy
+        *instance* cannot be sharded and runs serially).  Sharding is
+        bit-identical to
         ``kernel_threads=1``: trials are independent rows, v1 shards
         slice the per-trial RNG tree, and v2's Philox streams are
         addressed by global trial index (shard ``lo`` rebases
@@ -308,10 +322,14 @@ def run_policy_batch(
     # holds the unified knob chain, imports this module.
     from repro.api.config import resolve_kernel_threads
 
-    threads = resolve_kernel_threads(kernel_threads)
-    if threads > 1 and n_trials >= 2 and factory is not None:
+    # ``kernel_threads`` is bounded only from below (a served request sets
+    # it), so the shard count is capped at the trial and CPU counts.
+    n_shards = min(
+        resolve_kernel_threads(kernel_threads), n_trials, os.cpu_count() or 1
+    )
+    if n_shards > 1 and factory is not None:
         return _run_sharded(
-            instance, factory, trial_rngs, threads,
+            instance, factory, trial_rngs, n_shards,
             semantics=semantics, max_steps=max_steps, thresholds=thresholds,
             discipline=discipline, streams=streams,
         )
@@ -333,10 +351,11 @@ def run_policy_batch(
 
 
 def _run_sharded(
-    instance, factory, trial_rngs, threads, *, semantics, max_steps,
+    instance, factory, trial_rngs, n_shards, *, semantics, max_steps,
     thresholds, discipline, streams,
 ) -> BatchSimResult:
-    """Split one batch into contiguous trial shards on a thread pool.
+    """Split one batch into ``n_shards`` contiguous trial shards, one
+    thread each.
 
     The ``kernel_threads > 1`` route: each shard is a full recursive
     :func:`run_policy_batch` run (fresh policy from ``factory``,
@@ -348,7 +367,6 @@ def _run_sharded(
     samples.
     """
     B = len(trial_rngs)
-    n_shards = min(threads, B)
     cuts = np.linspace(0, B, n_shards + 1).astype(int)
     spans = [
         (int(lo), int(hi)) for lo, hi in zip(cuts[:-1], cuts[1:]) if hi > lo
@@ -369,11 +387,7 @@ def _run_sharded(
             kernel_threads=1,
         )
 
-    # ``kernel_threads`` is bounded only from below (a served request sets
-    # it), so the pool is capped at the CPU count; the spans, and so the
-    # samples, depend on ``threads`` alone.
-    workers = min(len(spans), os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=len(spans)) as pool:
         parts = list(pool.map(run_span, spans))
     first = parts[0]
     return BatchSimResult(
@@ -400,7 +414,9 @@ def _run_per_trial(
     Each trial's policy is started with the ``policy_rng`` of the engine's
     ``spawn(2)`` split, exactly like a scalar run, and outcome randomness
     replays the v1 tree under either discipline (trials share no rows, so
-    the scalar streams are the only ones to draw from)."""
+    the scalar streams are the only ones to draw from): ``suu`` flips each
+    trial's coins step by step also under v2, and ``suu_star`` draws each
+    trial's thresholds from its own generator."""
     B, n = len(trial_rngs), instance.n_jobs
     pairs = [r.spawn(2) for r in trial_rngs]
     policies = [
@@ -413,7 +429,7 @@ def _run_per_trial(
     dispatch = _PerTrialDispatch(policies, probe.name, B, instance.n_machines)
     return _drive_batch(
         instance, probe.name, dispatch, B, semantics, max_steps, theta,
-        outcome_rngs, discipline, None, vectorized=False,
+        outcome_rngs, discipline, vectorized=False,
     )
 
 
@@ -493,7 +509,8 @@ def _run_vectorized(
         theta = thresholds
         policy.start_batch(instance, trial_rngs[0].spawn(2)[0], B)
     elif streams is not None:
-        theta = streams.thresholds(B, n) if semantics == "suu_star" else None
+        # Theorem 10: under v2 either semantics samples SUU* thresholds.
+        theta = streams.thresholds(B, n)
         policy.start_batch(instance, trial_rngs[0].spawn(2)[0], B)
     else:
         pairs = [r.spawn(2) for r in trial_rngs]
@@ -501,7 +518,7 @@ def _run_vectorized(
         theta, outcome_rngs = _v1_outcomes(pairs, semantics, None, n)
     return _drive_batch(
         instance, policy.name, policy.assign_batch, B, semantics, max_steps,
-        theta, outcome_rngs, discipline, streams,
+        theta, outcome_rngs, discipline,
     )
 
 
@@ -567,10 +584,13 @@ def _run_phased(
             started = bool(start_v2(instance, streams, B))
 
     outcome_rngs = None
-    theta = None
     if streams is not None:
-        if semantics == "suu_star":
-            theta = thresholds if thresholds is not None else streams.thresholds(B, n)
+        # Theorem 10: under v2 either semantics samples SUU* thresholds;
+        # a caller's matrix wins under suu_star only.
+        if semantics == "suu_star" and thresholds is not None:
+            theta = thresholds
+        else:
+            theta = streams.thresholds(B, n)
         if not started:
             pairs = [r.spawn(2) for r in trial_rngs]
             policy.start_phased(instance, [p for p, _ in pairs])
@@ -586,14 +606,13 @@ def _run_phased(
     # dispatch keeps every row.
     return _drive_batch(
         instance, policy.name, dispatch, B, semantics, max_steps, theta,
-        outcome_rngs, discipline, streams, compact=False,
+        outcome_rngs, discipline, compact=False,
     )
 
 
 def _drive_batch(
     instance, policy_name, assign, B, semantics, max_steps, theta,
-    outcome_rngs, discipline="v1", streams=None, vectorized=True,
-    compact=True,
+    outcome_rngs, discipline="v1", vectorized=True, compact=True,
 ) -> BatchSimResult:
     """The lock-stepped all-trials engine (see module docstring).
 
@@ -601,9 +620,9 @@ def _drive_batch(
     vectorized policies, a :class:`_GroupedDispatch` for phased ones, a
     :class:`_PerTrialDispatch` for the rest — mapping the shared
     :class:`BatchSimulationState` to ``(rows, m)`` job ids.
-    Under ``suu`` semantics, completions come from the per-trial
-    ``outcome_rngs`` (v1) or from one whole-batch stream draw per step
-    (v2, ``streams`` set).
+    Completions come from the ``(B, n)`` threshold matrix ``theta`` when
+    it is given (``suu_star``, and ``suu`` under v2 by Theorem 10), and
+    otherwise from the per-trial ``outcome_rngs``' coin flips (v1 ``suu``).
 
     Live-row stepping: with ``compact`` set, a step that finds fewer than
     half of its rows live first gathers the live rows of every state array
@@ -611,15 +630,16 @@ def _drive_batch(
     ``trials``, writing the finished rows' completion times and busy
     counts into the full-size results.  Halving bounds the gathers to
     log2(B) and their total work to under two copies of the initial state.
-    The v2 uniforms are still drawn whole-width and then gathered, so every
-    trial reads the words it would read unstepped; samples do not change.
-    Grouped dispatch passes ``compact=False``: phased policies index their
-    per-trial state by trial id.
+    Every trial keeps its own thresholds or generator, so samples do not
+    change.  Grouped dispatch passes ``compact=False``: phased policies
+    index their per-trial state by trial id.
 
-    The step body itself lives in :mod:`repro.kernels`: one fused
-    ``drive_step`` call per step on the v2-``suu`` and ``suu_star``
-    paths; an ``accrue`` / rng draw / ``commit`` split on the v1-``suu``
-    path, whose per-trial generator draws sit between the two.
+    The step body itself lives in :mod:`repro.kernels`: one
+    ``drive_step`` call per step on the threshold path, which touches only
+    the ``(rows, m)`` assigned cells and sums their masses in a zeroed
+    ``(B * n,)`` scratch allocated here once per batch (compacted rows use
+    its prefix); an ``accrue`` / rng draw / ``commit`` split on the
+    coin-flip path, whose per-trial generator draws sit between the two.
     """
     n, m = instance.n_jobs, instance.n_machines
     ell = instance.ell
@@ -651,12 +671,12 @@ def _drive_batch(
         trials=_readonly_view(trials),
     )
 
-    # The completion rule the fused step applies: mode 0 thresholds
-    # accrued mass against theta (suu_star), mode 1 tests one whole-batch
-    # uniform matrix per step (suu under v2).  v1 suu never reaches the
-    # fused step — see the loop body.
-    v1_suu = semantics == "suu" and streams is None
-    mode = 1 if semantics == "suu" else 0
+    # The threshold step reads theta and writes the state through flat
+    # views, and sums step masses in a scratch it leaves zeroed.
+    coin_flips = theta is None
+    if not coin_flips:
+        theta = np.ascontiguousarray(theta)
+        scratch = np.zeros(B * n, dtype=np.float64)
 
     t = 0
     live = B
@@ -700,7 +720,7 @@ def _drive_batch(
             )
         a = np.ascontiguousarray(a, dtype=np.int64)
 
-        if v1_suu:
+        if coin_flips:
             # The per-trial Generator draws in _draw_suu_completions keep
             # v1 bit-identical to the serial engine, so this path splits
             # the step around them.
@@ -717,15 +737,12 @@ def _drive_batch(
                 succ_indptr, succ_indices, active, independent,
             )
         else:
-            u = None
-            if mode == 1:
-                u = streams.step_uniforms(t, B, n)
-                if rows < B:
-                    u = u[trials]
+            # Slots 3-4 (``u``, ``mode``) are reserved: the threshold rule
+            # is the only one.
             status, vb, vi = kernels.drive_step(
-                a, ell, theta, u, mode, t + 1, remaining, eligible,
+                a, ell, theta, None, 0, t + 1, remaining, eligible,
                 indeg, mass_accrued, completion_times, busy, active,
-                succ_indptr, succ_indices, independent,
+                succ_indptr, succ_indices, independent, scratch,
             )
             if status != kernels.OK:
                 _raise_violation(status, policy_name, a, vb, vi, t, trials)

@@ -28,8 +28,10 @@ from repro.suite.spec import ExperimentCell, SimulateCell
 __all__ = ["CELL_FORMAT", "canonical_json", "cell_payload", "cell_digest"]
 
 #: Bumped whenever the digest payload layout changes (invalidates every
-#: previously stored cell, which is exactly what a layout change means).
-CELL_FORMAT = 1
+#: previously stored cell, which is exactly what a layout change means),
+#: and whenever stored samples stop matching what the code computes for
+#: the same payload (2: v2 ``suu`` cells sample SUU* thresholds).
+CELL_FORMAT = 2
 
 
 def canonical_json(obj) -> str:

@@ -19,13 +19,15 @@ the batch kernel consumes randomness:
 ``"v2"`` (batch native, a documented break)
     Outcome randomness is drawn in whole-batch blocks from a per-run
     :class:`numpy.random.SeedSequence` spawn tree (:class:`BatchStreams`):
-    one ``(n_trials, n_jobs)`` uniform matrix per step under ``suu``, one
-    matrix of thresholds under ``suu_star``, and matrix-valued policy
-    randomness (SUU-C's chain delays).  Makespan *streams* differ from v1,
-    but every draw has the same distribution, so all estimates are
-    statistically equivalent; results remain deterministic in the seed and
-    independent of chunking (streams are addressed by global trial index,
-    not chunk-local position).
+    one ``(n_trials, n_jobs)`` matrix of SUU* thresholds per batch, and
+    matrix-valued policy randomness (SUU-C's chain delays).  By the
+    paper's Theorem 10 the thresholds serve ``suu`` as well as
+    ``suu_star``, so the two semantics are one v2 stream (per-trial
+    dispatch excepted, which replays v1's coin flips).  Makespan *streams*
+    differ from v1, but every draw has the same distribution, so all
+    estimates are statistically equivalent; results remain deterministic
+    in the seed and independent of chunking (streams are addressed by
+    global trial index, not chunk-local position).
 
 The active discipline is resolved by :func:`resolve_discipline`: an
 explicit argument wins, then the ``REPRO_DISCIPLINE`` environment
@@ -41,7 +43,9 @@ hands out from the same seed:
 
 * ``(marker, 0)`` — SUU* thresholds, one row per trial.
 * ``(marker, 1, t)`` — step ``t``'s SUU completion uniforms, one row per
-  trial.
+  trial (:meth:`BatchStreams.step_uniforms`).  No engine path draws
+  them — v2 ``suu`` samples thresholds — and the key is kept for
+  ``perfbench``'s tracer, which wraps that method.
 * ``(marker, 2, *key)`` — policy randomness (e.g. SUU-C chain delays,
   keyed by block for SUU-T).
 * ``(marker, 3, i)`` — per-policy substreams (``compare_policies``).
@@ -284,7 +288,10 @@ class BatchStreams:
         return -np.log2(1.0 - u)
 
     def step_uniforms(self, step: int, n_trials: int, n_jobs: int) -> np.ndarray:
-        """Step ``step``'s SUU completion uniforms, ``(n_trials, n_jobs)``."""
+        """Step ``step``'s SUU completion uniforms, ``(n_trials, n_jobs)``.
+
+        No engine path draws these (v2 ``suu`` samples :meth:`thresholds`);
+        kept as a tracer target of ``perfbench``."""
         return self._uniform_rows((_TAG_STEP, step), n_trials, n_jobs)
 
     def policy_integers(

@@ -47,3 +47,15 @@ def small_chains():
 def small_tree():
     """10-job out-tree x 3 machines."""
     return tree_instance(10, 3, "out", "uniform", rng=9)
+
+
+@pytest.fixture
+def force_cpus(monkeypatch):
+    """``force_cpus(count)`` makes the trial-shard layer see ``count`` CPUs,
+    so a test can run more shards than the machine has CPUs (the shard
+    count is capped at ``os.cpu_count()``)."""
+
+    def force(count):
+        monkeypatch.setattr("repro.sim.batch.os.cpu_count", lambda: count)
+
+    return force

@@ -10,7 +10,9 @@ Four layers of guarantees:
   name).
 * **v2 statistical equivalence**: v2 samples are *different* streams but
   the same distributions — matched makespan means within combined 95% CI
-  half-widths, matched medians within a step.
+  half-widths, matched medians within a step.  Vectorized and phased v2
+  batches sample ``suu`` as SUU* thresholds (Theorem 10), so their two
+  semantics are one stream.
 * **Chain-cursor cross-checks**: SUU-C/SUU-T's v2 array cursors replay the
   v1 object cursors *bit-for-bit* when fed the same delays and thresholds
   — the array refactor changes layout, not semantics.
@@ -24,7 +26,7 @@ import numpy as np
 import pytest
 
 from repro.api import SimConfig, simulate
-from repro.api.registry import list_policies, policy_factory
+from repro.api.registry import list_policies, policy_factory, policy_info
 from repro.api.scenario import Scenario
 from repro.api.service import evaluate_grid
 from repro.core.phased import (
@@ -157,8 +159,6 @@ class TestV1BitIdentityAllPolicies:
     )
     @pytest.mark.parametrize("semantics", ["suu", "suu_star"])
     def test_batch_matches_scalar_loop(self, name, semantics):
-        from repro.api.registry import policy_info
-
         info = policy_info(name)
         inst = make_instance(policy_shape(info))
         factory = policy_factory(name)
@@ -246,6 +246,67 @@ class TestV2StatisticalEquivalence:
             discipline="v2",
         )
         assert np.array_equal(out["a"].samples, out["b"].samples)
+
+
+class TestV2OneStream:
+    """Under v2, vectorized and phased dispatch sample ``suu`` from SUU*
+    thresholds drawn once per batch (Theorem 10), so ``suu`` and
+    ``suu_star`` give byte-equal samples from one seed — serially, in
+    trial shards and across worker processes.  Per-trial dispatch keeps
+    its per-trial coin flips."""
+
+    #: Every registry policy on vectorized or phased dispatch: obl, greedy,
+    #: best-machine, round-robin, serial, sem, adapt, layered, suu-c, suu-t.
+    NAMES = [info.name for info in list_policies()
+             if info.dispatch_detail != "fallback"]
+
+    @staticmethod
+    def both(name, **kwargs):
+        inst = make_instance(policy_shape(policy_info(name)))
+        return [
+            run_policy_batch(inst, policy_factory(name), 12, rng=19,
+                             semantics=semantics, discipline="v2", **kwargs)
+            for semantics in ("suu", "suu_star")
+        ]
+
+    @pytest.mark.parametrize("kernel_threads", [1, 2])
+    @pytest.mark.parametrize("name", NAMES)
+    def test_suu_equals_suu_star(self, name, kernel_threads, force_cpus):
+        force_cpus(2)
+        suu, star = self.both(name, kernel_threads=kernel_threads)
+        assert (suu.semantics, star.semantics) == ("suu", "suu_star")
+        assert np.array_equal(suu.makespans, star.makespans)
+        assert np.array_equal(suu.completion_times, star.completion_times)
+        assert np.array_equal(suu.busy_machine_steps, star.busy_machine_steps)
+
+    def test_suu_equals_suu_star_across_worker_processes(self):
+        """Both semantics through a two-worker process pool, the batch in
+        two chunks: one pool spawned for all ten policies (the
+        executor's transport is the ``backend="process"`` chunk path)."""
+        from repro.api.service import MIN_CHUNK_TRIALS
+        from repro.server import WarmPoolExecutor
+
+        executor = WarmPoolExecutor(n_workers=2)
+        try:
+            for name in self.NAMES:
+                inst = make_instance(policy_shape(policy_info(name)))
+                suu, star = (
+                    simulate(inst, name, SimConfig(
+                        n_trials=2 * MIN_CHUNK_TRIALS, seed=19,
+                        semantics=semantics, discipline="v2",
+                    ), executor=executor, per_job=True)
+                    for semantics in ("suu", "suu_star")
+                )
+                assert np.array_equal(suu.stats.samples, star.stats.samples)
+                assert np.array_equal(suu.per_job.completion_times,
+                                      star.per_job.completion_times)
+        finally:
+            executor.close()
+
+    def test_per_trial_dispatch_keeps_coin_flips(self):
+        suu, star = self.both("random")
+        assert not suu.vectorized
+        assert not np.array_equal(suu.completion_times, star.completion_times)
 
 
 # ----------------------------------------------------------------------
@@ -383,7 +444,6 @@ class TestChainCursorCrossCheck:
         """SUU-C/SUU-T declare grouped dispatch for v2 only (array
         cursors keyed by signature); under v1 each trial runs its own
         scalar policy."""
-        from repro.api.registry import policy_info
         from repro.schedule.base import supports_phased
 
         for name, cls in (("suu-c", SUUCPolicy), ("suu-t", SUUTPolicy)):
@@ -511,9 +571,13 @@ class TestShardInvariance:
     chunked runs."""
 
     # 12 trials: even shards (2, 4), uneven ones (5 -> 2/2/3/2/3), one
-    # trial per shard (12), and more threads than trials (16).
+    # trial per shard (12), and more threads than trials (16).  The shard
+    # count is capped at the CPU count, so each test lets the shard layer
+    # see as many CPUs as it asks threads.
     @pytest.mark.parametrize("kernel_threads", [1, 2, 4, 5, 12, 16])
-    def test_v2_bit_identical_across_thread_counts(self, kernel_threads):
+    def test_v2_bit_identical_across_thread_counts(self, kernel_threads,
+                                                   force_cpus):
+        force_cpus(kernel_threads)
         inst = make_instance("chains")
         factory = policy_factory("suu-c")
         ref = run_policy_batch(inst, factory, 12, rng=11, discipline="v2")
@@ -525,9 +589,11 @@ class TestShardInvariance:
         assert np.array_equal(ref.completion_times, got.completion_times)
 
     @pytest.mark.parametrize("kernel_threads", [2, 4])
-    def test_chunk_invariance_survives_sharding(self, kernel_threads):
+    def test_chunk_invariance_survives_sharding(self, kernel_threads,
+                                                force_cpus):
         # Chunks arrive with pre-offset streams (the service seam); the
         # shard layer must rebase on top of that offset, not replace it.
+        force_cpus(kernel_threads)
         inst = make_instance("chains")
         factory = policy_factory("suu-c")
         root = run_seed_sequence(5)
@@ -547,7 +613,9 @@ class TestShardInvariance:
         assert np.array_equal(full.makespans, np.concatenate(parts))
 
     @pytest.mark.parametrize("discipline", ["v1", "v2"])
-    def test_per_policy_substreams_unaffected_by_sharding(self, discipline):
+    def test_per_policy_substreams_unaffected_by_sharding(self, discipline,
+                                                          force_cpus):
+        force_cpus(2)
         sc = Scenario(shape="independent", n_jobs=10, n_machines=4,
                       model="specialist", seed=3)
         serial = SimConfig(n_trials=8, seed=5, discipline=discipline,
@@ -559,9 +627,10 @@ class TestShardInvariance:
         assert np.array_equal(a1.stats.samples, a2.stats.samples)
         assert np.array_equal(b1.stats.samples, b2.stats.samples)
 
-    def test_v1_bit_identical_across_thread_counts(self):
+    def test_v1_bit_identical_across_thread_counts(self, force_cpus):
         # v1 replays the per-trial spawned RNG tree; contiguous shards
         # slice that tree, so sharding cannot change a sample there either.
+        force_cpus(3)
         inst = make_instance("chains")
         factory = policy_factory("suu-c")
         ref = run_policy_batch(inst, factory, 12, rng=11, discipline="v1")

@@ -18,8 +18,13 @@ from repro.sim import estimate_expected_makespan
 
 
 def _samples(inst, factory, semantics, n, seed):
+    # The suu side flips per-trial coins (v1); the suu_star side follows
+    # the ambient discipline.  Under v2 a batch samples suu from
+    # thresholds too, so a v2 suu side would no longer test Theorem 10.
+    discipline = "v1" if semantics == "suu" else None
     return estimate_expected_makespan(
-        inst, factory, n, rng=seed, semantics=semantics, max_steps=200_000
+        inst, factory, n, rng=seed, semantics=semantics, max_steps=200_000,
+        discipline=discipline,
     ).samples
 
 
@@ -66,3 +71,23 @@ class TestDistributionalEquality:
         b = _samples(inst, SUUIOblPolicy, "suu_star", 600, 42)
         pooled_sem = np.sqrt(a.var(ddof=1) / a.size + b.var(ddof=1) / b.size)
         assert abs(a.mean() - b.mean()) <= 5 * pooled_sem + 0.2
+
+
+class TestCoinFlipSide:
+    def test_e_equiv_pins_suu_to_coin_flips_under_v2(self, monkeypatch):
+        """E-EQUIV's suu side replays per-trial coin flips (v1) even when
+        the environment selects v2; its suu_star side follows the
+        environment."""
+        from repro.experiments import equivalence
+
+        monkeypatch.setenv("REPRO_DISCIPLINE", "v2")
+        calls = []
+        real = equivalence.estimate_expected_makespan
+
+        def spy(*args, **kwargs):
+            calls.append((kwargs["semantics"], kwargs.get("discipline")))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(equivalence, "estimate_expected_makespan", spy)
+        equivalence.run_equivalence(n=8, m=3, n_trials=20)
+        assert calls == [("suu", "v1"), ("suu_star", None)] * 2

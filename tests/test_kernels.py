@@ -202,7 +202,11 @@ def loop_commit(done_now, t_next, completion_times, remaining, eligible,
 
 def loop_drive_step(a, ell, theta, u, mode, t_next, remaining, eligible,
                     indeg, mass_accrued, completion_times, busy, active,
-                    succ_indptr, succ_indices, independent):
+                    succ_indptr, succ_indices, independent, scratch):
+    # ``u`` and ``scratch`` are unused: the oracle works on dense
+    # per-trial masses and leaves the caller's zeroed scratch alone.
+    if mode != 0:
+        raise ValueError(f"drive_step supports only mode 0, got {mode!r}")
     status, vb, vi, step_mass = loop_accrue(
         a, ell, remaining, eligible, busy, independent
     )
@@ -214,10 +218,7 @@ def loop_drive_step(a, ell, theta, u, mode, t_next, remaining, eligible,
         for j in range(n):
             s = step_mass[b, j]
             if s > 0.0:
-                if mode == 0:
-                    done_now[b, j] = mass_accrued[b, j] + s >= theta[b, j]
-                else:
-                    done_now[b, j] = u[b, j] >= 2.0 ** -s
+                done_now[b, j] = mass_accrued[b, j] + s >= theta[b, j]
             mass_accrued[b, j] += s
     loop_commit(done_now, t_next, completion_times, remaining, eligible,
                 indeg, succ_indptr, succ_indices, active, independent)
@@ -353,10 +354,13 @@ class TestKernelSeam:
         )
         steps = int(chains.makespans.max())
         chain_calls = dict(calls)
-        # v2 suu: one fused drive_step per step, which folds in accrue
-        # and commit through the same module attributes.
+        # v2 suu: one threshold drive_step per step.  It works on the
+        # assigned cells without accrue, and on a DAG calls commit
+        # through the module attribute at each step that finishes a job
+        # (phased dispatch keeps every row, so one per completion time).
         assert chain_calls["drive_step"] == steps
-        assert chain_calls["accrue"] == chain_calls["commit"] == steps
+        assert chain_calls["accrue"] == 0
+        assert chain_calls["commit"] == np.unique(chains.completion_times).size
         assert chain_calls["chain_build"] > 0
         assert chain_calls["chain_finish"] > 0
         assert chain_calls["expand_signature"] > 0
@@ -420,6 +424,7 @@ def _chain2_state(done=None):
         "active": remaining.any(axis=1),
         "succ_indptr": indptr,
         "succ_indices": indices,
+        "scratch": np.zeros(2 * 3),
     }
     return graph, ell, state
 
@@ -439,12 +444,12 @@ def _commit(done_now, t_next, st, independent=False):
     )
 
 
-def _drive_step(a, ell, st, mode, theta=None, u=None, t_next=1):
+def _drive_step(a, ell, st, theta, mode=0, t_next=1):
     return kernels.drive_step(
-        np.array(a, dtype=np.int64), ell, theta, u, mode, t_next,
+        np.array(a, dtype=np.int64), ell, theta, None, mode, t_next,
         st["remaining"], st["eligible"], st["indeg"], st["mass_accrued"],
         st["completion_times"], st["busy"], st["active"],
-        st["succ_indptr"], st["succ_indices"], False,
+        st["succ_indptr"], st["succ_indices"], False, st["scratch"],
     )
 
 
@@ -521,30 +526,42 @@ class TestKernelFunctions:
         _, ell, st = _chain2_state()
         st["mass_accrued"][0, 0] = 0.375
         theta = np.array([[1.0, 9.0, 9.0], [9.0, 9.0, 1.5]])
-        status = _drive_step([[0, 0], [2, -1]], ell, st, 0, theta=theta,
-                             t_next=7)
+        status = _drive_step([[0, 0], [2, -1]], ell, st, theta, t_next=7)
         assert status == (kernels.OK, -1, -1)
         # 0.375 + 0.625 reaches theta exactly (>=); 1.0 < 1.5 does not.
         assert np.array_equal(st["mass_accrued"],
                               [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         assert np.array_equal(st["completion_times"], [[7, 0, 0], [0, 0, 0]])
         assert np.array_equal(st["eligible"][0], [False, True, True])
+        assert np.array_equal(st["busy"], [2, 1])
+        assert not st["scratch"].any()  # handed back zeroed
 
-    def test_drive_step_survival_rule(self):
+    def test_drive_step_two_machines_release_successor_once(self):
         _, ell, st = _chain2_state()
-        # Job 2 takes mass 1.0 in both trials: it survives with
-        # probability 2^-1, so u = 0.5 completes and u just below does not.
-        u = np.array([[0.0, 0.0, 0.5], [0.0, 0.0, np.nextafter(0.5, 0.0)]])
-        status = _drive_step([[2, -1], [2, -1]], ell, st, 1, u=u)
+        # Both machines finish job 0 in trial 0: job 1 loses its one
+        # in-degree once, not twice.
+        theta = np.array([[0.5, 9.0, 9.0], [9.0, 9.0, 9.0]])
+        status = _drive_step([[0, 0], [-1, -1]], ell, st, theta, t_next=3)
         assert status == (kernels.OK, -1, -1)
-        assert np.array_equal(st["remaining"][:, 2], [False, True])
-        assert np.array_equal(st["mass_accrued"][:, 2], [1.0, 1.0])
+        assert np.array_equal(st["indeg"], [[0, 0, 0], [0, 1, 0]])
+        assert np.array_equal(st["eligible"][0], [False, True, True])
+        assert np.array_equal(st["completion_times"][0], [3, 0, 0])
+
+    def test_drive_step_mode_1_raises(self):
+        # Thresholds are the only completion rule; the mode slot is
+        # reserved, and any other value is refused before the state moves.
+        _, ell, st = _chain2_state()
+        before = {k: v.copy() for k, v in st.items()}
+        with pytest.raises(ValueError, match="mode"):
+            _drive_step([[2, -1], [2, -1]], ell, st, np.zeros((2, 3)), mode=1)
+        for key, value in st.items():
+            assert np.array_equal(value, before[key]), key
 
     def test_drive_step_violation_leaves_state_untouched(self):
         _, ell, st = _chain2_state()
         before = {k: v.copy() for k, v in st.items()}
         theta = np.full((2, 3), 0.1)
-        status = _drive_step([[0, 2], [1, -1]], ell, st, 0, theta=theta)
+        status = _drive_step([[0, 2], [1, -1]], ell, st, theta)
         assert status == (kernels.BAD_PRECEDENCE, 1, 0)
         for key, value in st.items():
             assert np.array_equal(value, before[key]), key
@@ -576,9 +593,17 @@ class TestKernelFunctions:
 
 
 def _random_step_state(rng, edge_prob, B=5, n=7, m=3):
-    """``drive_step``'s positional arguments (``mode`` left ``None``) for
-    a consistent mid-run batch state on a random DAG, last trial
-    finished, and a valid assignment: idle, completed or eligible jobs."""
+    """``drive_step``'s positional arguments for a consistent mid-run
+    batch state on a random DAG, last trial finished, and a valid
+    assignment: idle, completed or eligible jobs.
+
+    Rows 0 and 1 put all three machines on one eligible job with no mass
+    yet, and row 2 two of them.  Each such job's threshold is exactly the
+    machine-ascending float sum of its masses (``np.bincount``'s order),
+    and a three-machine job's masses are redrawn until adding any other
+    pair first rounds differently: a step that summed in another order
+    would miss the threshold or store other mass bits.  Also returns
+    those ``(row, job)`` cells."""
     edges = [(i, j) for i in range(n) for j in range(i + 1, n)
              if rng.random() < edge_prob]
     graph = PrecedenceGraph(n, edges)
@@ -595,14 +620,35 @@ def _random_step_state(rng, edge_prob, B=5, n=7, m=3):
         a[b] = rng.choice(allowed, m)
     ell = rng.random((m, n)) * (rng.random((m, n)) > 0.2)
     mass = np.where(remaining, rng.random((B, n)), 0.0)
+    theta = mass + rng.exponential(0.6, (B, n))
+    shared = []
+    for b, k in ((0, 3), (1, 3), (2, 2)):
+        open_jobs = np.flatnonzero(eligible[b])
+        if not open_jobs.size:
+            continue
+        j = int(rng.choice(open_jobs))
+        a[b, rng.choice(m, k, replace=False)] = j
+        mass[b, j] = 0.0
+        if (a[b] == j).all():
+            while True:
+                w0, w1, w2 = ell[:, j] = rng.random(3)
+                if (w0 + w1) + w2 not in ((w0 + w2) + w1, (w1 + w2) + w0):
+                    break
+        shared.append((b, j))
+    for b, j in shared:
+        total = 0.0
+        for i in range(m):
+            if a[b, i] == j:
+                total += ell[i, j]
+        theta[b, j] = total
     indptr, indices = graph.successors_csr()
-    return (
-        a, ell, mass + rng.exponential(0.6, (B, n)), rng.random((B, n)),
-        None, 4, remaining, eligible, indeg, mass,
+    args = (
+        a, ell, theta, None, 0, 4, remaining, eligible, indeg, mass,
         np.where(done, 2, 0).astype(np.int64),
         rng.integers(0, 9, B).astype(np.int64), remaining.any(axis=1),
-        indptr, indices, not edges,
+        indptr, indices, not edges, np.zeros(B * n),
     )
+    return args, shared
 
 
 def _random_chain_state(rng, F=6, C=4, P=5, n=9, B=8):
@@ -646,18 +692,18 @@ class TestLoopOracleAgreement:
 
     @pytest.mark.parametrize("edge_prob", [0.0, 0.4],
                              ids=["independent", "dag"])
-    @pytest.mark.parametrize("mode", [0, 1], ids=["thresholds", "uniforms"])
-    def test_drive_step(self, mode, edge_prob):
-        rng = np.random.default_rng(100 + mode)
+    def test_drive_step(self, edge_prob):
+        rng = np.random.default_rng(100)
         completed = False
         for _ in range(5):
-            args = list(_random_step_state(rng, edge_prob))
-            args[4] = mode
+            args, shared = _random_step_state(rng, edge_prob)
             ours, theirs = _copies(args), _copies(args)
             assert kernels.drive_step(*ours) == loop_drive_step(*theirs)
             for x, y in zip(ours, theirs):
                 if isinstance(x, np.ndarray):
                     assert np.array_equal(x, y)
+            # Jobs whose threshold sits at their exact sum complete.
+            assert shared and not any(theirs[6][b, j] for b, j in shared)
             completed |= not np.array_equal(ours[6], args[6])
         assert completed
 
@@ -700,7 +746,8 @@ class TestTrialParallelBitIdentity:
 
     @staticmethod
     def _assert_shards_invisible(factory, shape, semantics, discipline,
-                                 threads):
+                                 threads, force_cpus):
+        force_cpus(threads)
         inst = make_instance(shape)
         ref = run_policy_batch(
             inst, factory, 8, rng=21, semantics=semantics,
@@ -715,17 +762,46 @@ class TestTrialParallelBitIdentity:
         assert np.array_equal(ref.busy_machine_steps, got.busy_machine_steps)
 
     @over_case_grid
-    def test_threads_bit_identity(self, factory, shape, semantics, discipline):
+    def test_threads_bit_identity(self, factory, shape, semantics, discipline,
+                                  force_cpus):
         # 8 trials on 4 threads: even shards of 2.
-        self._assert_shards_invisible(factory, shape, semantics, discipline, 4)
+        self._assert_shards_invisible(factory, shape, semantics, discipline,
+                                      4, force_cpus)
 
     @over_case_grid
     def test_uneven_shards_bit_identity(self, factory, shape, semantics,
-                                        discipline):
+                                        discipline, force_cpus):
         # 8 trials on 3 threads: shards of 2, 3 and 3.
-        self._assert_shards_invisible(factory, shape, semantics, discipline, 3)
+        self._assert_shards_invisible(factory, shape, semantics, discipline,
+                                      3, force_cpus)
 
-    def test_env_selected_threads_bit_identity(self, monkeypatch):
+    def test_shard_count_capped_at_cpu_count(self, monkeypatch, force_cpus):
+        # A client-chosen kernel_threads far above the CPU count must not
+        # split the batch into that many recursive batches.
+        from repro.api.registry import policy_factory
+        from repro.sim import batch
+
+        force_cpus(2)
+        inst = independent_instance(36, 6, "specialist", rng=0)
+        ref = run_policy_batch(inst, policy_factory("obl"), 64, rng=5,
+                               discipline="v2", kernel_threads=1)
+        shards = []
+        vectorized = batch._run_vectorized
+
+        def counted(*args):
+            shards.append(len(args[2]))  # the shard's trial_rngs
+            return vectorized(*args)
+
+        monkeypatch.setattr(batch, "_run_vectorized", counted)
+        got = run_policy_batch(inst, policy_factory("obl"), 64, rng=5,
+                               discipline="v2", kernel_threads=16)
+        assert shards == [32, 32]
+        assert np.array_equal(ref.makespans, got.makespans)
+        assert np.array_equal(ref.completion_times, got.completion_times)
+        assert np.array_equal(ref.busy_machine_steps, got.busy_machine_steps)
+
+    def test_env_selected_threads_bit_identity(self, monkeypatch, force_cpus):
+        force_cpus(3)
         inst = make_instance("independent")
         ref = run_policy_batch(inst, GreedyLRPolicy, 8, rng=4)
         monkeypatch.setenv(KERNEL_THREADS_ENV_VAR, "3")
@@ -749,7 +825,8 @@ class TestTrialParallelBitIdentity:
                                kernel_threads=4)
         assert np.array_equal(ref.makespans, got.makespans)
 
-    def test_more_threads_than_trials(self):
+    def test_more_threads_than_trials(self, force_cpus):
+        force_cpus(16)
         inst = make_instance("independent")
         ref = run_policy_batch(inst, GreedyLRPolicy, 3, rng=9)
         got = run_policy_batch(inst, GreedyLRPolicy, 3, rng=9,
@@ -851,6 +928,11 @@ validate_threads = pytest.mark.parametrize(
 
 
 class TestEveryStepChecked:
+    @pytest.fixture(autouse=True)
+    def _shards_on_any_machine(self, force_cpus):
+        # The "shards" cases run shards even on a one-CPU machine.
+        force_cpus(4)
+
     @validate_threads
     def test_first_step_always_validated(self, kernel_threads):
         # A policy broken from the start fails at the first step.

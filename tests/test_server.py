@@ -7,7 +7,6 @@ import socket
 import threading
 import time
 
-import numpy as np
 import pytest
 
 from repro.api import Scenario, SimConfig, list_policies, simulate
