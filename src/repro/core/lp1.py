@@ -15,21 +15,34 @@ here and round it in :mod:`repro.core.rounding` (Lemma 2).
 ``t_LP1(J, 1/2) / 2`` is a valid lower bound on ``E[T_OPT]`` (Lemma 1's
 proof applies verbatim to the relaxation, since the optimal schedule's
 realized allocation is feasible for it).
+
+SEM rounds and SUU-C's segment runs solve (LP1) once per distinct
+survivor set, and those LPs are tiny (a handful of jobs on the instance's
+machines).  :func:`assemble_lp1` therefore writes HiGHS's column-wise
+arrays (a :class:`~repro.lp.solver.CSCModel`) straight from the capped
+log-mass columns, with no :class:`~repro.lp.model.LinearProgram` in
+between.  The arrays are exactly what ``LinearProgram.build_arrays``
+emits for the same program (pinned by ``tests/test_lp_direct.py``), so
+solutions are byte-identical to ``LinearProgram``'s.  The solve goes
+through ``repro.lp.model.solve_lp``, the same seam every other LP uses.
 """
 
 from __future__ import annotations
 
 import threading
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import InvalidInstanceError
 from repro.instance.instance import SUUInstance
-from repro.lp.model import LinearProgram
+from repro.lp import model as lp_model
+from repro.lp.solver import CSCModel
+from repro.lp.stats import LP_STATS
 from repro.util.logmass import capped_logmass
 
-__all__ = ["LP1Relaxation", "solve_lp1", "cached_capped_logmass"]
+__all__ = ["LP1Relaxation", "assemble_lp1", "solve_lp1", "cached_capped_logmass"]
 
 #: Entries of the capped log-mass matrix below this are treated as zero
 #: (the machine contributes nothing usable to the job).
@@ -95,6 +108,88 @@ class LP1Relaxation:
         return (self.x * self.ell_capped).sum(axis=0)
 
 
+def assemble_lp1(
+    ell_capped: np.ndarray, jobs: list[int], target: float
+) -> tuple[CSCModel, list[int]]:
+    """The (LP1) program of ``jobs`` at ``target``, as HiGHS's CSC arrays.
+
+    ``ell_capped`` is the capped ``(m, n)`` log-mass matrix and ``jobs`` a
+    nonempty sorted list of distinct job ids.  The arrays are the ones
+    :meth:`~repro.lp.model.LinearProgram.build_arrays` emits for the same
+    program, in the same order and dtypes:
+
+    * columns: ``t`` first, then one ``x_ij`` per usable (machine, job)
+      pair (``l'_ij > MASS_EPS``), job by job, machines ascending;
+    * rows: one mass row per job (``>= L``, negated into ``<=`` form, so
+      its upper bound is ``-L``), then one load row per machine with a
+      usable job (upper bound 0); every row is an inequality;
+    * column ``t`` holds -1 at every load row; column ``x_ij`` holds
+      ``-l'_ij`` at job j's mass row, then +1 at machine i's load row.
+
+    Returns the model and, per ``x`` column, its flat cell ``i * n + j``
+    in the ``(m, n)`` matrix.  Wall time is added to
+    ``LP_STATS.assembly_seconds``.
+
+    Raises
+    ------
+    InvalidInstanceError
+        If some job has no usable machine.
+    """
+    t0 = time.perf_counter()
+    m, n = ell_capped.shape
+    n_mass = len(jobs)
+    machines: list[int] = []
+    cells: list[int] = []
+    mass_rows: list[int] = []
+    coeffs: list[float] = []
+    used = [0] * m
+    for row, (j, column) in enumerate(zip(jobs, ell_capped.take(jobs, axis=1).T.tolist())):
+        first = len(machines)
+        for i, v in enumerate(column):
+            if v > MASS_EPS:
+                machines.append(i)
+                cells.append(i * n + j)
+                mass_rows.append(row)
+                coeffs.append(-v)
+                used[i] = 1
+        if len(machines) == first:
+            raise InvalidInstanceError(
+                f"job {j} has no machine with positive log mass"
+            )
+    load_row = []
+    n_rows = n_mass
+    for flag in used:
+        load_row.append(n_rows)
+        n_rows += flag
+    n_load = n_rows - n_mass
+    nnz = len(machines)
+    index = list(range(n_mass, n_rows))
+    value = [-1.0] * n_load
+    for row, i, v in zip(mass_rows, machines, coeffs):
+        index += (row, load_row[i])
+        value += (v, 1.0)
+    n_cols = nnz + 1
+    c = np.zeros(n_cols)
+    c[0] = 1.0
+    start = np.arange(n_load - 2, n_load + 2 * nnz + 1, 2, dtype=np.int32)
+    start[0] = 0
+    row_upper = np.zeros(n_rows)
+    row_upper[:n_mass] = -target
+    model = CSCModel(
+        c=c,
+        lb=np.zeros(n_cols),
+        ub=np.full(n_cols, np.inf),
+        start=start,
+        index=np.array(index, dtype=np.int32),
+        value=np.array(value, dtype=np.float64),
+        row_lower=np.full(n_rows, -np.inf),
+        row_upper=row_upper,
+        n_ub=n_rows,
+    )
+    LP_STATS.add("assembly_seconds", time.perf_counter() - t0)
+    return model, cells
+
+
 def solve_lp1(
     instance: SUUInstance, jobs=None, target: float = 0.5
 ) -> LP1Relaxation:
@@ -126,58 +221,14 @@ def solve_lp1(
             ell_capped=ell_capped,
         )
 
-    # Vectorized assembly.  Variables: t first, then x_ij per job in
-    # ``job_list`` order, machines ascending within each job — the same
-    # numbering the per-coefficient dict builder produced, so solutions
-    # are byte-identical to it.
-    job_arr = np.asarray(job_list, dtype=np.int64)
-    sub = ell_capped[:, job_arr]  # (m, k)
-    usable = sub > MASS_EPS
-    per_job = usable.sum(axis=0)
-    if not per_job.all():
-        bad = job_arr[int(np.argmin(per_job > 0))]
-        raise InvalidInstanceError(
-            f"job {bad} has no machine with positive log mass"
-        )
-    # Job-major enumeration of usable (machine, job) pairs.
-    job_pos, mach_idx = np.nonzero(usable.T)
-    nnz = job_pos.size
-
-    lp = LinearProgram()
-    t_var = lp.add_variable(objective=1.0)
-    x_vars = np.asarray(lp.add_variables(nnz), dtype=np.int64)
-
-    # Mass constraints: one ``>= L`` row per job, entries contiguous by job.
-    lp.add_rows_csr(
-        np.concatenate(([0], np.cumsum(per_job))),
-        x_vars,
-        sub[mach_idx, job_pos],
-        np.full(job_arr.size, float(target)),
-        ">=",
-    )
-    # Machine loads: ``sum_j x_ij - t <= 0`` per machine with any usable job.
-    order = np.argsort(mach_idx, kind="stable")
-    per_mach = np.bincount(mach_idx, minlength=m)
-    used = per_mach > 0
-    load_indptr = np.concatenate(([0], np.cumsum(per_mach[used] + 1)))
-    load_cols = np.empty(load_indptr[-1], dtype=np.int64)
-    load_vals = np.empty(load_indptr[-1], dtype=np.float64)
-    t_slot = load_indptr[1:] - 1
-    x_slot = np.ones(load_indptr[-1], dtype=bool)
-    x_slot[t_slot] = False
-    load_cols[x_slot] = x_vars[order]
-    load_vals[x_slot] = 1.0
-    load_cols[t_slot] = t_var
-    load_vals[t_slot] = -1.0
-    lp.add_rows_csr(
-        load_indptr, load_cols, load_vals, np.zeros(int(used.sum())), "<="
-    )
-
-    sol = lp.solve()
+    model, cells = assemble_lp1(ell_capped, job_list, float(target))
+    # Looked up at call time: ``repro.lp.model.solve_lp`` is the seam
+    # every LP solve goes through.
+    sol = lp_model.solve_lp(model)
     x = np.zeros((m, n), dtype=np.float64)
     # ``+ 0.0`` normalizes HiGHS's signed zeros to +0.0, matching the old
     # per-entry ``max(0.0, .)`` builder bit for bit.
-    x[mach_idx, job_arr[job_pos]] = np.maximum(0.0, sol.x[x_vars]) + 0.0
+    x.put(cells, np.maximum(0.0, sol.x[1:]) + 0.0)
     return LP1Relaxation(
         x=x,
         t_star=float(sol.value),

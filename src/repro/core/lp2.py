@@ -9,12 +9,12 @@ For chains ``{C_1, ..., C_z}``::
           0 <= x_ij <= d_j           for every i, j
           d_j >= 1                   for every j
 
-with ``l' = min(l, 1)``.  ``t_LP2`` lower-bounds ``2 E[T_OPT]`` (Lemma 5 /
-the U-subset argument in DESIGN.md), and the Lemma 6 rounding turns the
-fractional solution into an integral assignment whose *load* and *length*
-are both ``O(t_LP2)``: machine loads at most ``ceil(6 t*)`` and per-job
-lengths ``d̂_j <= ceil(6 d*_j)``, so each chain's total length grows by at
-most a factor 7.
+with ``l' = min(l, 1)``.  ``t_LP2`` lower-bounds ``2 E[T_OPT]`` (Lemma 5
+of the source paper, by its U-subset argument), and the Lemma 6 rounding
+turns the fractional solution into an integral assignment whose *load*
+and *length* are both ``O(t_LP2)``: machine loads at most ``ceil(6 t*)``
+and per-job lengths ``d̂_j <= ceil(6 d*_j)``, so each chain's total length
+grows by at most a factor 7.
 """
 
 from __future__ import annotations

@@ -22,6 +22,17 @@ The result is an :class:`~repro.schedule.base.IntegralAssignment` with load
 at most ``ceil(scale * t*)``, every job receiving capped mass at least
 ``L``, and (in the Lemma 6 variant) per-job lengths ``d̂_j <= ceil(scale *
 d*_j)``.
+
+The networks are small (a few groups per job, one node per machine) and
+rounded once per LP1 solve, so the implementation stays in plain Python
+lists: the covered columns of ``l'`` and ``x*`` are read once with
+``tolist()``, the network is built in a fixed order (machine → sink edges,
+then each group's source edge and its machine arcs, groups by ``(j, k)``
+and machines ascending) and the arc flows are read back in one pass.  The
+order fixes Dinic's augmenting paths and so the assignment itself; a
+different max-flow routine would return a different (equally valid)
+assignment, and so different samples.  ``tests/test_rounding_reference.py``
+pins the result to the numpy-scalar implementation this replaced.
 """
 
 from __future__ import annotations
@@ -93,22 +104,28 @@ def round_assignment(
         )
 
     # --- Steps 1-2: group machines per job, scale and floor. -------------
-    # groups[(j, k)] = (capacity floor(scale * D_jk), [machines in group k])
-    group_cap: dict[tuple[int, int], int] = {}
-    group_machines: dict[tuple[int, int], list[int]] = {}
-    for j in jobs:
-        mass_col = ell[:, j]
-        usable = np.nonzero(mass_col > MASS_EPS)[0]
+    # One (job, floor(scale * D_jk), machines of group k) per kept group,
+    # in (j, k) order; D_jk sums the positive x*_ij in machine order.
+    covered = sorted(jobs)
+    ell_cols = ell.take(covered, axis=1).T.tolist()
+    x_cols = x_star.take(covered, axis=1).T.tolist()
+    groups: list[tuple[int, int, list[int]]] = []
+    for j, mass_col, x_col in zip(covered, ell_cols, x_cols):
+        members: dict[int, list[int]] = {}
         d_total: dict[int, float] = {}
-        for i in usable:
-            k = int(math.floor(math.log2(mass_col[i])))
-            group_machines.setdefault((j, k), []).append(int(i))
-            if x_star[i, j] > 0.0:
-                d_total[k] = d_total.get(k, 0.0) + float(x_star[i, j])
-        for k, d in d_total.items():
-            cap = int(math.floor(scale * d))
+        for i, v in enumerate(mass_col):
+            if v > MASS_EPS:
+                k = math.floor(math.log2(v))
+                if k in members:
+                    members[k].append(i)
+                else:
+                    members[k] = [i]
+                if x_col[i] > 0.0:
+                    d_total[k] = d_total.get(k, 0.0) + x_col[i]
+        for k in sorted(d_total):
+            cap = math.floor(scale * d_total[k])
             if cap > 0:
-                group_cap[(j, k)] = cap
+                groups.append((j, cap, members[k]))
 
     # Capacity ceil(scale * t*) as in the paper; taking the max with the
     # fractional solution's actual load keeps the scaled flow feasible even
@@ -118,26 +135,24 @@ def round_assignment(
 
     # --- Step 3: integral flow. ------------------------------------------
     # Nodes: 0 = source, 1 = sink, then one per group, then one per machine.
-    net = MaxFlowNetwork(2)
+    # Edges: every machine -> sink first, then per group its source edge
+    # followed by its machine arcs, machines ascending.
     source, sink = 0, 1
-    group_ids = sorted(group_cap)
-    group_node = {gk: net.add_node() for gk in group_ids}
-    machine_node = [net.add_node() for _ in range(m)]
+    machine0 = 2 + len(groups)
+    net = MaxFlowNetwork(machine0 + m)
     for i in range(m):
-        net.add_edge(machine_node[i], sink, machine_cap)
+        net.add_edge(machine0 + i, sink, machine_cap)
+    caps = None if per_job_caps is None else per_job_caps.tolist()
     demand = 0
-    arc_edges: list[tuple[int, int, int]] = []  # (edge-id, machine, job)
-    for gk in group_ids:
-        j, k = gk
-        cap = group_cap[gk]
+    arc_ids: list[int] = []
+    arc_cells: list[int] = []  # flat (i, j) cell of each arc's x̂_ij
+    for node, (j, cap, machines) in enumerate(groups, start=2):
         demand += cap
-        net.add_edge(source, group_node[gk], cap)
-        arc_cap = INF_CAPACITY
-        if per_job_caps is not None:
-            arc_cap = int(per_job_caps[j])
-        for i in group_machines[gk]:
-            eid = net.add_edge(group_node[gk], machine_node[i], arc_cap)
-            arc_edges.append((eid, i, j))
+        net.add_edge(source, node, cap)
+        arc_cap = INF_CAPACITY if caps is None else int(caps[j])
+        for i in machines:
+            arc_ids.append(net.add_edge(node, machine0 + i, arc_cap))
+            arc_cells.append(i * n + j)
 
     flow = net.max_flow(source, sink)
     if flow != demand:
@@ -147,9 +162,9 @@ def round_assignment(
             f"(scale={scale}, t*={relaxation.t_star:.6g})"
         )
 
+    # A machine sits in one group per job, so each (i, j) has one arc.
     x_hat = np.zeros((m, n), dtype=np.int64)
-    for eid, i, j in arc_edges:
-        x_hat[i, j] += net.flow_on(eid)
+    x_hat.put(arc_cells, [net.flow_on(eid) for eid in arc_ids])
 
     result = IntegralAssignment(x=x_hat, jobs=jobs, target=L)
 

@@ -1,4 +1,4 @@
-"""Experiment harness: one runner per DESIGN.md experiment id.
+"""Experiment harness: one runner per registered experiment id.
 
 Each runner registers itself with
 :func:`repro.experiments.common.register_experiment` at import time, so

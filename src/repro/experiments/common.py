@@ -1,7 +1,8 @@
 """Shared plumbing for the experiment harness.
 
-Every experiment in DESIGN.md's per-experiment index is a function in this
-package returning an :class:`ExperimentResult` (headers + rows + notes),
+Every experiment is a function in this package, listed by
+:func:`experiment_ids` under its id (``"E-OBL"``, ``"T1"``, ...), that
+returns an :class:`ExperimentResult` (headers + rows + notes).  It is
 decorated with :func:`register_experiment` so the CLI
 (``python -m repro.experiments``), the benchmark suite, and declarative
 suite files (:mod:`repro.suite`) all share one id → runner table.
@@ -28,7 +29,8 @@ __all__ = [
 ]
 
 #: The one name → runner table (populated by :func:`register_experiment`
-#: as experiment modules import; insertion order is DESIGN.md order).
+#: as experiment modules import; insertion order is the order in which
+#: :mod:`repro.experiments` imports them).
 _REGISTRY: dict = {}
 
 
@@ -36,7 +38,7 @@ def register_experiment(exp_id: str):
     """Class-registry decorator for experiment runners.
 
     Registers the decorated zero-or-keyword-arg function under the
-    DESIGN.md experiment id so ``repro experiments``, the benchmarks, and
+    experiment id ``exp_id`` so ``repro experiments``, the benchmarks, and
     suite-file ``experiments`` entries dispatch through one table.
     Double registration of an id fails loudly.
     """
@@ -62,7 +64,7 @@ def get_experiment(exp_id: str):
 
 
 def experiment_ids() -> tuple[str, ...]:
-    """Every registered experiment id, in registration (DESIGN.md) order."""
+    """Every registered experiment id, in registration order."""
     return tuple(_REGISTRY)
 
 

@@ -59,7 +59,8 @@ class MaxFlowNetwork:
 
     def add_edge(self, u: int, v: int, capacity: int) -> int:
         """Add edge ``u -> v`` with integer ``capacity``; returns an edge id."""
-        if not (0 <= u < self.n_nodes and 0 <= v < self.n_nodes):
+        n = self.n_nodes
+        if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u}, {v}) out of range")
         if u == v:
             raise ValueError("self-loop edges are not allowed")
@@ -68,33 +69,38 @@ class MaxFlowNetwork:
             raise ValueError(f"capacity must be >= 0, got {capacity}")
         if self._solved:
             raise RuntimeError("cannot add edges after max_flow() has run")
-        eid = len(self._to)
-        self._to.append(v)
-        self._cap.append(capacity)
-        self._initial_cap.append(capacity)
-        self._adj[u].append(eid)
-        self._to.append(u)
-        self._cap.append(0)
-        self._initial_cap.append(0)
-        self._adj[v].append(eid + 1)
+        to, cap, initial, adj = self._to, self._cap, self._initial_cap, self._adj
+        eid = len(to)
+        to.append(v)
+        cap.append(capacity)
+        initial.append(capacity)
+        adj[u].append(eid)
+        to.append(u)
+        cap.append(0)
+        initial.append(0)
+        adj[v].append(eid + 1)
         return eid
 
     # ------------------------------------------------------------------
     def _bfs_levels(self, source: int, sink: int) -> list[int] | None:
+        to, cap, adj = self._to, self._cap, self._adj
         level = [-1] * self.n_nodes
         level[source] = 0
-        dq = deque([source])
-        while dq:
-            v = dq.popleft()
-            for eid in self._adj[v]:
-                w = self._to[eid]
-                if self._cap[eid] > 0 and level[w] < 0:
-                    level[w] = level[v] + 1
-                    dq.append(w)
+        # A list read while it grows is a FIFO queue.
+        queue = [source]
+        for v in queue:
+            deeper = level[v] + 1
+            for eid in adj[v]:
+                if cap[eid] > 0:
+                    w = to[eid]
+                    if level[w] < 0:
+                        level[w] = deeper
+                        queue.append(w)
         return level if level[sink] >= 0 else None
 
     def _blocking_flow(self, source: int, sink: int, level: list[int]) -> int:
         """Iterative DFS sending blocking flow along the level graph."""
+        to, cap, adj = self._to, self._cap, self._adj
         total = 0
         it = [0] * self.n_nodes  # per-node pointer into adjacency (current-arc)
         # path holds edge ids from source to the current node.
@@ -102,36 +108,38 @@ class MaxFlowNetwork:
         v = source
         while True:
             if v == sink:
-                pushed = min(self._cap[eid] for eid in path)
+                pushed = min([cap[eid] for eid in path])
                 for eid in path:
-                    self._cap[eid] -= pushed
-                    self._cap[eid ^ 1] += pushed
+                    cap[eid] -= pushed
+                    cap[eid ^ 1] += pushed
                 total += pushed
                 # Retreat to just before the first saturated edge on the path.
                 for k, eid in enumerate(path):
-                    if self._cap[eid] == 0:
+                    if cap[eid] == 0:
                         del path[k:]
                         break
-                v = self._to[path[-1]] if path else source
+                v = to[path[-1]] if path else source
                 continue
-            advanced = False
-            while it[v] < len(self._adj[v]):
-                eid = self._adj[v][it[v]]
-                w = self._to[eid]
-                if self._cap[eid] > 0 and level[w] == level[v] + 1:
-                    path.append(eid)
-                    v = w
-                    advanced = True
+            # Advance along the first admissible arc from the current one.
+            edges = adj[v]
+            deeper = level[v] + 1
+            k = it[v]
+            while k < len(edges):
+                eid = edges[k]
+                if cap[eid] > 0 and level[to[eid]] == deeper:
                     break
-                it[v] += 1
-            if advanced:
+                k += 1
+            it[v] = k
+            if k < len(edges):
+                path.append(eid)
+                v = to[eid]
                 continue
             if v == source:
                 return total
             # Dead end: prune this vertex from the level graph and retreat.
             level[v] = -1
             eid = path.pop()
-            v = self._to[eid ^ 1]
+            v = to[eid ^ 1]
             it[v] += 1
 
     def max_flow(self, source: int, sink: int) -> int:

@@ -1,10 +1,12 @@
 """Incremental sparse LP builder.
 
-Both LP1 and LP2 are built column-by-column over ``(machine, job)`` pairs;
-this builder accumulates sparse constraint rows and hands HiGHS the
-column-wise (CSC) arrays it consumes.  It intentionally supports only what
-the paper's programs need: minimization, ``<=`` / ``>=`` / ``==`` rows, and
-per-variable bounds.
+(LP2) and the stochastic baselines (LST, Lawler–Labetoulle) are built
+here: :class:`LinearProgram` accumulates sparse constraint rows and
+hands HiGHS the column-wise (CSC) arrays it consumes.  It intentionally
+supports only what the paper's programs need: minimization, ``<=`` /
+``>=`` / ``==`` rows, and per-variable bounds.  (LP1), solved once per
+survivor set and tiny, skips it: :func:`repro.core.lp1.assemble_lp1`
+writes the arrays :class:`LinearProgram` would emit for it directly.
 
 Rows arrive through two surfaces with identical semantics:
 
@@ -12,7 +14,7 @@ Rows arrive through two surfaces with identical semantics:
   ``add_eq``) — convenient for small programs and kept for compatibility;
 * the bulk CSR API (:meth:`LinearProgram.add_rows_csr`) — whole constraint
   families as numpy triplet arrays, the assembly path the vectorized
-  LP1/LP2 builders use.  One call appends thousands of rows with no
+  (LP2) assembly uses.  One call appends thousands of rows with no
   per-coefficient Python work.
 
 Internally every surface appends *blocks* of COO triplets.
@@ -23,7 +25,9 @@ coefficients within a row (exactly the dict API's merge).  It is fully
 vectorized and reports its wall-clock into :data:`repro.lp.stats.LP_STATS`
 (``assembly_seconds``).  :meth:`LinearProgram.solve` passes the model to
 this module's ``solve_lp`` (:func:`repro.lp.solver.solve_lp`): assembly
-and the solver call stay two separately timeable seams.
+and the solver call stay two separately timeable seams.  ``solve_lp1``
+calls the same ``repro.lp.model.solve_lp``, looked up at call time, so
+every HiGHS call of the program goes through this one name.
 """
 
 from __future__ import annotations

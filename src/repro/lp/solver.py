@@ -18,8 +18,9 @@ object directly instead:
   dual simplex strategy;
 * per LP, ``clearSolver()`` → ``passModel()`` → ``run()`` on the
   column-wise arrays of a :class:`CSCModel`
-  (:meth:`repro.lp.model.LinearProgram.build_arrays` emits one with no
-  scipy.sparse objects in between);
+  (:meth:`repro.lp.model.LinearProgram.build_arrays` and, for (LP1),
+  :func:`repro.core.lp1.assemble_lp1` emit one with no scipy.sparse
+  objects in between);
 * ``linprog``'s correctness checks stay: a non-optimal model status
   raises :class:`~repro.errors.InfeasibleLPError` with linprog's status
   code, and every answer is re-checked by :func:`check_solution`.
@@ -225,7 +226,8 @@ def _solve_highs(model: CSCModel) -> LPSolution:
         _raise_status(highs, model_status)
     solution = highs.getSolution()
     x = np.array(solution.col_value, dtype=np.float64)
-    value = float(highs.getInfo().objective_function_value)
+    # ``info.objective_function_value``, read without building the info struct.
+    value = float(highs.getObjectiveValue())
     check_solution(model, x, value, np.array(solution.row_value, dtype=np.float64))
     return LPSolution(x=x, value=value)
 

@@ -8,9 +8,10 @@ thread-safe object:
 * ``lp_solves`` — calls into the HiGHS backend (:func:`repro.lp.solver.
   solve_lp`).  The ground truth for "distinct LP solves": caches reduce
   *this* number, never just their own hit counters.
-* ``assembly_seconds`` — wall-clock spent in
-  :meth:`repro.lp.model.LinearProgram.build_arrays` turning accumulated
-  rows into the CSC arrays HiGHS consumes.
+* ``assembly_seconds`` — wall-clock spent writing the CSC arrays HiGHS
+  consumes: :func:`repro.core.lp1.assemble_lp1` for every (LP1), and
+  :meth:`repro.lp.model.LinearProgram.build_arrays` for every program
+  built row by row ((LP2) and the stochastic baselines).
 
 Thread safety matters because LPs are solved on several threads at once:
 the request server's handler threads and the trial-shard threads of

@@ -50,16 +50,17 @@ class FiniteObliviousSchedule:
         tail.  The schedule length is the assignment's load.
         """
         x = assignment.x
-        m, n = x.shape
-        length = int(x.sum(axis=1).max()) if x.size else 0
-        table = np.full((length, m), IDLE, dtype=np.int64)
-        for i in range(m):
-            t = 0
-            for j in range(n):
-                steps = int(x[i, j])
-                if steps:
-                    table[t : t + steps, i] = j
-                    t += steps
+        loads = x.sum(axis=1, dtype=np.int64)
+        length = int(loads.max()) if x.size else 0
+        table = np.full((length, x.shape[0]), IDLE, dtype=np.int64)
+        # Every step in row-major (machine, job) order; a step's time is
+        # its running index minus its machine's first slot.
+        machines, jobs = np.nonzero(x)
+        steps = x[machines, jobs]
+        slot_machine = np.repeat(machines, steps)
+        first_slot = np.cumsum(loads) - loads
+        times = np.arange(slot_machine.size) - first_slot[slot_machine]
+        table[times, slot_machine] = np.repeat(jobs, steps)
         return cls(table)
 
     @property

@@ -2,8 +2,9 @@
 
 Three layers of the LP-wall work are pinned here:
 
-* the vectorized CSR assembly of (LP1)/(LP2) is *byte-identical* to the
-  per-coefficient dict builders it replaced (inline oracles below);
+* the direct (LP1) arrays and the vectorized CSR assembly of (LP2) solve
+  *byte-identically* to the per-coefficient dict assembly they replaced
+  (inline oracles below);
 * exact survivor-set rounds pay at least one LP solve per trial on an
   LP-wall instance, and concurrent round fetches share the process
   memo without changing a schedule;
