@@ -4,8 +4,7 @@ Under RNG discipline v1, SUU-C and SUU-T run *per trial*: bit-identity
 with the serial path forces each trial to replay its own scalar policy
 and ``_ChainState`` objects (see :mod:`repro.sim.batch`), so a batch of
 ``B`` trials pays ``B`` full Python policy steps per timestep and — the
-real cost — ``B`` independent LP1 solves for every segment SEM run.  That
-is why BENCH_3 measured ``suu-c`` at ~1x while ``sem`` hit 25x.
+real cost — ``B`` independent LP1 solves for every segment SEM run.
 
 Discipline v2 drops the bit-identity constraint (statistical equivalence
 only), which unlocks the batch-native layout this module implements:
@@ -34,15 +33,17 @@ only), which unlocks the batch-native layout this module implements:
   rows are a pure function of the signature: they are compiled into the
   signature's row list, ahead of the expansion, in chain order — exactly
   the scalar policy's solo-queue emission order.
-* **Inner cursors for every registered subroutine.**  Segment-boundary
-  long-job runs are array cursors for all three ``inner`` options:
-  ``"sem"`` replays SUU-I-SEM's doubling rounds through lightweight
-  per-trial cursors over one shared :class:`~repro.core.phased.
-  RoundScheduleCache` (one LP solve per distinct (target, survivor set));
-  ``"obl"`` solves ``LP1(jobs, 1/2)`` once per distinct pending set and
-  repeats it; ``"repeat"`` repeats the plan's rounded LP2 columns with no
-  new solve at all (:func:`long_repeat_schedule`, shared with the scalar
-  policy for byte-identical layouts).
+* **One SEM cursor for every inner subroutine.**  Each segment-boundary
+  long-job run is a :class:`~repro.core.phased.SemCursor`, driven by
+  :func:`~repro.core.phased.sem_phase_key` over the batch's one
+  :class:`~repro.core.phased.RoundScheduleCache` — the same cursor grouped
+  ``sem`` and ``layered`` run.  ``"sem"`` starts it in round mode
+  (SUU-I-SEM's doubling rounds and post-``K`` fallbacks, one LP solve per
+  distinct (target, survivor set)); ``"obl"`` starts it repeating the
+  ``LP1(jobs, 1/2)`` schedule; ``"repeat"`` starts it repeating the plan's
+  rounded LP2 columns, registered in the cache under their own key with
+  no new solve at all (:func:`long_repeat_schedule`, shared with the
+  scalar policy for byte-identical layouts).
 
 The execution semantics replicate the scalar :class:`~repro.core.suu_c.
 SUUCPolicy` transition for transition — same superstep builds, same solo
@@ -60,7 +61,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro import kernels
-from repro.core.phased import RoundScheduleCache
+from repro.core.phased import (
+    IDLE_KEY,
+    RoundScheduleCache,
+    SemCursor,
+    sem_phase_key,
+)
 from repro.core.suu_i_sem import paper_round_count
 from repro.errors import ReproError
 from repro.schedule.base import IDLE, IntegralAssignment
@@ -116,51 +122,6 @@ def prelude_rows(block, job: int, n_machines: int) -> list[np.ndarray]:
                 row[i] = job
         rows.append(row)
     return rows
-
-
-class _SegmentSemCursor:
-    """One trial's cursor through a segment SUU-I-SEM run.
-
-    A faithful replica of :class:`~repro.core.suu_i_sem.SUUISemPolicy`'s
-    control state (doubling rounds, serial/repeat-last fallbacks) over the
-    long jobs of one segment, with schedules shared through the batch's
-    :class:`RoundScheduleCache`.  ``jobs_local`` are ids in the cache's
-    (sub-)instance — what LP1 is solved on — and ``jobs_global`` are the
-    corresponding engine ids; both ascending, index-aligned.
-    """
-
-    __slots__ = (
-        "jobs_global", "jobs_local", "universe_size", "n_rounds",
-        "mode", "round", "sid", "step",
-    )
-
-    def __init__(self, jobs_global, jobs_local, n_machines):
-        self.jobs_global = jobs_global
-        self.jobs_local = jobs_local
-        self.universe_size = int(jobs_local.size)
-        self.n_rounds = paper_round_count(self.universe_size, n_machines)
-        self.mode = "rounds"  # rounds | serial | repeat
-        self.round = 0
-        self.sid: int | None = None
-        self.step = 0
-
-
-class _RepeatCursor:
-    """One trial's cursor through an ``inner="obl"``/``"repeat"`` run.
-
-    Both subroutines repeat one fixed finite schedule until the segment's
-    long jobs complete; the only difference is where the schedule comes
-    from (``"sem-row"``: an ``LP1(jobs, 1/2)`` solve in the shared round
-    cache; ``"rep-row"``: the plan's LP2 columns, registered locally).
-    """
-
-    __slots__ = ("tag", "sid", "length", "step")
-
-    def __init__(self, tag: str, sid: int, length: int):
-        self.tag = tag
-        self.sid = sid
-        self.length = length
-        self.step = 0
 
 
 class ChainCursorBatch:
@@ -284,7 +245,7 @@ class ChainCursorBatch:
         #: because ``tau`` never reaches a block's effective length.
         self._tmult = int(self._need.max()) + 1 if C else 2
 
-        # The ISSUE's matrices: chain cursors as (n_trials, n_chains) ints.
+        # Chain cursors as (n_trials, n_chains) ints.
         self.chain_pos = np.zeros((B, C), dtype=np.int64)
         self.tau = np.zeros((B, C), dtype=np.int64)
         self.delay_remaining = np.zeros((B, C), dtype=np.int64)  # pause countdowns
@@ -294,7 +255,7 @@ class ChainCursorBatch:
         self.sig = np.full(B, -1, dtype=np.int64)  # current expansion id
         self.ptr = np.zeros(B, dtype=np.int64)
         #: Per-trial phase key for the current engine step (``key_of``).
-        self._keys: list = [("idle",)] * B
+        self._keys: list = [IDLE_KEY] * B
 
         # Superstep expansions memoized by encoded (chain -> item, tau)
         # signature bytes — the transition memo shared across trials and
@@ -312,15 +273,17 @@ class ChainCursorBatch:
         # Segment bookkeeping: per trial, segment -> pending long jobs
         # (global ids), and the trial's active segment-inner cursor.
         self._pending: list[dict[int, list[int]]] = [dict() for _ in range(B)]
-        self._sem: list = [None] * B
+        self._sem: list[SemCursor | None] = [None] * B
         self.sem_left = np.zeros(B, dtype=np.int64)
         self._in_sem = np.zeros((B, int(n_engine_jobs)), dtype=bool)
         self._prev_remaining: np.ndarray | None = None
         self._seen_t = -1
 
         self._cache = RoundScheduleCache(instance, scale)
-        self._local_schedules: list[FiniteObliviousSchedule] = []
-        self._local_ids: dict[bytes, int] = {}
+        # Engine id -> plan id: a segment cursor's LP jobs (SUU-T blocks
+        # solve on their sub-instance).
+        self._g2l = np.full(int(n_engine_jobs), -1, dtype=np.int64)
+        self._g2l[self.job_map] = np.arange(self.job_map.size)
         self._row_memo: dict[tuple, np.ndarray] = {}
         self._idle_row = np.full(self.m, IDLE, dtype=np.int64)
         self._max_spins = int(self.superstep_limit) + self.gamma + 1_000
@@ -336,9 +299,6 @@ class ChainCursorBatch:
             "sem_runs": 0,
             "fallback": False,
         }
-
-        # Local→global lookup for segment job translation.
-        self._g2l = None
 
     # ------------------------------------------------------------------
     # Per-step batch bookkeeping
@@ -527,82 +487,33 @@ class ChainCursorBatch:
     # ------------------------------------------------------------------
     # Segment inner runs
     # ------------------------------------------------------------------
-    def _start_sem(self, b: int, jobs_global: list[int]) -> None:
-        jobs_global = np.array(sorted(jobs_global), dtype=np.int64)
-        if self._g2l is None:
-            g2l = np.full(int(self.job_map.max()) + 1, -1, dtype=np.int64)
-            g2l[self.job_map] = np.arange(self.job_map.size)
-            self._g2l = g2l
-        jobs_local = self._g2l[jobs_global]
+    def _start_sem(self, b: int, jobs: list[int]) -> None:
+        """Enter trial ``b``'s segment run on its pending long ``jobs``."""
+        jobs = np.array(sorted(jobs), dtype=np.int64)
+        lp_jobs = self._g2l[jobs]
         if self.inner == "sem":
-            self._sem[b] = _SegmentSemCursor(jobs_global, jobs_local, self.m)
+            cursor = SemCursor(
+                jobs, paper_round_count(jobs.size, self.m), lp_jobs=lp_jobs
+            )
         elif self.inner == "obl":
             # SUU-I-OBL solves LP1(jobs, 1/2) once at entry and repeats
             # the rounded schedule; the solve is shared per distinct
             # pending set through the round cache.
-            sid = self._cache.schedule_id(0.5, jobs_local)
-            self._sem[b] = _RepeatCursor(
-                "sem-row", sid, self._cache.schedule(sid).length
-            )
+            sid = self._cache.schedule_id(0.5, lp_jobs)
+            cursor = SemCursor(jobs, lp_jobs=lp_jobs, sid=sid)
         else:  # "repeat": the plan's LP2 columns, no new solve
-            lid = self._local_schedule_id(jobs_local)
-            self._sem[b] = _RepeatCursor(
-                "rep-row", lid, self._local_schedules[lid].length
+            sid = self._cache.add(
+                ("repeat", lp_jobs.tobytes()),
+                lambda: long_repeat_schedule(
+                    self.plan, lp_jobs, self.m, int(self.job_map.size)
+                ),
             )
-        self.sem_left[b] = jobs_global.size
-        self._in_sem[b, jobs_global] = True
+            cursor = SemCursor(jobs, lp_jobs=lp_jobs, sid=sid)
+        self._sem[b] = cursor
+        self.sem_left[b] = jobs.size
+        self._in_sem[b, jobs] = True
         self.phase[b] = _SEM
         self.stats["sem_runs"] += 1
-
-    def _local_schedule_id(self, jobs_local: np.ndarray) -> int:
-        """Register the ``inner="repeat"`` schedule for one pending set."""
-        key = np.ascontiguousarray(jobs_local, dtype=np.int64).tobytes()
-        lid = self._local_ids.get(key)
-        if lid is None:
-            schedule = long_repeat_schedule(
-                self.plan, jobs_local, self.m, int(self.job_map.size)
-            )
-            lid = len(self._local_schedules)
-            self._local_schedules.append(schedule)
-            self._local_ids[key] = lid
-        return lid
-
-    def _sem_begin_round(self, cur: _SegmentSemCursor, remaining_local) -> None:
-        cur.round += 1
-        target = 2.0 ** (cur.round - 2)  # round 1 -> 1/2, doubling after
-        cur.sid = self._cache.schedule_id(target, remaining_local)
-        cur.step = 0
-
-    def _sem_key(self, b: int, remaining_row: np.ndarray):
-        cur = self._sem[b]
-        if type(cur) is _RepeatCursor:
-            if cur.length == 0:
-                return ("idle",)
-            return (cur.tag, cur.sid, cur.step % cur.length)
-        if cur.mode == "serial":
-            for gj in cur.jobs_global:
-                if remaining_row[gj]:
-                    return ("sem-serial", int(gj))
-            return ("idle",)  # unreachable while sem_left > 0
-        if cur.mode == "repeat":
-            length = self._cache.schedule(cur.sid).length
-            return ("sem-row", cur.sid, cur.step % length)
-        while cur.sid is None or cur.step >= self._cache.schedule(cur.sid).length:
-            remaining_local = cur.jobs_local[remaining_row[cur.jobs_global]]
-            if remaining_local.size == 0:
-                return ("idle",)
-            if cur.round >= cur.n_rounds:
-                if cur.universe_size <= self.m:
-                    cur.mode = "serial"
-                    return self._sem_key(b, remaining_row)
-                cur.mode = "repeat"
-                cur.step = 0
-                if cur.sid is None or self._cache.schedule(cur.sid).length == 0:
-                    self._sem_begin_round(cur, remaining_local)
-                    cur.step = 0
-                return self._sem_key(b, remaining_row)
-            self._sem_begin_round(cur, remaining_local)
-        return ("sem-row", cur.sid, cur.step)
 
     # ------------------------------------------------------------------
     # The phased-protocol surface
@@ -633,7 +544,9 @@ class ChainCursorBatch:
             sem = pending[ph == _SEM]
             for b in sem.tolist():
                 if self.sem_left[b] > 0:
-                    keys[b] = self._sem_key(b, state.remaining[b])
+                    keys[b] = sem_phase_key(
+                        self._sem[b], self._cache, state.remaining[b], self.m
+                    )
                 else:
                     self.phase[b] = _SUPER
                     again.append(b)
@@ -671,9 +584,9 @@ class ChainCursorBatch:
         Keys group trials receiving identical rows this step: ``("x", sig,
         ptr)`` for signature rows (preludes + expansion), ``("xfb", sig)``
         for the one-shot prelude row preceding a congestion fallback,
-        ``("sem-row", sid, step)`` / ``("rep-row", lid, step)`` /
-        ``("sem-serial", job)`` for segment inner rows, ``("fb", job)``
-        for the serial fallback, ``("idle",)`` otherwise.
+        :func:`~repro.core.phased.sem_phase_key`'s ``("row", sid, step)``
+        / ``("serial", job)`` for segment runs, ``("fb", job)`` for the
+        serial fallback, ``IDLE_KEY`` otherwise.
         """
         return self._keys[trial]
 
@@ -688,7 +601,7 @@ class ChainCursorBatch:
             if any_run[i]:
                 keys[b] = ("fb", int(self.topo_global[first[i]]))
             else:
-                keys[b] = ("idle",)
+                keys[b] = IDLE_KEY
 
     def dispatch(self, key, trials) -> np.ndarray:
         """The shared row for ``key``; advances the member trials' cursors."""
@@ -696,15 +609,12 @@ class ChainCursorBatch:
         if tag == "x":
             self.ptr[np.asarray(trials, dtype=np.int64)] += 1
             return self._sig_rows[key[1]][key[2]]
-        if tag == "sem-row" or tag == "rep-row":
+        if tag == "row":
             for b in trials:
                 self._sem[b].step += 1
             row = self._row_memo.get(key)
             if row is None:
-                if tag == "sem-row":
-                    local = self._cache.schedule(key[1]).assignment_at(key[2])
-                else:
-                    local = self._local_schedules[key[1]].assignment_at(key[2])
+                local = self._cache.schedule(key[1]).assignment_at(key[2])
                 row = np.where(local >= 0, self.job_map[np.maximum(local, 0)], IDLE)
                 self._row_memo[key] = row
             return row
@@ -714,7 +624,7 @@ class ChainCursorBatch:
             return self._sig_rows[key[1]][0]
         if tag == "idle":
             return self._idle_row
-        # "sem-serial" / "fb": every machine on one job.
+        # "serial" / "fb": every machine on one job.
         row = self._row_memo.get(key)
         if row is None:
             row = np.full(self.m, key[1], dtype=np.int64)

@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.api.registry import register_policy
 from repro.core.phased import (
+    IDLE_KEY,
     RoundScheduleCache,
     SemCursor,
     sem_advance,
@@ -93,18 +94,11 @@ class LayeredPolicy(PhasedPolicy):
         self._level_jobs = [
             np.nonzero(levels == lvl)[0] for lvl in range(int(levels.max()) + 1)
         ]
-        # One boolean universe mask per level, shared by every trial's
-        # cursor for that level; one solve cache across all levels (keys
-        # embed the level's job set, so levels can never collide).
-        n = instance.n_jobs
-        self._level_masks = []
-        for jobs in self._level_jobs:
-            mask = np.zeros(n, dtype=bool)
-            mask[jobs] = True
-            self._level_masks.append(mask)
+        # Every trial's cursor for a level shares the level's job array;
+        # one solve cache serves all levels (keys embed the level's job
+        # set, so levels can never collide).
         self._cache = RoundScheduleCache(instance, self.scale)
-        self._policy_rngs = list(trial_rngs)
-        B = len(self._policy_rngs)
+        B = len(trial_rngs)
         self._trial_level = [-1] * B
         self._trial_cursor: list[SemCursor | None] = [None] * B
         self._pending = [None] * B
@@ -112,18 +106,17 @@ class LayeredPolicy(PhasedPolicy):
         self._all_machines = np.empty(instance.n_machines, dtype=np.int64)
 
     def _enter_level(self, trial: int, level: int) -> SemCursor:
-        """Fresh per-level SEM cursor, replaying the scalar rng spawn."""
-        # The scalar path hands each level's sub-policy a spawned child;
-        # SEM ignores it, but the spawn is replayed so the trial's policy
-        # generator stays stream-for-stream identical to a scalar run.
-        self._policy_rngs[trial].spawn(1)
+        """Fresh per-level SEM cursor.
+
+        The scalar path hands each level's sub-policy a spawned child
+        generator.  SEM never reads it and nothing draws from the trial's
+        policy generator afterwards, so the cursor needs no spawn to stay
+        bit-identical to a scalar run.
+        """
         self._trial_level[trial] = level
+        jobs = self._level_jobs[level]
         cursor = SemCursor(
-            self._level_masks[level],
-            paper_round_count(
-                self._level_jobs[level].size, self._instance.n_machines
-            ),
-            fallback=True,
+            jobs, paper_round_count(jobs.size, self._instance.n_machines)
         )
         self._trial_cursor[trial] = cursor
         return cursor
@@ -136,7 +129,7 @@ class LayeredPolicy(PhasedPolicy):
             if level >= len(self._level_jobs):
                 if remaining_row.any():
                     raise ReproError("layered policy ran out of levels early")
-                self._pending[trial] = ("idle",)
+                self._pending[trial] = IDLE_KEY
                 return self._pending[trial]
             cursor = self._enter_level(trial, level)
         key = sem_phase_key(

@@ -24,6 +24,12 @@ shareable pieces:
   phase key; :func:`sem_row_for_key` maps a key to its assignment row;
   :func:`sem_advance` bumps the step cursor after the row executes.
 
+It is the batch side's only copy of SEM's round logic: grouped ``sem`` and
+``layered`` run it, and so does every SUU-C / SUU-T segment run of
+:class:`~repro.core.chain_batch.ChainCursorBatch` (``inner="obl"`` and
+``"repeat"`` start it in ``repeat`` mode).  The scalar policy stays the
+reference the cross-check tests compare it against.
+
 Bit-identity rests on the determinism of the solve pipeline: a memoized
 schedule is byte-for-byte the schedule a fresh solve would build for the
 same (target, survivor set), so cursor-driven trials reproduce the scalar
@@ -276,17 +282,21 @@ class RoundScheduleCache:
     asks :func:`round_schedule`, which consults the process-wide
     :func:`shared_solve_cache` before solving, so trials, batches, grid
     cells and process-backend worker chunks pay each (instance, target,
-    survivor set) pipeline once per process.
+    survivor set) pipeline once per process.  :meth:`add` registers any
+    other deterministic schedule under a caller-chosen key (SUU-C's
+    ``inner="repeat"`` segment schedules), so one table and one id space
+    serve every cursor of the batch.
 
     Attributes
     ----------
     solves:
-        Number of *local* cache misses — lookups this batch had not seen
-        before (some may be served by the process-wide cache without an
-        actual LP solve; see :func:`solve_cache_stats` for that split).
-        With the process cache off (``REPRO_SOLVE_CACHE=0``) the scalar
-        loop pays one solve per (trial, round); the difference is the
-        dominant part of the grouped-dispatch speedup.
+        Number of *local* cache misses — keys this batch had not seen
+        before, registered ``inner="repeat"`` schedules included (some LP1
+        misses may be served by the process-wide cache without an actual
+        LP solve; see :func:`solve_cache_stats` for that split).  With the
+        process cache off (``REPRO_SOLVE_CACHE=0``) the scalar loop pays
+        one solve per (trial, round); the difference is the dominant part
+        of the grouped-dispatch speedup.
     hits:
         Number of lookups served from this batch's own table.
     """
@@ -299,6 +309,22 @@ class RoundScheduleCache:
         self.solves = 0
         self.hits = 0
 
+    def add(self, key, build) -> int:
+        """Schedule id for ``key``, calling ``build()`` on its first use.
+
+        ``build`` must be deterministic in ``key``: the first schedule
+        registered under a key serves every later lookup of it.
+        """
+        sid = self._memo.get(key)
+        if sid is None:
+            sid = len(self.schedules)
+            self.schedules.append(build())
+            self._memo[key] = sid
+            self.solves += 1
+        else:
+            self.hits += 1
+        return sid
+
     def schedule_id(self, target: float, jobs: np.ndarray) -> int:
         """Schedule id for ``LP1(jobs, target)`` rounded at ``self.scale``.
 
@@ -306,18 +332,11 @@ class RoundScheduleCache:
         the scalar policies pass to :func:`round_schedule`).
         """
         jobs = np.ascontiguousarray(jobs, dtype=np.int64)
-        key = (float(target), jobs.tobytes())
-        sid = self._memo.get(key)
-        if sid is None:
-            sid = len(self.schedules)
-            self.schedules.append(
-                round_schedule(self.instance, key[0], jobs, self.scale)
-            )
-            self._memo[key] = sid
-            self.solves += 1
-        else:
-            self.hits += 1
-        return sid
+        target = float(target)
+        return self.add(
+            (target, jobs.tobytes()),
+            lambda: round_schedule(self.instance, target, jobs, self.scale),
+        )
 
     def ensure_many(self, requests) -> None:
         """No-op, kept only as a benchmark tracer target.
@@ -344,26 +363,35 @@ class SemCursor:
 
     Parameters
     ----------
-    universe_mask:
-        Boolean mask over all jobs: the cursor's job universe (SEM's
-        ``jobs`` argument; all jobs when None there).
+    jobs:
+        The cursor's job universe (SEM's ``jobs`` argument; all jobs when
+        None there) as sorted engine ids: the batch-state columns it reads.
     n_rounds:
         The round budget ``K`` after which the fallback modes engage.
     fallback:
         Mirror of the scalar policy's ``fallback`` flag.
+    lp_jobs:
+        The same jobs, index-aligned, as ids of the cache's instance (what
+        LP1 is solved on).  Defaults to ``jobs``; differs only for SUU-T
+        blocks, whose cache holds the block's sub-instance.
+    sid:
+        Start in ``repeat`` mode on this schedule id instead of in round
+        mode: the ``inner="obl"`` and ``inner="repeat"`` segment runs of
+        SUU-C, which repeat one fixed schedule until the jobs complete.
     """
 
-    __slots__ = ("universe_mask", "universe_size", "n_rounds", "fallback",
+    __slots__ = ("jobs", "lp_jobs", "n_rounds", "fallback",
                  "mode", "round", "sid", "step")
 
-    def __init__(self, universe_mask: np.ndarray, n_rounds: int, fallback: bool):
-        self.universe_mask = universe_mask
-        self.universe_size = int(universe_mask.sum())
+    def __init__(self, jobs: np.ndarray, n_rounds: int = 0, fallback: bool = True,
+                 *, lp_jobs: np.ndarray | None = None, sid: int | None = None):
+        self.jobs = jobs
+        self.lp_jobs = jobs if lp_jobs is None else lp_jobs
         self.n_rounds = int(n_rounds)
         self.fallback = bool(fallback)
-        self.mode = "rounds"  # rounds | serial | repeat
+        self.mode = "rounds" if sid is None else "repeat"
         self.round = 0
-        self.sid: int | None = None
+        self.sid = sid
         self.step = 0
 
 
@@ -384,25 +412,30 @@ def sem_phase_key(cursor: SemCursor, cache: RoundScheduleCache,
     ``remaining_row`` is the trial's boolean remaining mask (one row of the
     batch state).  May solve a new round's LP through ``cache`` (memoized);
     must be called once per live trial per step, like the protocol says.
+    Keys are ``("row", sid, step)`` for schedule rows (in the cache
+    instance's ids), ``("serial", job)`` for the serial fallback (an
+    engine id) and :data:`IDLE_KEY`.
     """
     if cursor.mode == "serial":
-        remaining = np.flatnonzero(remaining_row & cursor.universe_mask)
+        remaining = cursor.jobs[remaining_row[cursor.jobs]]
         if remaining.size == 0:
             return IDLE_KEY
         return ("serial", int(remaining[0]))
 
     if cursor.mode == "repeat":
         length = cache.schedule(cursor.sid).length
+        if length == 0:
+            return IDLE_KEY  # SUU-I-OBL idles on an empty schedule
         return ("row", cursor.sid, cursor.step % length)
 
     # Round mode: advance to the next round when the current schedule is
     # exhausted (or not yet built).
     while cursor.sid is None or cursor.step >= cache.schedule(cursor.sid).length:
-        remaining = np.flatnonzero(remaining_row & cursor.universe_mask)
+        remaining = cursor.lp_jobs[remaining_row[cursor.jobs]]
         if remaining.size == 0:
             return IDLE_KEY
         if cursor.fallback and cursor.round >= cursor.n_rounds:
-            if cursor.universe_size <= n_machines:
+            if cursor.jobs.size <= n_machines:
                 cursor.mode = "serial"
                 return sem_phase_key(cursor, cache, remaining_row, n_machines)
             # m < n: repeat the Kth round's schedule forever.

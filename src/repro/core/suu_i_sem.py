@@ -196,11 +196,9 @@ class SUUISemPolicy(PhasedPolicy):
         # round-schedule cache and keep only a SemCursor each.
         self._instance = instance
         universe, _, K = self._universe_and_rounds(instance)
-        self._universe = universe
+        jobs = np.flatnonzero(universe)
         self._cache = RoundScheduleCache(instance, self.scale)
-        self._cursors = [
-            SemCursor(universe, K, self.fallback) for _ in trial_rngs
-        ]
+        self._cursors = [SemCursor(jobs, K, self.fallback) for _ in trial_rngs]
         self._pending = [None] * len(self._cursors)
         self.rounds_used = 0
         self._idle = np.full(instance.n_machines, IDLE, dtype=np.int64)

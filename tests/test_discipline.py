@@ -46,9 +46,7 @@ from repro.instance import (
     prelude_chain_instance,
 )
 from repro.instance.generators import random_dag_instance
-from repro.schedule.pseudo import draw_delays
 from repro.sim import compare_policies, run_policy, run_policy_batch
-from repro.sim.engine import draw_thresholds
 from repro.util.rng import (
     DISCIPLINES,
     BatchStreams,
@@ -313,48 +311,8 @@ class TestV2OneStream:
 # Chain-cursor cross-checks: array state == object state
 # ----------------------------------------------------------------------
 class TestChainCursorCrossCheck:
-    def suu_c_delay_matrix(self, inst, plan, n_trials, seed, enabled=True):
-        """Replay v1's per-trial delay draws as a matrix."""
-        delays = np.empty((n_trials, len(plan.chains)), dtype=np.int64)
-        for k, r in enumerate(ensure_rng(seed).spawn(n_trials)):
-            policy_rng, _ = r.spawn(2)
-            delays[k] = draw_delays(
-                len(plan.chains), plan.horizon, policy_rng,
-                unit=plan.unit, enabled=enabled,
-            )
-        return delays
-
-    def crosscheck_suu_c(self, inst, kwargs, B=10, seed=41):
-        """Fed v1's delays and shared thresholds, the v2 array cursors
-        must replay the v1 per-trial execution exactly."""
-        probe = SUUCPolicy(**kwargs)
-        plan = probe.prepare_plan(inst)
-        delays = self.suu_c_delay_matrix(
-            inst, plan, B, seed, enabled=probe.enable_delays
-        )
-        theta = np.vstack(
-            [draw_thresholds(inst.n_jobs, ensure_rng(900 + k)) for k in range(B)]
-        )
-
-        class Injected(SUUCPolicy):
-            def _draw_v2_delays(self, streams, n_trials, plan, *key):
-                # Slice by the stream offset so the injection survives
-                # the kernel_threads trial-shard route (each shard draws
-                # its own span of the batch-global matrix).
-                return delays[streams.offset:streams.offset + n_trials]
-
-        v1 = run_policy_batch(
-            inst, lambda: SUUCPolicy(**kwargs), B, rng=seed,
-            semantics="suu_star", thresholds=theta, discipline="v1",
-            max_steps=2_000_000,
-        )
-        v2 = run_policy_batch(
-            inst, lambda: Injected(**kwargs), B, rng=seed,
-            semantics="suu_star", thresholds=theta, discipline="v2",
-            max_steps=2_000_000,
-        )
-        assert np.array_equal(v1.makespans, v2.makespans)
-        assert np.array_equal(v1.completion_times, v2.completion_times)
+    """Fed v1's delays and shared thresholds, the v2 array cursors must
+    replay the v1 per-trial execution exactly (``chain_crosscheck``)."""
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -375,14 +333,16 @@ class TestChainCursorCrossCheck:
             },
         ],
     )
-    def test_suu_c_array_equals_object_cursors(self, kwargs):
+    def test_suu_c_array_equals_object_cursors(self, kwargs, chain_crosscheck):
         inst = chain_instance(12, 4, 3, "uniform", rng=7)
-        self.crosscheck_suu_c(inst, kwargs)
+        chain_crosscheck(inst, SUUCPolicy, kwargs, 10, 41)
 
     @pytest.mark.parametrize(
         "kwargs", [{}, {"inner": "obl"}, {"inner": "repeat"}]
     )
-    def test_suu_c_prelude_array_equals_object_cursors(self, kwargs):
+    def test_suu_c_prelude_array_equals_object_cursors(
+        self, kwargs, chain_crosscheck
+    ):
         """The ``unit > 1`` regime: solo prelude rows must interleave
         bit-identically between the solo queue (v1 object cursors) and
         the signature-compiled prefix rows (v2 array cursors)."""
@@ -394,51 +354,14 @@ class TestChainCursorCrossCheck:
             for prog in plan.programs
             for item in prog.items
         )
-        self.crosscheck_suu_c(inst, kwargs, B=6)
+        chain_crosscheck(inst, SUUCPolicy, kwargs, 6, 41)
 
     @pytest.mark.parametrize(
         "kwargs", [{}, {"inner": "obl"}, {"inner": "repeat"}]
     )
-    def test_suu_t_array_equals_object_cursors(self, kwargs):
+    def test_suu_t_array_equals_object_cursors(self, kwargs, chain_crosscheck):
         inst = forest_instance(12, 4, 2, rng=5)
-        B, seed = 8, 31
-        probe = SUUTPolicy(**kwargs)
-        probe._instance = inst
-        shared = probe._shared_block_plans(inst)
-        block_delays = [
-            np.empty((B, len(plan.chains)), dtype=np.int64)
-            for _, _, plan in shared
-        ]
-        # v1 trials spawn one child per block entered, in block order.
-        for k, r in enumerate(ensure_rng(seed).spawn(B)):
-            policy_rng, _ = r.spawn(2)
-            for b, (_, _, plan) in enumerate(shared):
-                child = policy_rng.spawn(1)[0]
-                block_delays[b][k] = draw_delays(
-                    len(plan.chains), plan.horizon, child, unit=plan.unit,
-                    enabled=True,
-                )
-        theta = np.vstack(
-            [draw_thresholds(inst.n_jobs, ensure_rng(500 + k)) for k in range(B)]
-        )
-
-        class Injected(SUUTPolicy):
-            def _draw_block_delays(self, streams, n_trials, plan, block, probe):
-                # Offset-sliced so the injection survives trial sharding.
-                return block_delays[block][
-                    streams.offset:streams.offset + n_trials
-                ]
-
-        v1 = run_policy_batch(
-            inst, lambda: SUUTPolicy(**kwargs), B, rng=seed,
-            semantics="suu_star", thresholds=theta, discipline="v1",
-        )
-        v2 = run_policy_batch(
-            inst, lambda: Injected(**kwargs), B, rng=seed,
-            semantics="suu_star", thresholds=theta, discipline="v2",
-        )
-        assert np.array_equal(v1.makespans, v2.makespans)
-        assert np.array_equal(v1.completion_times, v2.completion_times)
+        chain_crosscheck(inst, SUUTPolicy, kwargs, 8, 31, theta_seed=500)
 
     def test_v2_suu_c_is_keyed_not_replica(self):
         """SUU-C/SUU-T declare grouped dispatch for v2 only (array

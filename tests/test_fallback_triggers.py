@@ -11,19 +11,25 @@ assert that
   scalar policy per trial) *and* v2 (array cursors), and
 * both disciplines take the *same* trigger decisions on the same inputs:
   with injected delays and shared SUU* thresholds the executions agree
-  bit for bit (the cross-check harness of ``tests/test_discipline.py``,
+  bit for bit (the ``chain_crosscheck`` harness of ``tests/conftest.py``,
   pointed at the triggering configurations).
+
+The same harness pins SUU-I-SEM's own post-``K`` fallbacks (serial and
+repeat-last) inside segment runs, which paper round budgets never reach
+on instances this small.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from repro.core.chain_batch import ChainCursorBatch
 from repro.core.suu_c import SUUCPolicy
+from repro.core.suu_i_sem import SUUISemPolicy
 from repro.core.suu_t import SUUTPolicy
 from repro.instance import chain_instance, forest_instance
-from repro.schedule.pseudo import draw_delays
 from repro.sim import run_policy, run_policy_batch
-from repro.sim.engine import draw_thresholds
 from repro.util.rng import ensure_rng
 
 #: Forces the congestion trigger: no random delays and no segmentation, so
@@ -121,37 +127,8 @@ class TestTriggerDecisionsAgreeAcrossDisciplines:
     level: bit-identical makespans and completion matrices."""
 
     @pytest.mark.parametrize("trigger,kwargs", TRIGGERS)
-    def test_suu_c_bitwise_agreement(self, trigger, kwargs):
-        inst = chains_inst()
-        probe = SUUCPolicy(**kwargs)
-        plan = probe.prepare_plan(inst)
-        B, seed = 6, 17
-        delays = np.empty((B, len(plan.chains)), dtype=np.int64)
-        for k, r in enumerate(ensure_rng(seed).spawn(B)):
-            policy_rng, _ = r.spawn(2)
-            delays[k] = draw_delays(
-                len(plan.chains), plan.horizon, policy_rng,
-                unit=plan.unit, enabled=probe.enable_delays,
-            )
-        theta = np.vstack(
-            [draw_thresholds(inst.n_jobs, ensure_rng(900 + k)) for k in range(B)]
-        )
-
-        class Injected(SUUCPolicy):
-            def _draw_v2_delays(self, streams, n_trials, plan, *key):
-                # Offset-sliced so the injection survives trial sharding.
-                return delays[streams.offset:streams.offset + n_trials]
-
-        v1 = run_policy_batch(
-            inst, lambda: SUUCPolicy(**kwargs), B, rng=seed,
-            semantics="suu_star", thresholds=theta, discipline="v1",
-        )
-        v2 = run_policy_batch(
-            inst, lambda: Injected(**kwargs), B, rng=seed,
-            semantics="suu_star", thresholds=theta, discipline="v2",
-        )
-        assert np.array_equal(v1.makespans, v2.makespans), trigger
-        assert np.array_equal(v1.completion_times, v2.completion_times)
+    def test_suu_c_bitwise_agreement(self, trigger, kwargs, chain_crosscheck):
+        chain_crosscheck(chains_inst(), SUUCPolicy, kwargs, 6, 17)
 
     @pytest.mark.parametrize("trigger,kwargs", TRIGGERS)
     def test_makespans_statistically_matched(self, trigger, kwargs):
@@ -170,3 +147,73 @@ class TestTriggerDecisionsAgreeAcrossDisciplines:
         half_a = (a.ci95[1] - a.ci95[0]) / 2
         half_b = (b.ci95[1] - b.ci95[0]) / 2
         assert abs(a.mean - b.mean) <= half_a + half_b, trigger
+
+
+class TestSemPostKFallbacks:
+    """SUU-I-SEM's post-``K`` fallbacks inside chain segment runs.
+
+    With the round budget ``K`` patched down, every segment SEM run
+    exhausts its doubling rounds at once: a universe of at most ``m`` long
+    jobs switches to the serial fallback, a larger one repeats its last
+    round's schedule (at ``K = 0`` the degenerate guard first solves
+    round 1; at ``K = 1`` round 1 has run).  The scalar policy (v1) and the
+    array cursors (v2) must enter the same fallbacks the same number of
+    times and agree bit for bit; SUU-T's cases also check the cursors'
+    block-local to engine id translation.
+    """
+
+    @staticmethod
+    def record_fallback_entries(monkeypatch):
+        """Patch recorders onto both sides' switches out of round mode.
+
+        Returns ``(scalar, batch)``: ``scalar`` lists the mode each
+        :class:`SUUISemPolicy` execution switched into (v1 runs one per
+        segment run); ``batch`` maps each segment cursor of a
+        :class:`ChainCursorBatch` that left round mode to ``(cursor,
+        mode)``.  Appends and dict stores only, so trial-shard threads
+        cannot lose an entry.
+        """
+        scalar, batch = [], {}
+        assign = SUUISemPolicy.assign
+
+        def recording_assign(self, state):
+            before = self._mode
+            row = assign(self, state)
+            if self._mode != before:
+                scalar.append(self._mode)
+            return row
+
+        prepare_step = ChainCursorBatch.prepare_step
+
+        def recording_prepare_step(self, state, members):
+            prepare_step(self, state, members)
+            for cursor in self._sem:
+                mode = getattr(cursor, "mode", "rounds")
+                if mode != "rounds":
+                    batch[id(cursor)] = (cursor, mode)
+
+        monkeypatch.setattr(SUUISemPolicy, "assign", recording_assign)
+        monkeypatch.setattr(ChainCursorBatch, "prepare_step", recording_prepare_step)
+        return scalar, batch
+
+    @pytest.mark.parametrize(
+        "cls,make,k",
+        [
+            (SUUCPolicy, chains_inst, 0),
+            (SUUTPolicy, forest_inst, 0),
+            (SUUTPolicy, forest_inst, 1),
+        ],
+        ids=["suu-c-k0", "suu-t-k0", "suu-t-k1"],
+    )
+    def test_fallbacks_agree(self, cls, make, k, monkeypatch, chain_crosscheck):
+        # K at both call sites: the scalar policy's and the cursors'.
+        for module in ("repro.core.suu_i_sem", "repro.core.chain_batch"):
+            monkeypatch.setattr(f"{module}.paper_round_count", lambda n, m: k)
+        scalar, batch = self.record_fallback_entries(monkeypatch)
+        chain_crosscheck(make(), cls, {}, 12, 41)
+        scalar = Counter(scalar)
+        batch = Counter(mode for _, mode in batch.values())
+        assert scalar["serial"] > 0 and scalar["repeat_last"] > 0
+        assert (scalar["serial"], scalar["repeat_last"]) == (
+            batch["serial"], batch["repeat"]
+        )

@@ -16,6 +16,8 @@ runs one scalar policy per trial, lock-stepped, bit-identical to
 ``run_policy``.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -71,12 +73,18 @@ ADAPTIVE_CASES = [
     pytest.param(SUUCPolicy, "chains", id="suu-c"),
     pytest.param(SUUTPolicy, "forest", id="suu-t"),
     pytest.param(LayeredPolicy, "random_dag", id="layered"),
+    # SEM's post-K fallbacks from the first step: n <= m runs the serial
+    # fallback, m < n repeats the (degenerate-guard) round-1 schedule.
+    pytest.param(partial(SUUISemPolicy, n_rounds=0), "few_jobs", id="sem-k0-serial"),
+    pytest.param(partial(SUUISemPolicy, n_rounds=0), "independent", id="sem-k0-repeat"),
 ]
 
 
 def make_instance(kind):
     if kind == "independent":
         return independent_instance(14, 4, "uniform", rng=3)
+    if kind == "few_jobs":
+        return independent_instance(4, 8, "uniform", rng=3)
     if kind == "chains":
         return chain_instance(12, 4, 3, "uniform", rng=7)
     if kind == "forest":
@@ -111,6 +119,19 @@ class TestPhasedSerialEquivalence:
         # delays, so their trials run per trial and share no rows.
         assert got.vectorized == (factory not in (SUUCPolicy, SUUTPolicy))
         assert np.array_equal(expect, got.makespans)
+
+    @pytest.mark.parametrize(
+        "kind,scalar_mode,batch_mode",
+        [("few_jobs", "serial", "serial"), ("independent", "repeat_last", "repeat")],
+    )
+    def test_sem_post_k_fallbacks_entered(self, kind, scalar_mode, batch_mode):
+        """The ``sem-k0-*`` cases above really run SEM's fallbacks."""
+        inst = make_instance(kind)
+        policy = SUUISemPolicy(n_rounds=0)
+        run_policy(inst, policy, ensure_rng(23), semantics="suu_star")
+        assert policy._mode == scalar_mode
+        run_policy_batch(inst, policy, 12, rng=23, semantics="suu_star")
+        assert {cursor.mode for cursor in policy._cursors} == {batch_mode}
 
     def test_layered_on_layered_dag(self):
         """The MapReduce-shaped case the layered policy exists for."""
