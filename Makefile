@@ -105,7 +105,7 @@ smoke:
 # End-to-end suite-runner smoke: run the committed 2-cell suite twice
 # through the CLI — first run executes everything, the rerun must be
 # 100% content-address cache hits, and deleting one artifact re-executes
-# exactly that cell.
+# exactly that cell (with --jobs 2, on a worker pool, to an equal result).
 suite-smoke:
 	$(PYTHON) benchmarks/smoke_suite.py
 

@@ -4,11 +4,13 @@ The unit of performance here is the *request*, not the batch call.  Three
 ways of serving the same sequence of ``POST /simulate``-sized requests
 are timed:
 
-* ``serve_base_pool_lifecycle`` — the historical process backend: every
-  request spins up (and tears down) its own ``spawn``-method worker
-  pool, paying worker start-up + numpy/scipy import per request.
+* ``serve_base_pool_lifecycle`` — ``backend="process"`` with no
+  injected executor: every request opens (and closes) its own
+  :class:`~repro.api.executors.WarmPoolExecutor`, so it spins up a fresh
+  ``spawn``-method worker pool, paying worker start-up + numpy/scipy
+  import per request.
 * ``serve_warm_*`` — the same requests through one prewarmed
-  :class:`~repro.server.executors.WarmPoolExecutor` reused across
+  :class:`~repro.api.executors.WarmPoolExecutor` reused across
   requests (the request server's configuration).
 * ``serve_base_serial`` — everything in-process, the zero-IPC floor.
 

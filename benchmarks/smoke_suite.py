@@ -13,8 +13,10 @@ What it checks, in order:
    consolidated ``report.json`` / ``report.md``.
 2. A second identical invocation performs **zero executions** — every
    cell is a content-address cache hit (``executed=0 cached=N``).
-3. Deleting one cell artifact and re-running re-executes exactly that
-   one cell (``executed=1``), leaving the rest cached.
+3. Deleting one cell artifact and re-running with ``--jobs 2`` re-executes
+   exactly that one cell (``executed=1``) on a worker pool, leaving the
+   rest cached, and the re-executed cell's ``result`` equals the deleted
+   artifact's (the pool path is bit-identical to serial).
 4. ``repro suite status`` agrees that all cells are done.
 
 Exit code 0 only if all four hold — this is the CI suite-smoke leg.
@@ -87,14 +89,21 @@ def main(argv=None) -> int:
             failures.append(f"{len(artifacts)} artifacts for {n_cells} cells")
         else:
             with open(artifacts[0]) as fh:
-                victim = json.load(fh)["digest"]
+                deleted = json.load(fh)
+            victim = deleted["digest"]
             os.unlink(artifacts[0])
-            executed, cached = counts(
-                run_cli(["suite", "run", args.suite, "--out", out], env))
+            executed, cached = counts(run_cli(
+                ["suite", "run", args.suite, "--out", out, "--jobs", "2"], env))
             if executed != 1 or cached != n_cells - 1:
                 failures.append(
                     f"after deleting cell {victim[:12]}: expected exactly "
                     f"1 re-execution; got executed={executed} cached={cached}")
+            with open(artifacts[0]) as fh:
+                rerun = json.load(fh)
+            if rerun["result"] != deleted["result"]:
+                failures.append(
+                    f"cell {victim[:12]} re-executed with --jobs 2 gave "
+                    f"{rerun['result']}, not the deleted {deleted['result']}")
 
         status = run_cli(["suite", "status", args.suite, "--out", out], env)
         if f"{n_cells}/{n_cells} cells done" not in status:
@@ -106,7 +115,8 @@ def main(argv=None) -> int:
             print(f"  - {failure}", file=sys.stderr)
         return 1
     print(f"\nsuite smoke ok: {n_cells} cells executed once, rerun fully "
-          "cached, single-cell delta re-executed, status consistent")
+          "cached, single-cell delta re-executed on a --jobs 2 pool with an "
+          "equal result, status consistent")
     return 0
 
 

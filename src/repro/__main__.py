@@ -374,7 +374,7 @@ def main(argv=None) -> int:
     s.add_argument("--json", default=None, help="also dump reports to this file")
     s.set_defaults(func=_cmd_sweep)
 
-    from repro.server.executors import EXECUTOR_KINDS
+    from repro.api.executors import EXECUTOR_KINDS
 
     sv = sub.add_parser(
         "serve",

@@ -1,6 +1,6 @@
 """``repro.api`` — the unified front door to the reproduction.
 
-Four layers, each usable on its own:
+Five layers, each usable on its own:
 
 * :mod:`repro.api.config` — the one documented knob-resolution chain
   (explicit argument → :class:`SimConfig` field → ``REPRO_*`` environment
@@ -17,6 +17,12 @@ Four layers, each usable on its own:
   turn scenarios into :class:`Report` objects, batching Monte Carlo trials
   over a ``multiprocessing`` pool (``backend="process"``) with
   bit-identical results to the serial path.
+* :mod:`repro.api.executors` — the request executors those calls
+  dispatch on (``executor=``): :class:`~repro.api.executors.SerialExecutor`
+  and :class:`~repro.api.executors.WarmPoolExecutor`, the one owner of
+  every worker pool (per-call for an un-injected ``backend="process"``,
+  long-lived for the server and suite runner), which replaces a pool a
+  dead worker broke and re-runs an in-flight chunk map once.
 
 Quick start::
 

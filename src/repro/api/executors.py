@@ -1,56 +1,60 @@
-"""Pluggable request executors: who runs a request's trial chunks, and how.
+"""Request executors: who runs a call's trial chunks, and how.
 
-The batch service historically made the transport decision per call —
-``backend="process"`` spun up a fresh ``spawn``-method pool, ran one
-request's chunks, and tore it down.  For one-shot batch calls that is
-fine; for a long-running request server it is the dominant cost (pool
-spawn imports numpy/scipy in every worker, ~seconds per request).  A
-*request executor* inverts the ownership: the executor owns a dispatch
-transport with an explicit lifecycle, and :func:`repro.api.simulate` /
-:func:`repro.api.evaluate_grid` accept one via ``executor=`` instead of
-constructing pools themselves.
+An executor owns a dispatch transport with an explicit lifecycle.
+:func:`repro.api.simulate` / :func:`repro.api.evaluate_grid` accept one
+via ``executor=``; a ``backend="process"`` call without one opens a
+:class:`WarmPoolExecutor` for that call (or sweep) and closes it on exit.
+The request server and the suite runner's ``--jobs N`` keep one alive
+across many calls instead, so pool spawn (numpy/scipy imports in every
+worker, ~seconds) is paid once per executor lifetime.
 
 Two executors ship:
 
 * :class:`SerialExecutor` — everything in the calling process.  Zero
   startup, zero IPC; the right choice for small requests and tests.
 * :class:`WarmPoolExecutor` — one long-lived
-  :class:`~concurrent.futures.ProcessPoolExecutor` (built by
-  :func:`repro.api.service.worker_pool`, so workers get the process
-  solve cache installed) reused across every request.  Workers stay
-  *warm*: their :class:`~repro.core.phased.ProcessSolveCache` retains
-  LP round schedules and chain plans across requests, so repeated or
-  related requests skip straight past the solve pipeline.
+  :class:`~concurrent.futures.ProcessPoolExecutor` reused across every
+  call, and the only place in the package that builds a worker pool.
+  Workers stay *warm*: their :class:`~repro.core.phased.ProcessSolveCache`
+  retains LP round schedules and chain plans across calls, so repeated or
+  related requests skip straight past the solve pipeline.  A pool a dead
+  worker broke is replaced on next use, and a call whose chunks were in
+  flight re-runs them once on the replacement
+  (:func:`repro.api.service._run_batched`).
 
-Both are context managers; :func:`default_executor` holds a module-level
-default (serial unless replaced) for callers that want executor-style
-injection without managing a lifecycle.
-
-The api layer duck-types executors (``backend`` / ``n_workers`` /
-``acquire()``), so third-party executors — e.g. a future remote
-dispatcher — plug in without touching this module.
+Both are context managers; :func:`make_executor` builds one by name.
 """
 
 from __future__ import annotations
 
 import threading
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from multiprocessing import get_context
 
-from repro.api.service import WORKER_SOLVE_CACHE_ENTRIES, worker_pool
-from repro.core.phased import solve_cache_stats
+from repro.core.phased import install_solve_cache, solve_cache_stats
 
 __all__ = [
     "RequestExecutor",
     "SerialExecutor",
     "WarmPoolExecutor",
-    "default_executor",
-    "set_default_executor",
     "make_executor",
     "EXECUTOR_KINDS",
 ]
 
 #: Executor kinds constructible by name (CLI ``--executor`` choices).
 EXECUTOR_KINDS: tuple[str, ...] = ("serial", "warm-pool")
+
+#: Solve-cache capacity installed into pool workers.  A worker serves
+#: many chunks and grid cells over its lifetime, so it gets a larger
+#: cache than the in-process default (the pool initializer is what makes
+#: the setting land in ``spawn``-ed processes).
+WORKER_SOLVE_CACHE_ENTRIES = 4096
+
+#: Start method for worker pools.  ``spawn`` is used everywhere (not just
+#: where it is the OS default) so results and failure modes are identical
+#: across platforms and workers never inherit forked interpreter state.
+_MP_START_METHOD = "spawn"
 
 
 class RequestExecutor:
@@ -63,27 +67,38 @@ class RequestExecutor:
         ``"process"``).
     n_workers:
         Pool width for process executors (``None`` = CPU count).
+    requests:
+        Calls served: one per :func:`~repro.api.service.simulate` or
+        :func:`~repro.api.service.evaluate_grid` call, however many
+        cells a sweep has.
     """
 
     kind = "base"
     backend = "serial"
     n_workers: int | None = None
 
-    def acquire(self):
-        """The chunk pool requests should dispatch on (``None`` = in-process).
+    def __init__(self):
+        self.requests = 0
 
-        Called once per request by the service layer; long-lived
-        executors return the same pool every time.
-        """
+    def acquire(self):
+        """Count one call and return the chunk pool it dispatches on
+        (``None`` = in-process)."""
+        self.requests += 1
+        return self.pool()
+
+    def pool(self):
+        """The chunk pool, without counting a call (``None`` =
+        in-process); long-lived executors return the same pool every
+        time."""
         return None
 
     def close(self) -> None:
         """Release owned resources; the executor is reusable after close
-        (the next :meth:`acquire` rebuilds them)."""
+        (the next :meth:`pool` rebuilds them)."""
 
     def stats(self) -> dict:
         """JSON-ready execution counters (surfaced by ``/healthz``)."""
-        return {"kind": self.kind, "backend": self.backend}
+        return {"kind": self.kind, "backend": self.backend, "requests": self.requests}
 
     def __enter__(self):
         return self
@@ -101,16 +116,8 @@ class SerialExecutor(RequestExecutor):
     kind = "serial"
     backend = "serial"
 
-    def __init__(self):
-        self.requests = 0
-
-    def acquire(self):
-        self.requests += 1
-        return None
-
     def stats(self) -> dict:
         stats = super().stats()
-        stats["requests"] = self.requests
         # In-process execution warms this process's own solve cache.
         stats["solve_cache"] = solve_cache_stats()
         return stats
@@ -119,20 +126,16 @@ class SerialExecutor(RequestExecutor):
 class WarmPoolExecutor(RequestExecutor):
     """A long-lived worker pool with solve-cache-warm workers.
 
-    The pool is built lazily on first :meth:`acquire` (or eagerly via
-    :meth:`prewarm`) and then reused by every subsequent request — the
-    per-request pool-spawn cost of the historical
-    ``backend="process"`` path is paid once per executor lifetime.
-    Workers install the process solve cache through the pool
-    initializer, so LP round schedules / chain plans computed for one
-    request are hits for the next.
+    The pool is built lazily on first :meth:`pool` / :meth:`acquire` (or
+    eagerly via :meth:`prewarm`) and then reused by every later call.
+    Workers use the ``spawn`` start method and install the process solve
+    cache through the pool initializer, so LP round schedules / chain
+    plans computed for one call are hits for the next.
 
     A worker that dies (an OOM kill, a crash) breaks the whole
-    ``ProcessPoolExecutor``.  The next :meth:`acquire` replaces a pool that
+    ``ProcessPoolExecutor``.  The next :meth:`pool` replaces a pool that
     has flagged itself broken with a fresh one and counts it in
-    ``restarts``; the broken pool is shut down without waiting.  A request
-    whose chunks were in flight when the worker died still fails (its
-    result is lost with the worker); requests after it succeed.
+    ``restarts``; the broken pool is shut down without waiting.
 
     Thread-safe: the request server handles requests on a thread pool,
     and ``ProcessPoolExecutor`` submissions are themselves thread-safe,
@@ -154,40 +157,39 @@ class WarmPoolExecutor(RequestExecutor):
 
     def __init__(self, n_workers: int | None = None,
                  solve_cache_entries: int = WORKER_SOLVE_CACHE_ENTRIES):
+        super().__init__()
         self.n_workers = n_workers
         self.solve_cache_entries = int(solve_cache_entries)
-        self.requests = 0
         self.pools_built = 0
         self.restarts = 0
         self._pool = None
         self._lock = threading.Lock()
 
-    def acquire(self):
-        self.requests += 1
-        return self._ensure_pool()
-
     def prewarm(self) -> None:
-        """Build the pool and force every worker process to start now.
+        """Build the pool (replacing a broken one) and force every worker
+        process to start now.
 
-        A no-op when already warm.  Servers call this before accepting
-        traffic so the first request does not absorb the spawn cost.
+        Servers call this before accepting traffic so the first request
+        does not absorb the spawn cost.
         """
-        pool = self._ensure_pool()
+        pool = self.pool()
         # A map wider than the pool guarantees every worker has started
         # (and run the solve-cache initializer) before this returns.
         n = pool._max_workers
         list(pool.map(_noop, range(2 * n)))
 
-    def _ensure_pool(self):
+    def pool(self):
         broken = None
         with self._lock:
             if self._pool is not None and _is_broken(self._pool):
                 broken, self._pool = self._pool, None
                 self.restarts += 1
             if self._pool is None:
-                self._pool = worker_pool(
-                    self.n_workers,
-                    solve_cache_entries=self.solve_cache_entries,
+                self._pool = ProcessPoolExecutor(
+                    max_workers=self.n_workers,
+                    mp_context=get_context(_MP_START_METHOD),
+                    initializer=install_solve_cache,
+                    initargs=(self.solve_cache_entries,),
                 )
                 self.pools_built += 1
             pool = self._pool
@@ -228,7 +230,6 @@ class WarmPoolExecutor(RequestExecutor):
     def stats(self) -> dict:
         stats = super().stats()
         stats.update(
-            requests=self.requests,
             pools_built=self.pools_built,
             restarts=self.restarts,
             warm=self.warm,
@@ -253,29 +254,6 @@ def _is_broken(pool) -> bool:
 def _noop(_i):
     """Picklable worker warm-up task (module-level for ``spawn``)."""
     return None
-
-
-_default_lock = threading.Lock()
-_default: RequestExecutor | None = None
-
-
-def default_executor() -> RequestExecutor:
-    """The module-level default executor (a :class:`SerialExecutor`
-    created on first use, unless replaced)."""
-    global _default
-    with _default_lock:
-        if _default is None:
-            _default = SerialExecutor()
-        return _default
-
-
-def set_default_executor(executor: RequestExecutor | None) -> RequestExecutor | None:
-    """Replace the module default; returns the previous one (not closed —
-    the caller owns both lifecycles).  ``None`` resets to lazy-serial."""
-    global _default
-    with _default_lock:
-        previous, _default = _default, executor
-    return previous
 
 
 def make_executor(kind: str, n_workers: int | None = None,

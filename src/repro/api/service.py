@@ -10,18 +10,22 @@ ScenarioGrid` across many policies.
 
 Both accept ``backend="serial"`` or ``backend="process"``, or an
 injected request *executor* (``executor=``, see
-:mod:`repro.server.executors`) that owns a long-lived worker pool reused
-across calls — the request server's warm-pool story.  The process
-backend dispatches contiguous chunks of trials across a
-``multiprocessing`` pool; because trial ``k``'s RNG stream is child ``k``
+:mod:`repro.api.executors`) that owns a long-lived worker pool reused
+across calls — the request server's warm-pool story.  A process call
+with no injected executor opens a
+:class:`~repro.api.executors.WarmPoolExecutor` for that call (or sweep)
+and closes it on exit, so every worker pool is built in one place.  The
+process backend dispatches contiguous chunks of trials across the pool;
+a chunk map that a dying worker breaks is re-run once on a rebuilt
+pool.  Because trial ``k``'s RNG stream is child ``k``
 of the config seed's spawn tree (the same ``Generator.spawn`` tree the
 serial loop walks, built on first use wherever the trial runs), the two
 backends produce **bit-identical** makespan samples — parallelism never
 changes results, only wall-clock time.  That
 invariance holds under both RNG disciplines (``SimConfig.discipline``):
 v1 replays the serial tree, v2 addresses its batch-native streams by
-global trial index, so chunk layout is invisible either way.  Worker
-pools install the cross-batch solve cache
+global trial index, so chunk layout is invisible either way — and so
+is the retry.  Worker pools install the cross-batch solve cache
 (:func:`repro.core.phased.install_solve_cache`) through their
 initializer, so a grid sweep's shared round-1 LPs are solved once per
 worker process instead of once per chunk.
@@ -31,17 +35,17 @@ from __future__ import annotations
 
 import functools
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from dataclasses import dataclass
-from multiprocessing import get_context
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.api.executors import WarmPoolExecutor
 from repro.api.registry import default_policy_for, policy_factory, policy_info
 from repro.api.scenario import Scenario, ScenarioGrid, SimConfig
-from repro.core.phased import install_solve_cache, shared_solve_cache
+from repro.core.phased import shared_solve_cache
 from repro.instance.instance import SUUInstance
 from repro.lp.stats import lp_stats_delta, lp_stats_snapshot
 from repro.sim.batch import run_policy_batch
@@ -62,15 +66,9 @@ __all__ = [
     "simulate",
     "evaluate_grid",
     "run_trial_batch",
-    "worker_pool",
 ]
 
 _BACKENDS = ("serial", "process")
-
-#: Start method for worker pools.  ``spawn`` is used everywhere (not just
-#: where it is the OS default) so results and failure modes are identical
-#: across platforms and workers never inherit forked interpreter state.
-_MP_START_METHOD = "spawn"
 
 
 @dataclass(frozen=True)
@@ -216,42 +214,12 @@ def _with_kwargs(fn, kwargs):
 #: by construction.
 SERIAL_BATCH_THRESHOLD = 256
 
-#: Solve-cache capacity installed into pool workers.  A worker serves
-#: many chunks and grid cells over its lifetime, so it gets a larger
-#: cache than the in-process default (the pool initializer is what makes
-#: the setting land in ``spawn``-ed processes).
-WORKER_SOLVE_CACHE_ENTRIES = 4096
-
 #: Minimum trials per process-backend chunk.  One chunk per worker was
 #: tuned for the scalar loop; the batch kernel amortizes per-step work
 #: over the whole chunk, so many tiny chunks waste kernel efficiency and
 #: IPC — fewer, larger chunks win once workers outnumber the trials'
 #: useful parallelism.
 MIN_CHUNK_TRIALS = 64
-
-
-def worker_pool(
-    n_workers: int | None = None,
-    solve_cache_entries: int = WORKER_SOLVE_CACHE_ENTRIES,
-) -> ProcessPoolExecutor:
-    """Construct the standard trial-chunk worker pool.
-
-    The single place pool workers are configured: ``spawn`` start method
-    (platform-uniform, no inherited interpreter state) and the process
-    solve cache installed through the initializer, so every worker keeps
-    a warm cache across all chunks, grid cells, and server requests it
-    handles.  Callers own the lifecycle — :func:`simulate` /
-    :func:`evaluate_grid` build one per call when asked for the process
-    backend with no injected executor (the historical behavior), while
-    :class:`repro.server.executors.WarmPoolExecutor` keeps one alive
-    across requests.
-    """
-    return ProcessPoolExecutor(
-        max_workers=n_workers,
-        mp_context=get_context(_MP_START_METHOD),
-        initializer=install_solve_cache,
-        initargs=(solve_cache_entries,),
-    )
 
 
 def _chunk_bounds(n_items: int, n_chunks: int) -> list[tuple[int, int]]:
@@ -334,41 +302,10 @@ def _fast_path_eligible(factory, discipline: str = "v1") -> bool:
     return supports_batch(probe) or supports_phased(probe, discipline)
 
 
-def _small_batch(config: SimConfig) -> bool:
-    """Whether the trial count is below the serial fast-path threshold.
-
-    One predicate shared by :func:`_run_batched` (take the fast path) and
-    :func:`evaluate_grid` (skip building a pool) so the two sites cannot
-    drift apart.
-    """
-    return config.n_trials < SERIAL_BATCH_THRESHOLD
-
-
-def _spec_fast_path_eligible(spec, discipline: str = "v1") -> bool:
-    """Fast-path eligibility for a policy *spec* as :func:`evaluate_grid`
-    receives it (registry name, ``"auto"``, class, or factory).
-
-    ``"auto"`` resolves per scenario — some precedence-class defaults run
-    per trial under discipline v1 (suu-c, suu-t) — so it
-    conservatively reports False: the sweep builds its shared pool, and
-    cells that do take the fast path simply never touch it.
-    """
-    if isinstance(spec, str):
-        if spec == "auto":
-            return False
-        try:
-            spec = policy_factory(spec)
-        except Exception:
-            return False
-    return _fast_path_eligible(spec, discipline)
-
-
-def _run_batched(
-    instance, factory, config: SimConfig, knobs, backend: str, n_workers,
-    pool=None, want_completions=False, force_transport=False,
-    substream=None,
-):
-    """Dispatch the trials on the requested backend.
+def _run_batched(instance, factory, config: SimConfig, knobs, executor=None,
+                 want_completions=False, substream=None):
+    """Run the trials in-process (``executor`` ``None`` or serial) or as
+    trial chunks on ``executor``'s worker pool.
 
     Returns :func:`run_trial_batch`'s ``(makespans, completions,
     lp_delta)`` triple for the whole run.  ``knobs`` is the frozen
@@ -378,20 +315,15 @@ def _run_batched(
     (:class:`~repro.util.rng.SpawnedRngs`, built on first use; chunks
     ship spans of it, not generator states), so the samples are
     bit-identical across backends, worker counts, and chunk layouts.
-    ``pool`` lets :func:`evaluate_grid` (and injected request executors)
-    reuse one long-lived pool (with ``n_workers`` workers) across many
-    cells/requests instead of paying pool startup per call.
-    ``force_transport`` disables the small-batch fast path: an explicitly
-    injected executor owns the transport decision, and its warm workers
-    (not this process) are where cache reuse should accumulate.
+    That also makes a chunk map a dying worker broke safe to re-run: it
+    runs once more on the executor's rebuilt, re-warmed pool, and a
+    second break propagates.
     ``substream`` (``config.substreams == "per-policy"`` in grid sweeps)
     re-roots *all* the run's randomness — the v1 trial tree and the v2
     batch streams alike — at :meth:`BatchStreams.child` of that index, so
     the same seed gives each compared policy statistically independent
     draws instead of common random numbers.
     """
-    if backend not in _BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; expected one of {_BACKENDS}")
     # Under v2 the whole run shares one stream root addressed by global
     # trial index (chunk-layout invariant).
     sub_root = None
@@ -406,42 +338,39 @@ def _run_batched(
     root = (ensure_rng(config.seed).bit_generator.seed_seq if sub_root is None
             else sub_root)
     rngs = SpawnedRngs(root, config.n_trials)
-    # Serial-batch fast path: for fast-path-eligible policies, small
-    # batches lose more to pool dispatch than they gain from parallelism.
-    # Identical samples either way — only the transport changes.
-    # Per-trial-dispatch policies keep their explicit process request
-    # regardless of size.
-    if backend == "serial" or (
-        not force_transport
-        and _small_batch(config)
-        and _fast_path_eligible(factory, knobs.discipline)
-    ):
+    if executor is None or executor.backend == "serial":
         return run_trial_batch(
             instance, factory, rngs, config, knobs, streams, want_completions
         )
-    n_workers = n_workers or min(os.cpu_count() or 1, config.n_trials)
-    with nullcontext(pool) if pool is not None else worker_pool(n_workers) as pool:
-        return _map_chunks(
-            pool, n_workers, instance, factory, rngs, config, knobs, streams,
-            want_completions,
-        )
+    args = (executor.n_workers or min(os.cpu_count() or 1, config.n_trials),
+            instance, factory, rngs, config, knobs, streams, want_completions)
+    try:
+        return _map_chunks(executor.pool(), *args)
+    except BrokenProcessPool:
+        executor.prewarm()  # replaces the broken pool, counts a restart
+        return _map_chunks(executor.pool(), *args)
 
 
-def _resolve_executor(executor, backend, n_workers):
-    """Fold an injected request executor into ``(backend, n_workers, pool)``.
+def _open_executor(executor, backend, n_workers, n_trials):
+    """The executor a :func:`simulate` / :func:`evaluate_grid` call runs
+    on, as a context manager.
 
-    Executors (see :mod:`repro.server.executors`) are duck-typed here so
-    the api layer never imports the server layer: anything with a
-    ``backend`` attribute (``"serial"``/``"process"``), an ``n_workers``
-    attribute, and an ``acquire()`` returning a chunk pool (or ``None``
-    for in-process execution) plugs in.  When an executor is given it
-    *owns* the transport — it overrides ``backend`` and, for process
-    executors, supplies the long-lived pool.
+    An injected executor owns the transport: it counts this call
+    (:meth:`~repro.api.executors.RequestExecutor.acquire`) and outlives
+    it.  Otherwise ``backend="process"`` opens a
+    :class:`~repro.api.executors.WarmPoolExecutor` that lives for this
+    call only; its pool is built by the first chunk map, so a call whose
+    every batch takes the small-batch fast path never builds one.
+    ``backend="serial"`` runs in-process (``None``).
     """
-    if executor is None:
-        return backend, n_workers, None, False
-    pool = executor.acquire()
-    return executor.backend, executor.n_workers or n_workers, pool, True
+    if executor is not None:
+        executor.acquire()
+        return nullcontext(executor)
+    if backend not in _BACKENDS:
+        raise ValueError(f"unknown backend {backend!r}; expected one of {_BACKENDS}")
+    if backend == "serial":
+        return nullcontext(None)
+    return WarmPoolExecutor(n_workers or min(os.cpu_count() or 1, n_trials))
 
 
 def simulate(
@@ -475,11 +404,13 @@ def simulate(
         Process-backend pool size (default: CPU count, capped at the
         trial count).
     executor:
-        An injected request executor (e.g. :class:`repro.server.
+        An injected request executor (e.g. :class:`repro.api.
         executors.WarmPoolExecutor`) that owns the dispatch transport —
         long-lived warm pools reused across calls instead of a per-call
-        pool spin-up.  Overrides ``backend``; samples stay bit-identical
-        regardless (trial ``k`` reads child ``k`` of the spawn tree).
+        pool spin-up.  Overrides ``backend`` and ``n_workers``, and
+        always dispatches on its pool (no small-batch fast path); samples
+        stay bit-identical regardless (trial ``k`` reads child ``k`` of
+        the spawn tree).
     per_job:
         Also collect the per-trial completion matrix and attach
         :class:`~repro.analysis.perjob.PerJobStats` to the report
@@ -490,18 +421,15 @@ def simulate(
         ``inner="obl"`` for SUU-C ablations).
     """
     config = config or SimConfig()
-    backend, n_workers, pool, forced = _resolve_executor(
-        executor, backend, n_workers
-    )
-    if isinstance(scenario, SUUInstance):
-        declarative, instance = None, scenario
-    else:
-        declarative, instance = scenario, scenario.to_instance()
-    return _simulate_instance(
-        declarative, instance, policy, config, config.resolved(), backend,
-        n_workers, policy_kwargs, pool=pool, per_job=per_job,
-        force_transport=forced,
-    )
+    with _open_executor(executor, backend, n_workers, config.n_trials) as ex:
+        if isinstance(scenario, SUUInstance):
+            declarative, instance = None, scenario
+        else:
+            declarative, instance = scenario, scenario.to_instance()
+        return _simulate_instance(
+            declarative, instance, policy, config, config.resolved(), ex,
+            policy_kwargs, fast_path=executor is None, per_job=per_job,
+        )
 
 
 def _simulate_instance(
@@ -510,28 +438,34 @@ def _simulate_instance(
     policy,
     config,
     knobs,
-    backend,
-    n_workers,
+    executor,
     policy_kwargs,
-    pool=None,
+    fast_path,
     bound=None,
     per_job=False,
-    force_transport=False,
     substream=None,
 ):
     """Shared core of :func:`simulate` / :func:`evaluate_grid`.
 
-    ``knobs`` is the caller's one ``config.resolved()`` snapshot.
-    ``pool`` and ``bound`` let grid sweeps (and injected executors) reuse
-    one process pool and one LP lower-bound solve across the cells that
-    share a scenario; ``substream`` is the per-policy stream index grid
-    sweeps pass under ``config.substreams == "per-policy"``.
+    ``knobs`` is the caller's one ``config.resolved()`` snapshot and
+    ``executor`` the one :func:`_open_executor` opened.  ``fast_path``
+    lets a small batch of a fast-path-eligible policy run in-process
+    whatever the executor: for vectorized and phased policies that beats
+    worker dispatch + pickling, with identical samples.  Callers clear it
+    for injected executors, which own the transport decision (their warm
+    workers, not this process, are where cache reuse should accumulate).
+    ``bound`` lets grid sweeps reuse one LP lower-bound solve across the
+    cells that share a scenario; ``substream`` is the per-policy stream
+    index grid sweeps pass under ``config.substreams == "per-policy"``.
     """
     label, factory = _resolve_policy(policy, instance, policy_kwargs)
+    if (fast_path and executor is not None
+            and config.n_trials < SERIAL_BATCH_THRESHOLD
+            and _fast_path_eligible(factory, knobs.discipline)):
+        executor = None
     samples, completions, lp_stats = _run_batched(
-        instance, factory, config, knobs, backend, n_workers, pool=pool,
-        want_completions=per_job, force_transport=force_transport,
-        substream=substream,
+        instance, factory, config, knobs, executor,
+        want_completions=per_job, substream=substream,
     )
     job_stats = None
     if per_job:
@@ -590,46 +524,31 @@ def evaluate_grid(
     Per-scenario work is shared across the policy cells: the instance is
     materialized and its LP lower bound solved once, and under
     ``backend="process"`` a single worker pool serves the whole sweep
-    instead of being re-spawned per cell.  An injected ``executor``
-    replaces that per-sweep pool with its own long-lived one (reused
-    across *sweeps*, not just cells) and overrides ``backend``.
+    instead of being re-spawned per cell (built by the first cell that
+    dispatches chunks, so a sweep of small fast-path batches builds
+    none).  An injected ``executor`` replaces that per-sweep pool with
+    its own long-lived one (reused across *sweeps*, not just cells),
+    overrides ``backend``, and counts the sweep as one request.
     """
     if isinstance(policies, str):
         policies = (policies,)
     config = config or SimConfig()
     knobs = config.resolved()
-    backend, n_workers, injected_pool, forced = _resolve_executor(
-        executor, backend, n_workers
-    )
-    pool_cm = nullcontext(injected_pool)
-    # Skip the shared pool only when *every* cell will take the serial-
-    # batch fast path; one per-trial-dispatch policy in the sweep
-    # keeps the single shared pool (per-cell pools would pay spawn-method
-    # worker start-up once per cell).  Workers get the process-wide solve
-    # cache installed up front, so the round-1 LPs shared by a sweep's
-    # cells are solved once per worker, not once per chunk.
-    if executor is None and backend == "process" and not (
-        _small_batch(config)
-        and all(_spec_fast_path_eligible(p, knobs.discipline) for p in policies)
-    ):
-        n_workers = n_workers or min(os.cpu_count() or 1, config.n_trials)
-        pool_cm = worker_pool(n_workers)
     # Per-policy substreams: under "per-policy" every policy column gets
     # its own child of the run's stream root (independent estimates);
     # the "shared" default keeps common random numbers across policies.
     per_policy = knobs.substreams == "per-policy"
     reports = []
-    with pool_cm as pool:
+    with _open_executor(executor, backend, n_workers, config.n_trials) as ex:
         for scenario in grid:
             instance = scenario.to_instance()
             bound = _lower_bound(instance)
             for k, policy in enumerate(policies):
                 reports.append(
                     _simulate_instance(
-                        scenario, instance, policy, config, knobs, backend,
-                        n_workers, {}, pool=pool, bound=bound,
-                        per_job=per_job, force_transport=forced,
-                        substream=k if per_policy else None,
+                        scenario, instance, policy, config, knobs, ex, {},
+                        fast_path=executor is None, bound=bound,
+                        per_job=per_job, substream=k if per_policy else None,
                     )
                 )
     return reports

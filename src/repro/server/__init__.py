@@ -1,16 +1,16 @@
 """``repro.server`` — scheduling as a service.
 
-Two layers:
-
-* :mod:`repro.server.executors` — pluggable *request executors* that own
-  the dispatch transport for :func:`repro.api.simulate` /
-  :func:`repro.api.evaluate_grid` calls: :class:`SerialExecutor`
-  (in-process) and :class:`WarmPoolExecutor` (one long-lived,
-  solve-cache-warm worker pool reused across requests).
 * :mod:`repro.server.app` — the persistent asyncio HTTP service
   (``POST /simulate``, ``POST /grid``, ``GET /policies``,
   ``GET /healthz``) with keep-alive connections and graceful draining
   shutdown.
+* The *request executors* it runs requests on, re-exported from
+  :mod:`repro.api.executors` (they live in the api layer, beside the
+  service that dispatches on them): :class:`SerialExecutor` (in-process)
+  and :class:`WarmPoolExecutor` (one long-lived, solve-cache-warm worker
+  pool reused across requests — the one place a worker pool is built;
+  it replaces a pool a dead worker broke, and a request whose chunks
+  were in flight re-runs them once on the replacement).
 
 Quick start::
 
@@ -26,6 +26,13 @@ or, from a shell: ``repro serve --executor warm-pool`` and
 ``repro loadgen --rps 50 --duration 10`` (see :mod:`repro.loadgen`).
 """
 
+from repro.api.executors import (
+    EXECUTOR_KINDS,
+    RequestExecutor,
+    SerialExecutor,
+    WarmPoolExecutor,
+    make_executor,
+)
 from repro.server.app import (
     HttpError,
     SchedulingServer,
@@ -33,23 +40,12 @@ from repro.server.app import (
     ServerHandle,
     serve_background,
 )
-from repro.server.executors import (
-    EXECUTOR_KINDS,
-    RequestExecutor,
-    SerialExecutor,
-    WarmPoolExecutor,
-    default_executor,
-    make_executor,
-    set_default_executor,
-)
 
 __all__ = [
     # Executors
     "RequestExecutor",
     "SerialExecutor",
     "WarmPoolExecutor",
-    "default_executor",
-    "set_default_executor",
     "make_executor",
     "EXECUTOR_KINDS",
     # HTTP service

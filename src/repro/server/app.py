@@ -26,7 +26,7 @@ framework: an HTTP/1.1 parser supporting keep-alive and
 keeps the event loop transparent for the latency experiments built on
 top.  Simulation work never blocks the loop: handlers run on a thread
 pool, and the heavy lifting is dispatched through the injected request
-executor (:mod:`repro.server.executors`) — a warm process pool under
+executor (:mod:`repro.api.executors`) — a warm process pool under
 the default server configuration.  Shutdown is graceful: the listener
 closes first, in-flight requests drain (bounded by ``drain_timeout``),
 then connections are torn down.
@@ -41,11 +41,11 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.api.config import resolve_kernel_threads
+from repro.api.executors import RequestExecutor, SerialExecutor
 from repro.api.registry import list_policies
 from repro.api.scenario import Scenario, ScenarioGrid, SimConfig
 from repro.api.service import evaluate_grid, simulate
 from repro.errors import ReproError
-from repro.server.executors import RequestExecutor, default_executor
 
 __all__ = [
     "HttpError",
@@ -139,15 +139,16 @@ def _report_payload(report, include_samples: bool) -> dict:
 class SchedulingService:
     """The transport-independent request handlers.
 
-    Owns the injected :class:`~repro.server.executors.RequestExecutor`
-    *reference* (not its lifecycle) and the service counters; the HTTP
-    layer, tests, and any future transport call :meth:`handle` with
-    ``(method, path, body-dict-or-None)`` and get ``(status, payload)``
-    back.
+    Owns the injected :class:`~repro.api.executors.RequestExecutor`
+    *reference* (not its lifecycle; without one it runs requests on its
+    own :class:`~repro.api.executors.SerialExecutor`) and the service
+    counters; the HTTP layer, tests, and any future transport call
+    :meth:`handle` with ``(method, path, body-dict-or-None)`` and get
+    ``(status, payload)`` back.
     """
 
     def __init__(self, executor: RequestExecutor | None = None):
-        self.executor = executor if executor is not None else default_executor()
+        self.executor = executor if executor is not None else SerialExecutor()
         self.started_at = time.time()
         self.served = 0
         self.errors = 0
@@ -254,9 +255,10 @@ class SchedulingServer:
     Parameters
     ----------
     executor:
-        Request executor backing the service (default: the module
-        default, serial).  The server does not close it — lifecycles
-        compose from the outside (``with WarmPoolExecutor() as ex: ...``).
+        Request executor backing the service (default: a
+        :class:`~repro.api.executors.SerialExecutor`).  The server does
+        not close it — lifecycles compose from the outside
+        (``with WarmPoolExecutor() as ex: ...``).
     host / port:
         Bind address; ``port=0`` picks a free port (read it back from
         ``server.port`` after :meth:`start`).

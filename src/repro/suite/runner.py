@@ -9,10 +9,12 @@ exactly that cell.
 
 Execution goes through the existing :mod:`repro.api.service` executor
 seam: with ``jobs > 1`` the runner owns one
-:func:`~repro.api.service.worker_pool` for the whole suite and hands it to
-every :func:`~repro.api.service.simulate` call as an injected executor, so
-trials fan out across processes along the service's shard seam while the
-cache/resume bookkeeping stays in this process.
+:class:`~repro.api.executors.WarmPoolExecutor` for the whole suite and
+hands it to every :func:`~repro.api.service.simulate` call, so trials fan
+out across processes along the service's shard seam while the
+cache/resume bookkeeping stays in this process.  Its pool is built by the
+first cell that runs, and a pool a dead worker broke is replaced for the
+next cell (or, mid-cell, for that cell's one retry).
 """
 
 from __future__ import annotations
@@ -21,35 +23,15 @@ import json
 import os
 import tempfile
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
-from repro.api.service import simulate, worker_pool
+from repro.api.executors import WarmPoolExecutor
+from repro.api.service import simulate
 from repro.suite.digest import CELL_FORMAT, cell_digest, cell_payload
 from repro.suite.spec import ExperimentCell, SimulateCell, SuiteSpec
 
 __all__ = ["CellOutcome", "SuiteOutcome", "SuiteRunner", "execute_cell"]
-
-
-class _SuitePoolExecutor:
-    """The suite's warm pool, shaped like a request executor.
-
-    Duck-types the seam :func:`repro.api.service._resolve_executor`
-    expects (``backend`` / ``n_workers`` / ``acquire()``), so one
-    spawn-warmed pool serves every cell instead of being rebuilt per
-    cell.
-    """
-
-    backend = "process"
-
-    def __init__(self, n_workers: int):
-        self.n_workers = n_workers
-        self._pool = worker_pool(n_workers)
-
-    def acquire(self):
-        return self._pool
-
-    def close(self) -> None:
-        self._pool.shutdown()
 
 
 def execute_cell(cell, executor=None) -> dict:
@@ -146,8 +128,8 @@ class SuiteRunner:
         """
         os.makedirs(self.cells_dir, exist_ok=True)
         outcome = SuiteOutcome(suite=self.spec.name)
-        executor = None
-        try:
+        with (WarmPoolExecutor(self.jobs) if self.jobs > 1
+              else nullcontext()) as executor:
             for cell, digest in self._addressed():
                 path = self.cell_path(digest)
                 if not self.force and os.path.exists(path):
@@ -155,9 +137,6 @@ class SuiteRunner:
                         artifact = json.load(fh)
                     record = CellOutcome(digest, cell.label(), True, artifact)
                 else:
-                    if (executor is None and self.jobs > 1
-                            and isinstance(cell, SimulateCell)):
-                        executor = _SuitePoolExecutor(self.jobs)
                     artifact = self._materialize(cell, digest, executor)
                     self._write_atomic(path, artifact)
                     record = CellOutcome(digest, cell.label(), False, artifact)
@@ -166,9 +145,6 @@ class SuiteRunner:
                     state = "cached" if record.cached else (
                         f"ran in {artifact['elapsed_seconds']:.2f}s")
                     progress(f"[{digest[:12]}] {record.label}: {state}")
-        finally:
-            if executor is not None:
-                executor.close()
         self._write_report(outcome)
         return outcome
 

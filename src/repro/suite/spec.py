@@ -17,9 +17,11 @@ optional registered-experiment entries::
 ``sweep`` axes are :class:`~repro.api.scenario.SimConfig` fields (seeds,
 disciplines, kernel_threads, ...); every combination multiplies
 the grid × policies product.  Loading is *strict*: unknown top-level
-keys, unknown sweep fields, unknown policies, and unknown experiment ids
-all raise :class:`SuiteError` at load time — a typo must never silently
-shrink a sweep.
+keys, unknown sweep fields, unknown policies, unknown experiment ids, and
+malformed shapes (a sweep axis or ``experiments`` that is not a list, a
+``grid`` that is not a mapping, ``policies`` that is neither a name nor a
+list) all raise :class:`SuiteError` at load time — a typo must never
+silently shrink a sweep.
 """
 
 from __future__ import annotations
@@ -136,6 +138,10 @@ class SuiteSpec:
 def _validate_policies(policies, name: str) -> tuple[str, ...]:
     if isinstance(policies, str):
         policies = [policies]
+    if not isinstance(policies, (list, tuple)):
+        raise SuiteError(
+            f"suite {name!r}: 'policies' must be a name or a list of names"
+        )
     out = []
     for policy in policies:
         if not isinstance(policy, str):
@@ -162,6 +168,10 @@ def _validate_sweep(sweep: dict, name: str) -> tuple[tuple[str, tuple], ...]:
                 f"suite {name!r}: unknown sweep field {field!r}; "
                 f"expected a SimConfig field ({sorted(valid)})"
             )
+        if not isinstance(values, (list, tuple)):
+            raise SuiteError(
+                f"suite {name!r}: sweep axis {field!r} must be a list of values"
+            )
         values = tuple(values)
         if not values:
             raise SuiteError(f"suite {name!r}: sweep axis {field!r} has no values")
@@ -170,6 +180,8 @@ def _validate_sweep(sweep: dict, name: str) -> tuple[tuple[str, tuple], ...]:
 
 
 def _validate_experiments(entries, name: str) -> tuple[ExperimentCell, ...]:
+    if not isinstance(entries, (list, tuple)):
+        raise SuiteError(f"suite {name!r}: 'experiments' must be a list")
     # Deferred import: repro.experiments pulls analysis/sim modules that
     # are not needed to *load* a simulate-only suite.
     from repro.experiments import experiment_ids
@@ -214,8 +226,11 @@ def suite_from_dict(data: dict) -> SuiteSpec:
     name = data.get("name")
     if not name or not isinstance(name, str):
         raise SuiteError("suite file needs a non-empty string 'name'")
+    grid_data, config_data = data.get("grid"), data.get("config", {})
+    for key, value in (("grid", grid_data), ("config", config_data)):
+        if value is not None and not isinstance(value, dict):
+            raise SuiteError(f"suite {name!r}: {key!r} must be a mapping")
     try:
-        grid_data = data.get("grid")
         if grid_data is None:
             grid = None
         elif "base" in grid_data or "axes" in grid_data:
@@ -223,8 +238,10 @@ def suite_from_dict(data: dict) -> SuiteSpec:
         else:
             # A bare scenario mapping is a single-point grid.
             grid = ScenarioGrid(Scenario.from_dict(grid_data))
-        config = SimConfig.from_dict(data.get("config", {}))
-    except InvalidScenarioError as exc:
+        config = SimConfig.from_dict(config_data)
+    except (InvalidScenarioError, TypeError, ValueError) as exc:
+        # TypeError/ValueError: a nested shape is wrong (a 'base' that is
+        # not a mapping, an axis that is not a list).
         raise SuiteError(f"suite {name!r}: {exc}") from exc
     spec = SuiteSpec(
         name=name,

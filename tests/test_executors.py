@@ -1,5 +1,6 @@
 """Request executors and solve-cache hygiene: lifecycle, reuse, identity."""
 
+import multiprocessing
 import os
 import signal
 import time
@@ -7,20 +8,35 @@ import time
 import numpy as np
 import pytest
 
-from repro.api import Scenario, SimConfig, simulate
-from repro.core.phased import ProcessSolveCache
-from repro.server.executors import (
+from repro.api import Scenario, SimConfig, evaluate_grid, simulate
+from repro.api.executors import (
     EXECUTOR_KINDS,
     SerialExecutor,
     WarmPoolExecutor,
-    default_executor,
     make_executor,
-    set_default_executor,
 )
+from repro.api.registry import policy_factory
+from repro.core.phased import ProcessSolveCache
 
 SCENARIO = Scenario(shape="independent", n_jobs=8, n_machines=3,
                     model="uniform", seed=7)
 QUICK = SimConfig(n_trials=8, seed=3)
+
+
+class KillWorkerOnce:
+    """Picklable ``greedy`` factory that SIGKILLs the pool worker running
+    it, the first time any worker does (``marker`` records that one did).
+    In the calling process it is a plain factory."""
+
+    def __init__(self, marker):
+        self.marker = str(marker)
+
+    def __call__(self):
+        if (multiprocessing.parent_process() is not None
+                and not os.path.exists(self.marker)):
+            open(self.marker, "w").close()
+            os.kill(os.getpid(), signal.SIGKILL)
+        return policy_factory("greedy")()
 
 
 @pytest.fixture()
@@ -148,17 +164,12 @@ class TestExecutorRegistry:
         with pytest.raises(ValueError, match="unknown executor kind"):
             make_executor("gpu")
 
-    def test_default_executor_is_lazy_serial_and_replaceable(self):
-        previous = set_default_executor(None)
-        try:
-            first = default_executor()
-            assert isinstance(first, SerialExecutor)
-            assert default_executor() is first
-            mine = SerialExecutor()
-            assert set_default_executor(mine) is first
-            assert default_executor() is mine
-        finally:
-            set_default_executor(previous)
+    def test_service_without_executor_gets_its_own_serial(self):
+        from repro.server import SchedulingService
+
+        first, second = SchedulingService(), SchedulingService()
+        assert isinstance(first.executor, SerialExecutor)
+        assert first.executor is not second.executor
 
 
 class TestWarmPoolExecutor:
@@ -230,3 +241,35 @@ class TestWarmPoolExecutor:
             assert stats["restarts"] == 1
             assert stats["pools_built"] == 2
             assert stats["warm"] is True
+
+    def test_in_flight_chunk_is_retried_on_a_rebuilt_pool(self, tmp_path):
+        """A worker dies mid-chunk: the map re-runs once on a rebuilt pool
+        and the samples equal the serial run's."""
+        factory = KillWorkerOnce(tmp_path / "killed")
+        serial = simulate(SCENARIO, factory, QUICK)
+        with WarmPoolExecutor(n_workers=1) as ex:
+            report = simulate(SCENARIO, factory, QUICK, executor=ex)
+            stats = ex.stats()
+        assert (tmp_path / "killed").exists(), "no worker was killed"
+        assert np.array_equal(report.stats.samples, serial.stats.samples)
+        assert stats["restarts"] == 1 and stats["requests"] == 1
+
+    def test_grid_counts_one_request_and_owned_pools_close(self):
+        """One request per evaluate_grid call, however many cells; an
+        un-injected process sweep closes the pool it opened."""
+        grid = [SCENARIO, Scenario(shape="independent", n_jobs=6,
+                                   n_machines=2, seed=1)]
+        # "random" runs per trial, so an un-injected process sweep
+        # dispatches its cells to a pool too.
+        policies = ("greedy", "random")
+        with WarmPoolExecutor(n_workers=1) as ex:
+            injected = evaluate_grid(grid, policies, config=QUICK, executor=ex)
+            assert ex.requests == 1 and ex.pools_built == 1
+        serial = evaluate_grid(grid, policies, config=QUICK)
+        before = set(multiprocessing.active_children())
+        owned = evaluate_grid(grid, policies, config=QUICK, backend="process",
+                              n_workers=1)
+        assert set(multiprocessing.active_children()) <= before, "a pool leaked"
+        for a, b, c in zip(serial, injected, owned, strict=True):
+            assert np.array_equal(a.stats.samples, b.stats.samples)
+            assert np.array_equal(a.stats.samples, c.stats.samples)

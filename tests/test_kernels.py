@@ -1044,7 +1044,7 @@ class TestThreading:
         assert payload["kernel"] == {"threads": threads}
 
     def test_cold_warm_pool_stats_leave_pool_unbuilt(self):
-        from repro.server.executors import make_executor
+        from repro.api.executors import make_executor
 
         executor = make_executor("warm-pool", 1)
         try:

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.perjob import PerJobStats, per_job_stats
-from repro.api import SimConfig, simulate
+from repro.api import Scenario, SimConfig, evaluate_grid, simulate
 from repro.api.registry import policy_info
 from repro.api.service import (
     MIN_CHUNK_TRIALS,
@@ -404,22 +404,37 @@ class TestServiceRouting:
                     assert all(hi - lo >= MIN_CHUNK_TRIALS for lo, hi in bounds)
                 assert len(bounds) <= n_workers
 
-    def test_small_batches_skip_the_pool(self):
-        """Below the threshold the process backend runs in-process (same
-        samples; this asserts the bit-identity half of the contract)."""
+    def test_small_batches_skip_the_pool(self, monkeypatch):
+        """Below the threshold the process backend runs in-process with
+        the same samples, and neither a call nor a sweep builds a pool
+        (``"auto"`` resolves to fast-path policies on these shapes)."""
+        import repro.api.executors as executors
+
         assert SERIAL_BATCH_THRESHOLD > 1
         inst = make_instance("independent")
         config = SimConfig(n_trials=8, seed=5)
+        grid = [Scenario(shape=shape, n_jobs=6, n_machines=2, seed=1)
+                for shape in ("independent", "layered")]
         serial = simulate(inst, "greedy", config, backend="serial")
+        serial_grid = evaluate_grid(grid, ("auto", "greedy"), config=config)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a fast-path run built a worker pool")
+
+        monkeypatch.setattr(executors, "ProcessPoolExecutor", no_pool)
         process = simulate(inst, "greedy", config, backend="process")
         assert np.array_equal(serial.stats.samples, process.stats.samples)
+        process_grid = evaluate_grid(grid, ("auto", "greedy"), config=config,
+                                     backend="process")
+        for a, b in zip(serial_grid, process_grid, strict=True):
+            assert np.array_equal(a.stats.samples, b.stats.samples)
 
     def test_fast_path_eligibility(self):
         """An explicit process request stands for per-trial-dispatch
         policies (neither protocol, or suu-c/suu-t under v1: in-process
         batching shares no rows for them); the fast path is for
         vectorized and phased policies."""
-        from repro.api.service import _fast_path_eligible, _spec_fast_path_eligible
+        from repro.api.service import _fast_path_eligible
         from repro.baselines.greedy_lr import GreedyLRPolicy
         from repro.baselines.naive import RandomAssignmentPolicy
 
@@ -429,9 +444,6 @@ class TestServiceRouting:
         assert not _fast_path_eligible(SUUCPolicy)
         assert not _fast_path_eligible(SUUTPolicy)
         assert not _fast_path_eligible(RandomAssignmentPolicy)
-        assert _spec_fast_path_eligible("sem")
-        assert not _spec_fast_path_eligible("suu-c")
-        assert not _spec_fast_path_eligible("auto")  # may resolve to suu-c
 
     def test_pool_path_exercised_end_to_end(self):
         """A fallback-dispatch policy below the threshold must still use

@@ -2,8 +2,10 @@
 
 import dataclasses
 import json
+import multiprocessing
 import os
 import pathlib
+import signal
 import subprocess
 import sys
 
@@ -104,6 +106,25 @@ class TestSpecLoading:
     def test_grid_and_experiments_both_absent(self):
         with pytest.raises(SuiteError, match="no grid"):
             suite_from_dict({"name": "empty"})
+
+    @pytest.mark.parametrize("overrides,match", [
+        ({"sweep": {"seed": 3}}, "sweep axis 'seed' must be a list"),
+        # A string axis would otherwise split into its characters.
+        ({"sweep": {"discipline": "v2"}}, "sweep axis 'discipline' must be a list"),
+        ({"policies": 5}, "'policies' must be a name or a list"),
+        ({"experiments": 5}, "'experiments' must be a list"),
+        ({"grid": [1, 2]}, "'grid' must be a mapping"),
+        ({"grid": "independent"}, "'grid' must be a mapping"),
+        ({"grid": {"base": 5}}, "suite 'tiny'"),
+        ({"config": 5}, "'config' must be a mapping"),
+    ], ids=["sweep-int", "sweep-str", "policies-int", "experiments-int",
+            "grid-list", "grid-str", "grid-base-int", "config-int"])
+    def test_malformed_shapes_raise_suite_error(self, overrides, match):
+        with pytest.raises(SuiteError, match=match):
+            small_spec(**overrides)
+
+    def test_single_policy_string_stays_allowed(self):
+        assert small_spec(policies="obl").policies == ("obl",)
 
     def test_toml_loading_is_gated(self, tmp_path):
         path = tmp_path / "suite.toml"
@@ -294,6 +315,44 @@ class TestRunner:
         assert kinds == ["simulate", "experiment"]
         assert SuiteRunner(spec, out).run().executed == 0
 
+    def test_jobs_survive_a_worker_killed_between_cells(self, tmp_path,
+                                                         monkeypatch):
+        """SIGKILL the pool's workers after the first cell: the next cell
+        runs on a replacement pool and every result equals ``jobs=1``."""
+        import repro.suite.runner as runner_mod
+
+        spec = small_spec(config={"n_trials": 24, "max_steps": 5000},
+                          sweep={"seed": [0, 1, 2]})
+        serial = SuiteRunner(spec, tmp_path / "a").run()
+
+        executors = []
+        real = runner_mod.execute_cell
+
+        def spy(cell, executor=None):
+            executors.append(executor)
+            return real(cell, executor=executor)
+
+        monkeypatch.setattr(runner_mod, "execute_cell", spy)
+        before = {p.pid for p in multiprocessing.active_children()}
+        killed = []
+
+        def kill_workers_once(_line):
+            if killed:
+                return
+            for child in multiprocessing.active_children():
+                if child.pid not in before:
+                    os.kill(child.pid, signal.SIGKILL)
+                    killed.append(child.pid)
+
+        pooled = SuiteRunner(spec, tmp_path / "b", jobs=2).run(
+            progress=kill_workers_once)
+        assert killed, "the first cell ran on no pool worker"
+        assert pooled.executed == 3
+        assert [o.artifact["result"] for o in pooled.outcomes] == (
+            [o.artifact["result"] for o in serial.outcomes])
+        (executor,) = set(executors)
+        assert executor.restarts == 1 and executor.requests == 3
+
     def test_jobs_match_serial_results(self, tmp_path):
         spec = small_spec(config={"n_trials": 24, "max_steps": 5000})
         serial = SuiteRunner(spec, tmp_path / "a").run()
@@ -319,6 +378,17 @@ class TestCli:
         assert "executed=0 cached=1" in capsys.readouterr().out
         assert main(["suite", "status", str(suite), "--out", str(out)]) == 0
         assert "1/1 cells done" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["run", "status"])
+    def test_malformed_shape_exits_2_without_traceback(self, tmp_path, capsys,
+                                                       command):
+        from repro.__main__ import main
+
+        suite = tmp_path / "bad.json"
+        suite.write_text(json.dumps({**SMALL, "sweep": {"seed": 3}}))
+        assert main(["suite", command, str(suite), "--out",
+                     str(tmp_path / "o")]) == 2
+        assert "error: suite 'tiny': sweep axis 'seed'" in capsys.readouterr().err
 
     def test_suite_run_rejects_bad_file(self, tmp_path, capsys):
         from repro.__main__ import main
