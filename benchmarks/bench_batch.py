@@ -3,8 +3,10 @@
 These are the measurements behind the repo's batch-kernel speedup claim:
 the same oblivious-policy Monte Carlo estimate (1000 trials, SUU*
 semantics) run through the pre-batch serial loop and through
-:func:`repro.sim.batch.run_policy_batch`.  Both paths produce bit-identical
-makespan samples (asserted here and in ``tests/test_batch_engine.py``), so
+:func:`repro.sim.batch.run_policy_batch`, which computes a repeated
+schedule in closed form.  Both paths produce bit-identical makespans,
+completion times and busy machine-steps (asserted here, in
+``tests/test_batch_engine.py`` and in ``tests/test_closed_form.py``), so
 the timings are directly comparable.
 
 Run with ``make bench`` (or ``pytest benchmarks/bench_batch.py
@@ -38,14 +40,16 @@ def obl_setup():
     return inst, schedule
 
 
-def scalar_loop(inst, factory, n_trials, seed):
-    """The pre-batch serial Monte Carlo loop, verbatim."""
+def scalar_runs(inst, factory, n_trials, seed):
+    """The pre-batch serial Monte Carlo loop: one ``run_policy`` per trial."""
     rngs = ensure_rng(seed).spawn(n_trials)
+    return [run_policy(inst, factory(), r, semantics="suu_star") for r in rngs]
+
+
+def scalar_loop(inst, factory, n_trials, seed):
+    """The serial loop's makespan samples."""
     return np.array(
-        [
-            run_policy(inst, factory(), r, semantics="suu_star").makespan
-            for r in rngs
-        ],
+        [r.makespan for r in scalar_runs(inst, factory, n_trials, seed)],
         dtype=np.int64,
     )
 
@@ -91,8 +95,11 @@ def test_batch_kernel_greedy_1000(benchmark, obl_setup):
 
 
 def test_batch_speedup_and_equivalence(obl_setup):
-    """One-shot timed comparison: identical samples, large speedup.
+    """One-shot timed comparison: identical results, large speedup.
 
+    The batch side is the engine's closed form for repeated schedules
+    (threshold lookup, no stepping), so besides the makespans it must
+    reproduce every trial's completion times and busy machine-steps.
     The committed BENCH json records the precise ratio (>= 10x on the
     reference machine); the assertion floor is deliberately looser so a
     loaded CI box cannot flake the suite.
@@ -101,14 +108,20 @@ def test_batch_speedup_and_equivalence(obl_setup):
     factory = lambda: RepeatingObliviousPolicy(schedule)  # noqa: E731
 
     t0 = time.perf_counter()
-    expect = scalar_loop(inst, factory, N_TRIALS, SEED)
+    runs = scalar_runs(inst, factory, N_TRIALS, SEED)
     t1 = time.perf_counter()
     batch = run_policy_batch(
         inst, factory, N_TRIALS, rng=SEED, semantics="suu_star"
     )
     t2 = time.perf_counter()
 
-    assert np.array_equal(expect, batch.makespans)
+    assert np.array_equal([r.makespan for r in runs], batch.makespans)
+    assert np.array_equal(
+        np.stack([r.completion_times for r in runs]), batch.completion_times
+    )
+    assert np.array_equal(
+        [r.busy_machine_steps for r in runs], batch.busy_machine_steps
+    )
     speedup = (t1 - t0) / max(t2 - t1, 1e-9)
     print(f"\nbatch kernel speedup (oblivious, {N_TRIALS} trials): {speedup:.1f}x")
     assert speedup >= 5.0

@@ -18,6 +18,7 @@ import dataclasses
 import itertools
 import json
 import numbers
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
 from repro.api.config import (
@@ -54,6 +55,13 @@ SCENARIO_SHAPES: tuple[str, ...] = (
 
 #: Failure-probability models understood by the generators.
 FAILURE_MODELS: tuple[str, ...] = ("uniform", "powerlaw", "specialist", "related")
+
+
+def _check_mapping(name: str, value) -> None:
+    """Raise :class:`InvalidScenarioError` naming ``name`` unless ``value``
+    is a mapping (a JSON object)."""
+    if not isinstance(value, Mapping):
+        raise InvalidScenarioError(f"{name} must be a mapping, got {value!r}")
 
 
 def _check_int(name: str, value, minimum: int | None = None) -> None:
@@ -157,6 +165,7 @@ class SimConfig:
     def from_dict(cls, data: dict) -> SimConfig:
         """Inverse of :meth:`to_dict`; unknown keys fail loudly (a typo in
         a suite file must not silently fall back to a default)."""
+        _check_mapping("config", data)
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - known
         if unknown:
@@ -298,6 +307,7 @@ class Scenario:
     @classmethod
     def from_dict(cls, data: dict) -> Scenario:
         """Inverse of :meth:`to_dict` (the format tag is optional)."""
+        _check_mapping("scenario", data)
         data = dict(data)
         fmt = data.pop("format", _FORMAT)
         if fmt != _FORMAT:
@@ -349,6 +359,11 @@ class ScenarioGrid:
             raise InvalidScenarioError(f"unknown grid axes {sorted(unknown)}")
         self.axes: dict[str, tuple] = {}
         for name, values in axes.items():
+            # A string would split into its characters.
+            if isinstance(values, (str, bytes)) or not isinstance(values, Iterable):
+                raise InvalidScenarioError(
+                    f"grid axis {name!r} must be a list of values, got {values!r}"
+                )
             values = tuple(values)
             if not values:
                 raise InvalidScenarioError(f"grid axis {name!r} has no values")
@@ -380,6 +395,7 @@ class ScenarioGrid:
     def from_dict(cls, data: dict) -> ScenarioGrid:
         """Inverse of :meth:`to_dict`; unknown keys fail loudly (a typo in
         a suite file must not silently drop an axis)."""
+        _check_mapping("grid", data)
         unknown = set(data) - {"base", "axes"}
         if unknown:
             raise InvalidScenarioError(
@@ -387,7 +403,10 @@ class ScenarioGrid:
             )
         if "base" not in data:
             raise InvalidScenarioError("grid dict needs a 'base' scenario")
-        return cls(Scenario.from_dict(data["base"]), **data.get("axes", {}))
+        _check_mapping("grid 'base'", data["base"])
+        axes = data.get("axes", {})
+        _check_mapping("grid 'axes'", axes)
+        return cls(Scenario.from_dict(data["base"]), **axes)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         axes = ", ".join(f"{n}={len(v)} values" for n, v in self.axes.items())

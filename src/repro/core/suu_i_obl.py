@@ -10,20 +10,12 @@ completion within ``O(log n)`` passes with high probability.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.api.registry import register_policy
 # perfbench/tracer.py wraps these two import sites; the live calls run in round_schedule.
 from repro.core.lp1 import solve_lp1  # noqa: F401
 from repro.core.phased import round_schedule
 from repro.core.rounding import PAPER_SCALE, round_assignment  # noqa: F401
-from repro.schedule.base import (
-    IDLE,
-    BatchSimulationState,
-    SimulationState,
-    VectorizedPolicy,
-)
-from repro.schedule.oblivious import FiniteObliviousSchedule
+from repro.schedule.oblivious import FiniteObliviousSchedule, RepeatingObliviousPolicy
 
 __all__ = ["SUUIOblPolicy", "build_obl_schedule"]
 
@@ -44,8 +36,13 @@ def build_obl_schedule(
 
 
 @register_policy("obl", aliases=("suu-i-obl",))
-class SUUIOblPolicy(VectorizedPolicy):
+class SUUIOblPolicy(RepeatingObliviousPolicy):
     """Repeat the rounded LP1(J, 1/2) schedule until all jobs complete.
+
+    The repeat rule is :class:`~repro.schedule.oblivious.
+    RepeatingObliviousPolicy`'s; this policy builds the schedule in
+    :meth:`start`.  The LP solve and rounding there are trial-independent,
+    so a batch run pays for them once instead of once per trial.
 
     Parameters
     ----------
@@ -64,33 +61,11 @@ class SUUIOblPolicy(VectorizedPolicy):
         self.target = float(target)
         self.scale = int(scale)
         self.jobs = None if jobs is None else tuple(sorted(set(int(j) for j in jobs)))
-        self._schedule: FiniteObliviousSchedule | None = None
+        self.schedule: FiniteObliviousSchedule | None = None
         self._step = 0
-        self._idle: np.ndarray | None = None
 
     def start(self, instance, rng) -> None:
-        self._schedule = build_obl_schedule(
+        self.schedule = build_obl_schedule(
             instance, jobs=self.jobs, target=self.target, scale=self.scale
         )
-        self._step = 0
-        self._idle = np.full(instance.n_machines, IDLE, dtype=np.int64)
-
-    def assign(self, state: SimulationState) -> np.ndarray:
-        if self._schedule is None:
-            raise RuntimeError("policy used before start()")
-        if self._schedule.length == 0:
-            return self._idle
-        row = self._schedule.assignment_at(self._step % self._schedule.length)
-        self._step += 1
-        return row
-
-    def assign_batch(self, state: BatchSimulationState) -> np.ndarray:
-        # The LP solve + rounding in start() is trial-independent, so a
-        # batch run pays for it once instead of once per trial; the
-        # assignment itself is oblivious (a function of the timestep only).
-        if self._schedule is None:
-            raise RuntimeError("policy used before start()")
-        if self._schedule.length == 0:
-            return np.broadcast_to(self._idle, (state.n_trials, self._idle.size))
-        row = self._schedule.assignment_at(state.t % self._schedule.length)
-        return np.broadcast_to(row, (state.n_trials, row.size))
+        super().start(instance, rng)

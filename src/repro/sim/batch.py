@@ -26,14 +26,35 @@ that as its sampler: a ``suu`` batch draws its thresholds once, like a
 assigned to (:func:`repro.kernels.drive_step`).  The scalar engine keeps
 both rules, and is how the repo tests the theorem itself.
 
+Closed form for repeated schedules
+----------------------------------
+A policy that repeats one finite oblivious schedule from step 0 (SUU-I-OBL,
+:class:`~repro.schedule.oblivious.RepeatingObliviousPolicy`) declares it as
+``repeated_schedule``.  When such a batch's completions come from a
+threshold matrix (``suu_star``, and ``suu`` under v2) and the instance has
+no edges, nothing a trial does changes what the machines run, so job
+``j`` completes at the first step whose running mass reaches its
+threshold: :meth:`~repro.schedule.oblivious.FiniteObliviousSchedule.
+repeat_completions` finds that step by one ``np.searchsorted`` per job
+over the running sums, built with the step kernel's own float additions,
+instead of stepping.  Makespans, completion times and busy machine-steps
+are bit-identical to stepping, and so are the errors: a table with an
+out-of-range job id raises the step's ``ScheduleViolationError`` (checked
+up front, so also for a row no trial would reach), and a batch with
+trials past ``max_steps`` raises the same ``SimulationHorizonError`` —
+at once when the schedule is empty or starves a job.  The route is found
+through the declared attribute, never the policy's name or its
+``assign_batch``, so a wrapped ``assign_batch`` (a tracer's) takes it
+too.  v1 ``suu`` (per-trial coin flips) and every other policy step.
+
 Live-row stepping
 -----------------
-A batch's makespans have a long tail (SUU-I-OBL repeats its schedule for
-O(log n) passes w.h.p.), so stepping every row until the slowest trial
-finishes spends most of the kernel's row work on finished trials.  The
-engine therefore steps only the rows of live trials: once fewer than half
-of the rows it steps are live, it gathers the live rows of every state
-array and keeps a row → trial map, exposed to policies as
+A batch's makespans have a long tail (an oblivious repeat runs its
+schedule for O(log n) passes w.h.p.), so stepping every row until the
+slowest trial finishes spends most of the kernel's row work on finished
+trials.  The engine therefore steps only the rows of live trials: once
+fewer than half of the rows it steps are live, it gathers the live rows
+of every state array and keeps a row → trial map, exposed to policies as
 :attr:`BatchSimulationState.trials`; completion times and busy counts are
 scattered back into full-size results.  Vectorized policies are row-wise
 and per-trial dispatch looks each row's policy up through the map, so
@@ -127,6 +148,7 @@ from repro.schedule.base import (
     supports_batch,
     supports_phased,
 )
+from repro.schedule.oblivious import FiniteObliviousSchedule
 from repro.sim.engine import DEFAULT_MAX_STEPS, _readonly_view, draw_thresholds
 from repro.sim.results import MakespanStats
 from repro.util.rng import (
@@ -268,7 +290,8 @@ def run_policy_batch(
         At any step of any trial: if the policy returns a malformed
         assignment (wrong shape, non-integer dtype, or a job id outside
         ``[-1, n_jobs)``), or assigns a machine to a job whose
-        predecessors have not all completed.
+        predecessors have not all completed.  A closed-form batch (see
+        the module docstring) checks its whole table up front.
     SimulationHorizonError
         If any trial exceeds ``max_steps``.
     """
@@ -495,7 +518,8 @@ def _run_vectorized(
     instance, policy, trial_rngs, semantics, max_steps, thresholds,
     discipline, streams,
 ) -> BatchSimResult:
-    """The broadcast path: one ``assign_batch`` call drives all trials."""
+    """The broadcast path: one ``assign_batch`` call drives all trials,
+    or the closed form computes a declared repeated schedule's batch."""
     B, n = len(trial_rngs), instance.n_jobs
 
     # v1 mirrors run_policy's per-trial ``spawn(2) -> (policy_rng,
@@ -516,9 +540,58 @@ def _run_vectorized(
         pairs = [r.spawn(2) for r in trial_rngs]
         policy.start_batch(instance, pairs[0][0], B)
         theta, outcome_rngs = _v1_outcomes(pairs, semantics, None, n)
+    schedule = getattr(policy, "repeated_schedule", None)
+    if (
+        theta is not None
+        and instance.graph.n_edges == 0
+        and isinstance(schedule, FiniteObliviousSchedule)
+    ):
+        return _run_closed_form(
+            instance, policy.name, schedule, theta, semantics, max_steps,
+            discipline,
+        )
     return _drive_batch(
         instance, policy.name, policy.assign_batch, B, semantics, max_steps,
         theta, outcome_rngs, discipline,
+    )
+
+
+def _run_closed_form(
+    instance, policy_name, schedule, theta, semantics, max_steps, discipline,
+) -> BatchSimResult:
+    """The closed-form route: a repeated schedule's completions by
+    threshold lookup (see module docstring), raising what stepping would.
+
+    The whole table is range-checked up front, so a bad row raises even
+    when no trial would have reached it."""
+    if (schedule.table >= instance.n_jobs).any():
+        raise ScheduleViolationError(
+            f"{policy_name!r} assigned an out-of-range job id"
+        )
+    completion_times, busy = schedule.repeat_completions(
+        instance.ell, theta, max_steps
+    )
+    live = int(np.count_nonzero((completion_times == 0).any(axis=1)))
+    if live:
+        raise _horizon_error(policy_name, max_steps, live, len(theta))
+    return BatchSimResult(
+        makespans=completion_times.max(axis=1),
+        completion_times=completion_times,
+        busy_machine_steps=busy,
+        semantics=semantics,
+        policy_name=policy_name,
+        vectorized=True,
+        discipline=discipline,
+    )
+
+
+def _horizon_error(policy_name, max_steps, live, B) -> SimulationHorizonError:
+    """The error of a batch with ``live`` of its ``B`` trials unfinished
+    after ``max_steps`` steps (the step count stepping stopped at)."""
+    return SimulationHorizonError(
+        f"{policy_name!r} exceeded max_steps={max_steps} with "
+        f"{live} of {B} trials unfinished",
+        steps=max(max_steps, 0),
     )
 
 
@@ -682,11 +755,7 @@ def _drive_batch(
     live = B
     while live:
         if t >= max_steps:
-            raise SimulationHorizonError(
-                f"{policy_name!r} exceeded max_steps={max_steps} with "
-                f"{live} of {B} trials unfinished",
-                steps=t,
-            )
+            raise _horizon_error(policy_name, max_steps, live, B)
         if compact and live * 2 < trials.size:
             done = ~active
             all_completion_times[trials[done]] = completion_times[done]

@@ -21,16 +21,20 @@ streams (statistically equivalent, different samples; see
 * :func:`sample_oblivious_repeat_makespans` — an exact *closed-form sampler*
   for the special case of a finite oblivious schedule repeated until all
   jobs complete (the SUU-I-OBL execution model).  Using the SUU* view, job
-  ``j``'s completion time is a deterministic function of its threshold
-  ``theta_j`` and the schedule's per-pass mass profile, so we can sample
-  makespans in ``O(n log P)`` per trial without stepping the engine.  The
-  test suite checks this sampler against the engine distributionally.
+  ``j``'s completion time is the first step at which its running mass
+  reaches its threshold ``theta_j``, so makespans are sampled by threshold
+  lookup without stepping the engine.  The lookup is
+  :meth:`~repro.schedule.oblivious.FiniteObliviousSchedule.
+  repeat_completions`, the routine the batch engine's closed-form route
+  runs, so the samples equal ``run_policy_batch``'s on the same thresholds
+  bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.errors import SimulationHorizonError
 from repro.instance.instance import SUUInstance
 from repro.schedule.oblivious import FiniteObliviousSchedule
 from repro.sim.batch import run_policy_batch
@@ -178,11 +182,16 @@ def sample_oblivious_repeat_makespans(
 
     Only valid for independent jobs (precedence would make completions
     interact with eligibility).  Under SUU*, job ``j`` with threshold
-    ``theta_j`` finishes during pass ``f`` at the first in-pass step where
-    the cumulative mass crosses the residual ``theta_j - (f-1) * M_j``
-    (``M_j`` = mass per full pass), so the makespan is a deterministic
-    ``max`` over jobs.  By Theorem 10 the sampled distribution equals the
-    engine's SUU distribution.
+    ``theta_j`` finishes at the first step where its running mass reaches
+    ``theta_j``, so the makespan is a deterministic ``max`` over jobs:
+    :meth:`~repro.schedule.oblivious.FiniteObliviousSchedule.
+    repeat_completions` finds each step by threshold lookup, with the batch
+    engine's own float additions, so the samples equal
+    ``run_policy_batch(instance, RepeatingObliviousPolicy(schedule),
+    semantics="suu_star", thresholds=...)`` on the same thresholds, bit
+    for bit.  By Theorem 10 the sampled distribution equals the engine's
+    SUU distribution.  Like the engine, a trial may run for at most
+    ``DEFAULT_MAX_STEPS`` steps (``SimulationHorizonError`` beyond).
     """
     if not instance.is_independent():
         raise ValueError("exact oblivious-repeat sampling requires independent jobs")
@@ -190,33 +199,23 @@ def sample_oblivious_repeat_makespans(
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     rng = ensure_rng(rng)
     n = instance.n_jobs
-    per_step = schedule.mass_per_step(instance.ell)  # (P, n)
-    pass_mass = per_step.sum(axis=0)
+    pass_mass = schedule.mass_per_step(instance.ell).sum(axis=0)
     if (pass_mass <= 0).any():
         starved = np.nonzero(pass_mass <= 0)[0]
         raise ValueError(
             f"schedule gives zero mass to jobs {starved.tolist()}; "
             "repetition would never complete them"
         )
-    cum = np.cumsum(per_step, axis=0)  # (P, n)
-    P = schedule.length
-
     theta = draw_thresholds(n * n_trials, rng).reshape(n_trials, n)
-    # Full passes completed before the finishing pass.
-    full = np.floor_divide(theta, pass_mass[None, :]).astype(np.int64)
-    residual = theta - full * pass_mass[None, :]
-    # A zero residual (theta an exact multiple; probability 0 but guard
-    # anyway) means the job finished at the end of the previous pass.
-    exact = residual <= 0.0
-    full = np.where(exact, full - 1, full)
-    residual = np.where(exact, pass_mass[None, :], residual)
-    completion = np.empty((n_trials, n), dtype=np.int64)
-    for j in range(n):
-        # First in-pass step whose cumulative mass reaches the residual.
-        step = np.searchsorted(cum[:, j], residual[:, j], side="left")
-        # Float round-off could push the residual a hair above the final
-        # cumulative value; that still completes on the last step.
-        step = np.minimum(step, P - 1)
-        completion[:, j] = full[:, j] * P + step + 1
+    completion, _ = schedule.repeat_completions(
+        instance.ell, theta, DEFAULT_MAX_STEPS
+    )
+    unfinished = int(np.count_nonzero((completion == 0).any(axis=1)))
+    if unfinished:
+        raise SimulationHorizonError(
+            f"{unfinished} of {n_trials} oblivious-repeat samples exceed "
+            f"max_steps={DEFAULT_MAX_STEPS}",
+            steps=DEFAULT_MAX_STEPS,
+        )
     samples = completion.max(axis=1)
     return MakespanStats(samples=samples, policy_name="oblivious-repeat-exact")

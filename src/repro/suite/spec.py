@@ -239,9 +239,7 @@ def suite_from_dict(data: dict) -> SuiteSpec:
             # A bare scenario mapping is a single-point grid.
             grid = ScenarioGrid(Scenario.from_dict(grid_data))
         config = SimConfig.from_dict(config_data)
-    except (InvalidScenarioError, TypeError, ValueError) as exc:
-        # TypeError/ValueError: a nested shape is wrong (a 'base' that is
-        # not a mapping, an axis that is not a list).
+    except InvalidScenarioError as exc:
         raise SuiteError(f"suite {name!r}: {exc}") from exc
     spec = SuiteSpec(
         name=name,

@@ -208,6 +208,15 @@ class TestSchedulingServiceRouting:
             ("POST", "/simulate",
              _simulate_body(config={**CONFIG, "lp_reuse": "subset"}),
              "invalid config: unknown SimConfig fields ['lp_reuse']"),
+            # Malformed grid shapes name the field that is wrong.
+            ("POST", "/grid", {"grid": {"base": 5}, "config": CONFIG},
+             "invalid grid: grid 'base' must be a mapping, got 5"),
+            ("POST", "/grid",
+             {"grid": {"base": SCENARIO, "axes": {"n_jobs": 4}}, "config": CONFIG},
+             "invalid grid: grid axis 'n_jobs' must be a list of values, got 4"),
+            ("POST", "/grid",
+             {"grid": {"base": SCENARIO, "axes": [1]}, "config": CONFIG},
+             "invalid grid: grid 'axes' must be a mapping, got [1]"),
         ]
         # Falsy non-objects are not "no config", and string flags are not
         # booleans: both routes reject them instead of running defaults.

@@ -115,7 +115,7 @@ class TestSpecLoading:
         ({"experiments": 5}, "'experiments' must be a list"),
         ({"grid": [1, 2]}, "'grid' must be a mapping"),
         ({"grid": "independent"}, "'grid' must be a mapping"),
-        ({"grid": {"base": 5}}, "suite 'tiny'"),
+        ({"grid": {"base": 5}}, "suite 'tiny': grid 'base' must be a mapping"),
         ({"config": 5}, "'config' must be a mapping"),
     ], ids=["sweep-int", "sweep-str", "policies-int", "experiments-int",
             "grid-list", "grid-str", "grid-base-int", "config-int"])
@@ -164,6 +164,25 @@ class TestStrictRoundTrip:
         data["axis"] = {"n_jobs": [2]}
         with pytest.raises(InvalidScenarioError, match="axis"):
             ScenarioGrid.from_dict(data)
+
+    @pytest.mark.parametrize("load,data,match", [
+        (ScenarioGrid.from_dict, {"base": 5}, "grid 'base' must be a mapping, got 5"),
+        (ScenarioGrid.from_dict, {"base": {}, "axes": {"n_jobs": 4}},
+         "grid axis 'n_jobs' must be a list of values, got 4"),
+        # A string axis would otherwise split into its characters.
+        (ScenarioGrid.from_dict, {"base": {}, "axes": {"shape": "chains"}},
+         "grid axis 'shape' must be a list of values, got 'chains'"),
+        (ScenarioGrid.from_dict, {"base": {}, "axes": [1]},
+         r"grid 'axes' must be a mapping, got \[1\]"),
+        (Scenario.from_dict, [1, 2], r"scenario must be a mapping, got \[1, 2\]"),
+        (ScenarioGrid.from_dict, None, "grid must be a mapping, got None"),
+        (Scenario.from_dict, None, "scenario must be a mapping, got None"),
+        (SimConfig.from_dict, None, "config must be a mapping, got None"),
+    ], ids=["grid-base-int", "grid-axis-int", "grid-axis-str", "grid-axes-list",
+            "scenario-list", "grid-none", "scenario-none", "config-none"])
+    def test_malformed_shapes_name_the_field(self, load, data, match):
+        with pytest.raises(InvalidScenarioError, match=match):
+            load(data)
 
     def test_grid_requires_base(self):
         with pytest.raises(InvalidScenarioError, match="base"):
@@ -389,6 +408,17 @@ class TestCli:
         assert main(["suite", command, str(suite), "--out",
                      str(tmp_path / "o")]) == 2
         assert "error: suite 'tiny': sweep axis 'seed'" in capsys.readouterr().err
+
+    def test_malformed_grid_error_names_the_field(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        suite = tmp_path / "bad.json"
+        grid = {"base": SMALL["grid"]["base"], "axes": {"n_jobs": 4}}
+        suite.write_text(json.dumps({**SMALL, "grid": grid}))
+        assert main(["suite", "run", str(suite), "--out",
+                     str(tmp_path / "o")]) == 2
+        assert ("error: suite 'tiny': grid axis 'n_jobs' must be a list of "
+                "values, got 4") in capsys.readouterr().err
 
     def test_suite_run_rejects_bad_file(self, tmp_path, capsys):
         from repro.__main__ import main
