@@ -38,8 +38,9 @@ test:
 # discipline v2 (the batch-native streams through every service and
 # montecarlo test; the pinned bit-identity suites keep checking v1), the
 # process solve cache off (scalar and batch sides solve their own LPs),
-# and two kernel threads (every batch thread-sharded, bit-identical to
-# serial).
+# and two kernel threads (vectorized batches that step against a
+# threshold matrix run thread-sharded, bit-identical to serial; every
+# other batch ignores the knob).
 test-legs:
 	PYTHONPATH=src REPRO_DISCIPLINE=v2 $(PYTHON) -m pytest -x -q
 	PYTHONPATH=src REPRO_SOLVE_CACHE=0 $(PYTHON) -m pytest -x -q
@@ -87,8 +88,9 @@ bench-kernels:
 		--benchmark-json=$(KERNELS_JSON) -q
 
 # Trial-parallelism benchmarks: serial vs kernel_threads pairs at 10k
-# trials — GIL-bound trial-shard rows; the threaded side hard-asserts
-# bit-identity against serial in-bench.
+# trials — the GIL-bound v2 greedy trial-shard row (the one route that
+# shards); the threaded side hard-asserts bit-identity against serial
+# in-bench.
 bench-parallel:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_parallel.py \
 		--benchmark-json=$(PARALLEL_JSON) -q

@@ -11,9 +11,11 @@ check_regression.py --mode ratio`` pairs up):
 
 The ``shard_*`` rows split the batch into contiguous trial shards
 executed on a thread pool (:func:`repro.sim.batch.run_policy_batch`'s
-shard layer).  Python-level policy stepping holds the GIL, so the
-expected speedup is modest — these rows *record* their speedup and
-``cpu_count`` in ``extra_info`` without asserting a floor.
+shard layer), which only a vectorized policy stepping against a
+threshold matrix uses: greedy under v2 here.  Python-level policy
+stepping holds the GIL, so the expected speedup is modest — these rows
+*record* their speedup and ``cpu_count`` in ``extra_info`` without
+asserting a floor.
 
 Run with ``make bench-parallel``; ``BENCH_9.json`` records the measured
 trajectory.
@@ -24,10 +26,8 @@ import time
 
 import numpy as np
 
-from repro.api.scenario import Scenario
 from repro.baselines.greedy_lr import GreedyLRPolicy
 from repro.core.phased import clear_solve_cache
-from repro.core.suu_c import SUUCPolicy
 from repro.instance import independent_instance
 from repro.sim.batch import run_policy_batch
 
@@ -40,19 +40,11 @@ SEED = 11
 THREADS = max(2, min(4, os.cpu_count() or 1))
 
 
-def _chains_instance():
-    return Scenario(shape="chains", n_jobs=36, n_machines=6,
-                    model="specialist", seed=3).to_instance()
-
-
 #: key -> zero-arg (instance, factory, run kwargs) builder.
 PARALLEL_CONFIGS = {
     "shard_greedy_10000": lambda: (
         independent_instance(40, 8, "uniform", rng=2), GreedyLRPolicy,
         dict(semantics="suu"),
-    ),
-    "shard_suuc_10000": lambda: (
-        _chains_instance(), SUUCPolicy, dict(semantics="suu"),
     ),
 }
 
@@ -107,11 +99,3 @@ def test_par_serial_shard_greedy_10000(benchmark):
 
 def test_par_threads_shard_greedy_10000(benchmark):
     _threaded_side(benchmark, "shard_greedy_10000")
-
-
-def test_par_serial_shard_suuc_10000(benchmark):
-    _serial_side(benchmark, "shard_suuc_10000")
-
-
-def test_par_threads_shard_suuc_10000(benchmark):
-    _threaded_side(benchmark, "shard_suuc_10000")

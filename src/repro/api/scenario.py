@@ -78,6 +78,20 @@ def _check_int(name: str, value, minimum: int | None = None) -> None:
         raise InvalidScenarioError(f"{name} must be >= {minimum}, got {value}")
 
 
+def _check_probability(name: str, value) -> None:
+    """Raise :class:`InvalidScenarioError` unless ``value`` is a real
+    number in ``[0, 1]``.
+
+    Reals are ``numbers.Real`` other than ``bool``: a JSON ``"x"`` or
+    ``true`` fails here instead of crashing a generator, and ``2.0`` or
+    NaN instead of running as if clamped.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidScenarioError(f"{name} must be a number, got {value!r}")
+    if not 0.0 <= value <= 1.0:
+        raise InvalidScenarioError(f"{name} must be in [0, 1], got {value!r}")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """How to run the Monte Carlo measurement of a scenario.
@@ -101,11 +115,13 @@ class SimConfig:
         ``REPRO_DISCIPLINE`` environment variable at run time (default
         v1).  See :mod:`repro.util.rng`.
     kernel_threads:
-        Trial-parallel worker count for one batch: the batch is split
-        into contiguous trial shards executed on a thread pool, each
-        running the :mod:`repro.kernels` step functions on its own rows
-        (bit-identical to serial).  ``None`` resolves through
-        ``REPRO_KERNEL_THREADS`` at run time (default 1 — serial).
+        Trial-parallel thread cap for one batch.  Only a vectorized
+        policy that steps against a threshold matrix (v2, or
+        ``suu_star``) uses it: its batch splits into contiguous trial
+        shards on a thread pool (bit-identical to serial).  Every other
+        batch runs serially (see :mod:`repro.sim.batch`, "Trial
+        shards").  ``None`` resolves through ``REPRO_KERNEL_THREADS`` at
+        run time (default 1 — serial).
     substreams:
         How sweep cells consume the seed's randomness: ``"shared"``
         (every policy sees the same trial RNG tree / batch
@@ -207,9 +223,9 @@ class Scenario:
     n_layers:
         Layer count for ``"layered"`` (jobs split as evenly as possible).
     density:
-        Cross-layer edge density for ``"layered"``.
+        Cross-layer edge density for ``"layered"``, in ``[0, 1]``.
     edge_prob:
-        Forward-edge probability for ``"random_dag"``.
+        Forward-edge probability for ``"random_dag"``, in ``[0, 1]``.
     """
 
     shape: str = "independent"
@@ -241,6 +257,8 @@ class Scenario:
         for name in ("n_chains", "n_trees"):
             if getattr(self, name) is not None:
                 _check_int(name, getattr(self, name))
+        _check_probability("density", self.density)
+        _check_probability("edge_prob", self.edge_prob)
         if self.orientation not in (None, "out", "in", "mixed"):
             raise InvalidScenarioError(
                 f"orientation must be 'out', 'in', or 'mixed', got "

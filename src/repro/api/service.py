@@ -97,8 +97,10 @@ class Report:
         ``lp_solves`` and ``assembly_seconds``), summed across worker
         chunks.  ``None`` on legacy paths that did not collect it.
     kernel:
-        ``{"threads": n}``: the resolved ``kernel_threads`` count the
-        trials ran with.  ``None`` on legacy paths.
+        ``{"threads": n}``: the resolved ``kernel_threads`` cap, not the
+        thread count that ran — only threshold-stepped vectorized
+        batches shard (see :mod:`repro.sim.batch`, "Trial shards").
+        ``None`` on legacy paths.
     """
 
     scenario: Scenario | None

@@ -114,7 +114,7 @@ class SUUIAdaptiveLPPolicy(PhasedPolicy):
     # ------------------------------------------------------------------
     # Grouped batch dispatch (PhasedPolicy protocol)
     # ------------------------------------------------------------------
-    def start_phased(self, instance, trial_rngs) -> None:
+    def start_phased(self, instance, n_trials: int) -> None:
         # start() never touches its rng; trials keep a (schedule id, step,
         # solved-count) cursor each and share one memoized solve cache.
         # Re-solves hit the cache whenever another trial already adapted
@@ -123,11 +123,10 @@ class SUUIAdaptiveLPPolicy(PhasedPolicy):
         self._instance = instance
         self._universe = self._universe_mask(instance.n_jobs)
         self._cache = RoundScheduleCache(instance, self.scale)
-        B = len(list(trial_rngs))
-        self._sid = [None] * B
-        self._pos = [0] * B
-        self._solved_counts = [-1] * B
-        self._pending = [None] * B
+        self._sid = [None] * n_trials
+        self._pos = [0] * n_trials
+        self._solved_counts = [-1] * n_trials
+        self._pending = [None] * n_trials
         self._idle = np.full(instance.n_machines, IDLE, dtype=np.int64)
 
     def phase_key(self, trial: int, state):

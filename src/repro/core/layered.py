@@ -88,7 +88,7 @@ class LayeredPolicy(PhasedPolicy):
     # ------------------------------------------------------------------
     # Grouped batch dispatch (PhasedPolicy protocol)
     # ------------------------------------------------------------------
-    def start_phased(self, instance, trial_rngs) -> None:
+    def start_phased(self, instance, n_trials: int) -> None:
         self._instance = instance
         levels = instance.graph.levels()
         self._level_jobs = [
@@ -98,10 +98,9 @@ class LayeredPolicy(PhasedPolicy):
         # one solve cache serves all levels (keys embed the level's job
         # set, so levels can never collide).
         self._cache = RoundScheduleCache(instance, self.scale)
-        B = len(trial_rngs)
-        self._trial_level = [-1] * B
-        self._trial_cursor: list[SemCursor | None] = [None] * B
-        self._pending = [None] * B
+        self._trial_level = [-1] * n_trials
+        self._trial_cursor: list[SemCursor | None] = [None] * n_trials
+        self._pending = [None] * n_trials
         self._idle = np.full(instance.n_machines, IDLE, dtype=np.int64)
         self._all_machines = np.empty(instance.n_machines, dtype=np.int64)
 

@@ -116,11 +116,11 @@ class ProcessSolveCache:
         self._entries: OrderedDict = OrderedDict()
         #: digest -> set of live keys, LRU-ordered by last touch.
         self._digests: OrderedDict = OrderedDict()
-        #: Guards the dict/LRU bookkeeping: trial shards (kernel_threads
-        #: > 1) hit this process-wide cache from concurrent threads.
-        #: Misses compute *outside* the lock — a rare duplicated solve is
-        #: benign (the pipelines are deterministic), serializing every
-        #: shard on one LP solve is not.
+        #: Guards the dict/LRU bookkeeping: the request server's handler
+        #: threads hit this process-wide cache concurrently.  Misses
+        #: compute *outside* the lock — a rare duplicated solve is benign
+        #: (the pipelines are deterministic), serializing every thread on
+        #: one LP solve is not.
         self._mu = threading.RLock()
         self.solves = 0  # misses that ran a real solve pipeline
         self.hits = 0

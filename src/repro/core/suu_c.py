@@ -528,7 +528,7 @@ class SUUCPolicy(PhasedPolicy):
         slots = plan.horizon // plan.unit + 1
         return streams.policy_integers(n_trials, n_chains, slots, *key) * plan.unit
 
-    def start_phased_v2(self, instance, streams, n_trials: int) -> bool:
+    def start_phased_v2(self, instance, streams, n_trials: int) -> None:
         plan = self.prepare_plan(instance)
         self._instance = instance
         delays = self._draw_v2_delays(streams, n_trials, plan)
@@ -545,7 +545,6 @@ class SUUCPolicy(PhasedPolicy):
             enable_fallback=self.enable_fallback,
         )
         self.stats = self._v2.stats
-        return True
 
     def begin_step(self, state) -> None:
         # Signature-grouped stepping: all live trials advance to their

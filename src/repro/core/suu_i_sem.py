@@ -190,7 +190,7 @@ class SUUISemPolicy(PhasedPolicy):
     # ------------------------------------------------------------------
     # Grouped batch dispatch (PhasedPolicy protocol)
     # ------------------------------------------------------------------
-    def start_phased(self, instance, trial_rngs) -> None:
+    def start_phased(self, instance, n_trials: int) -> None:
         # The scalar start() never touches its rng, so there is no
         # per-trial randomness to replay; all trials share one memoized
         # round-schedule cache and keep only a SemCursor each.
@@ -198,7 +198,7 @@ class SUUISemPolicy(PhasedPolicy):
         universe, _, K = self._universe_and_rounds(instance)
         jobs = np.flatnonzero(universe)
         self._cache = RoundScheduleCache(instance, self.scale)
-        self._cursors = [SemCursor(jobs, K, self.fallback) for _ in trial_rngs]
+        self._cursors = [SemCursor(jobs, K, self.fallback) for _ in range(n_trials)]
         self._pending = [None] * len(self._cursors)
         self.rounds_used = 0
         self._idle = np.full(instance.n_machines, IDLE, dtype=np.int64)

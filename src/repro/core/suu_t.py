@@ -154,7 +154,7 @@ class SUUTPolicy(PhasedPolicy):
             shared.append((sub_inst, jobs, probe.prepare_plan(sub_inst)))
         return shared
 
-    def start_phased_v2(self, instance, streams, n_trials: int) -> bool:
+    def start_phased_v2(self, instance, streams, n_trials: int) -> None:
         probe = SUUCPolicy(scale=self.scale, **self.suu_c_kwargs)
         self._instance = instance
         shared = self._shared_block_plans(instance)
@@ -182,7 +182,6 @@ class SUUTPolicy(PhasedPolicy):
         self._v2_block = np.zeros(n_trials, dtype=np.int64)
         self._block_job_arrays = [jobs for _, jobs, _ in shared]
         self.stats = {"n_blocks": len(shared), "blocks": [c.stats for c in cursors]}
-        return True
 
     def _draw_block_delays(self, streams, n_trials, plan, block: int, probe):
         """Block ``block``'s ``(n_trials, n_chains)`` delay matrix.

@@ -22,10 +22,12 @@ Callers reach them as attributes of this module (``kernels.drive_step(
 a wrapper installed on the object :func:`get_backend` returns — how
 ``perfbench``'s tracer attributes kernel time — sees every call.
 
-The kernels are serial and keep no module state: ``kernel_threads > 1``
-splits a batch into contiguous trial shards that
-:func:`repro.sim.batch.run_policy_batch` runs on a thread pool, each
-shard calling these functions on its own rows and its own scratch.
+The kernels are serial and keep no module state.  With
+``kernel_threads > 1``, :func:`repro.sim.batch.run_policy_batch` splits
+a vectorized batch that steps against a threshold matrix into
+contiguous trial shards on a thread pool, each shard calling
+:func:`drive_step` on its own rows and its own scratch; every other
+batch calls the kernels from one thread.
 """
 
 from __future__ import annotations

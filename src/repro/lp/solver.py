@@ -12,8 +12,8 @@ validation, a fresh solver — that costs several times HiGHS's own ``run``
 on the paper's small, numerous LP1/LP2 solves.  This module calls the
 object directly instead:
 
-* one ``_Highs`` per thread (thread-local, so server handler threads and
-  trial-shard threads each own one), with its options set once to exactly
+* one ``_Highs`` per thread (thread-local, so concurrent server handler
+  threads each own one), with its options set once to exactly
   what ``linprog(method="highs")`` passes: output off, presolve on, the
   dual simplex strategy;
 * per LP, ``clearSolver()`` → ``passModel()`` → ``run()`` on the

@@ -14,9 +14,8 @@ thread-safe object:
   built row by row ((LP2) and the stochastic baselines).
 
 Thread safety matters because LPs are solved on several threads at once:
-the request server's handler threads and the trial-shard threads of
-:mod:`repro.sim.batch` each drive their own HiGHS instance, and these
-counters are the state they share.
+the request server's handler threads each drive their own HiGHS
+instance, and these counters are the state they share.
 
 The counters are cumulative per process.  Callers that want per-run
 attribution snapshot before and diff after (:meth:`LPWallStats.snapshot`

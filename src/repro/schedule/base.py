@@ -53,14 +53,13 @@ once per distinct key instead of once per trial; see
 :mod:`repro.sim.batch` for the dispatch loop and the RNG discipline the
 implementation must uphold.
 
-Under RNG discipline ``"v2"`` (see :mod:`repro.util.rng`) a phased policy
-may additionally implement :meth:`PhasedPolicy.start_phased_v2` to receive
-matrix-valued policy randomness from the batch's
-:class:`~repro.util.rng.BatchStreams` instead of per-trial generators —
-SUU-C/SUU-T use this to draw all chain delays as one ``(n_trials,
-n_chains)`` matrix and run array-based chain cursors.  The method is
-optional and may decline (return False), in which case the kernel falls
-back to the v1-style :meth:`PhasedPolicy.start_phased`.
+A phased policy is started from the trial count alone
+(:meth:`PhasedPolicy.start_phased`).  Under RNG discipline ``"v2"`` (see
+:mod:`repro.util.rng`) a policy that defines
+``start_phased_v2(instance, streams, n_trials)`` is started by it instead,
+to draw matrix-valued policy randomness from the batch's
+:class:`~repro.util.rng.BatchStreams` — SUU-C/SUU-T draw all chain delays
+as one ``(n_trials, n_chains)`` matrix and run array-based chain cursors.
 
 A phased policy declares the disciplines its grouped dispatch covers in
 :attr:`PhasedPolicy.phased_disciplines`.  Under any other discipline the
@@ -159,7 +158,7 @@ class BatchSimulationState:
         jobs.  Assignments returned for inactive rows are ignored.
     trials:
         Shape ``(rows,)``, int64, ascending — the batch trial index of
-        each row.
+        each row (also in a trial shard, which shows a span of them).
     """
 
     t: int
@@ -247,14 +246,14 @@ class PhasedPolicy(Policy):
     structure to the batch kernel:
 
     * :meth:`start_phased` prepares per-trial control state for
-      ``len(trial_rngs)`` lock-stepped trials.
-      ``trial_rngs[k]`` is **the same policy generator** trial ``k``'s
-      scalar run would receive from the engine's
-      ``spawn(2) -> (policy_rng, outcome_rng)`` split; any internal
-      randomness must be drawn from it in the scalar order so grouped
-      runs stay bit-identical to the per-trial loop.  Trial-independent
-      preparation (LP solves, rounding) should be done once here, not
-      once per trial.
+      ``n_trials`` lock-stepped trials.  It receives no generators: a
+      policy grouped under v1 must draw no randomness of its own (SEM,
+      LAYERED and ADAPT draw none), since its grouped rows must equal the
+      per-trial loop's.  Trial-independent preparation (LP solves,
+      rounding) should be done once here, not once per trial.  Under v2
+      an optional ``start_phased_v2(instance, streams, n_trials)``, when
+      defined, starts the policy instead and draws any randomness from
+      the batch streams as whole-batch matrices, one row per trial.
     * ``begin_step(state)`` is an *optional* hook the kernel calls once
       per step, before any ``phase_key`` query, when the policy defines
       it.  Policies whose per-step bookkeeping vectorizes across trials
@@ -280,22 +279,9 @@ class PhasedPolicy(Policy):
     #: RNG disciplines whose batches this policy's grouped dispatch covers.
     phased_disciplines: tuple[str, ...] = DISCIPLINES
 
-    def start_phased(self, instance, trial_rngs) -> None:
-        """Prepare per-trial state for ``len(trial_rngs)`` lock-stepped trials."""
+    def start_phased(self, instance, n_trials: int) -> None:
+        """Prepare per-trial state for ``n_trials`` lock-stepped trials."""
         raise NotImplementedError
-
-    def start_phased_v2(self, instance, streams, n_trials: int) -> bool:
-        """Optional discipline-v2 entry point (batch-native randomness).
-
-        ``streams`` is the batch's :class:`~repro.util.rng.BatchStreams`;
-        any internal randomness must be drawn from it as whole-batch
-        matrices (chunk-invariant, one row per trial) rather than from
-        per-trial generators.  Return True when v2 state was installed;
-        return False to decline, in which case the kernel runs the
-        v1-style :meth:`start_phased` instead (legal — v2 only requires
-        statistical equivalence, which per-trial streams also satisfy).
-        """
-        return False
 
     @abc.abstractmethod
     def phase_key(self, trial: int, state: BatchSimulationState):

@@ -91,13 +91,13 @@ the serial estimators: one child generator per trial
 ``spawn(2) -> (policy_rng, outcome_rng)`` split.  Under ``suu_star``,
 trial ``k``'s thresholds are drawn from its own ``outcome_rng``; under
 ``suu``, each trial's per-step uniforms are drawn from its ``outcome_rng``
-in the engine's order (scheduled jobs ascending).  Phased policies
-additionally receive the per-trial ``policy_rng`` list in ``start_phased``
-and must draw any internal randomness (per-level spawns) from trial
-``k``'s generator in the scalar order; per-trial policies are started
-with it.  Serial, vectorized, phase-grouped and per-trial execution
-therefore produce **bit-identical** makespan samples, and the Monte Carlo
-front ends route every policy through this kernel.
+in the engine's order (scheduled jobs ascending).  Per-trial policies are
+started with their trial's ``policy_rng``.  Phased policies are started
+from the trial count alone: the grouped ones (SEM, LAYERED, ADAPT) draw
+no randomness of their own, so a phased batch spawns only the outcome
+generators a draw reads.  Serial, vectorized, phase-grouped and
+per-trial execution therefore produce **bit-identical** makespan samples,
+and the Monte Carlo front ends route every policy through this kernel.
 
 Under **v2** (a documented break: different streams, same distributions)
 outcome randomness is drawn in whole-batch blocks from the per-run
@@ -105,10 +105,10 @@ outcome randomness is drawn in whole-batch blocks from the per-run
 serial tree trial by trial: one ``(n_trials, n_jobs)`` threshold matrix
 per batch under *either* semantics (Theorem 10; so v2 ``suu`` and v2
 ``suu_star`` are one stream, and v2 ``suu`` samples drawn before this
-sampler cannot be reproduced), and v2-capable phased policies
-(:meth:`~repro.schedule.base.PhasedPolicy.start_phased_v2`) receive the
-streams to draw matrix-valued internal randomness (SUU-C's chain-delay
-matrix).  Rows are addressed by global trial index, so v2 samples are
+sampler cannot be reproduced), and a phased policy that defines
+``start_phased_v2`` (SUU-C, SUU-T) is started by it with the streams, to
+draw matrix-valued internal randomness (SUU-C's chain-delay matrix).
+Rows are addressed by global trial index, so v2 samples are
 deterministic in the seed and invariant under backend and chunk layout —
 they just differ from v1's.  The per-trial ``Generator.random(k)`` loop in
 ``_draw_suu_completions`` is what this removes; it is the reason v2 exists.
@@ -124,11 +124,28 @@ its row.  Trials share no rows on this path, so it consumes the v1 RNG
 tree under either discipline — ``suu`` keeps its per-trial coin flips
 even under v2 — and :func:`run_policy_batch` is safe to call with any
 policy.
+
+Trial shards
+------------
+Each trial is a deterministic function of its own thresholds, so
+splitting a batch's rows across threads never changes a sample; it saves
+time only where every step is whole-batch numpy work.  Shards therefore
+run on one route alone: a vectorized batch that steps against a
+threshold matrix (v2, or ``suu_star``), given a policy class or factory,
+with ``kernel_threads`` above 1.  Its rows split into at most
+``min(kernel_threads, n_trials, os.cpu_count())`` contiguous spans, one
+thread each, each stepped by its own policy started as the unsharded
+batch starts its one; every span's rows keep their batch trial ids, and
+the horizon error counts the unfinished trials of the whole batch.  The
+closed form, grouped, per-trial and v1 coin-flip batches run serially
+whatever ``kernel_threads`` says: measured on two cores, shards there
+were mostly neutral or slower (README, "Trial parallelism").
 """
 
 from __future__ import annotations
 
 import copy
+import numbers
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -153,6 +170,7 @@ from repro.sim.engine import DEFAULT_MAX_STEPS, _readonly_view, draw_thresholds
 from repro.sim.results import MakespanStats
 from repro.util.rng import (
     BatchStreams,
+    SpawnedRngs,
     ensure_rng,
     resolve_discipline,
     run_seed_sequence,
@@ -242,7 +260,10 @@ def run_policy_batch(
     rng:
         Seed or generator for the per-trial RNG tree (with ``trial_rngs``
         given it is only consulted under discipline v2, as the streams
-        root when ``streams`` is omitted).
+        root when ``streams`` is omitted).  An integer seed or ``None``
+        builds the trial generators on first use
+        (:class:`~repro.util.rng.SpawnedRngs`); a ``Generator`` or
+        ``SeedSequence`` spawns them, advancing its spawn counter.
     semantics:
         ``"suu"`` or ``"suu_star"``, with the same meaning as
         :func:`~repro.sim.engine.run_policy`.  Under discipline v2,
@@ -272,17 +293,11 @@ def run_policy_batch(
         rows).  Ignored under v1; built from ``rng`` when omitted under v2.
     kernel_threads:
         CPU threads for this one batch (``None`` resolves through
-        ``REPRO_KERNEL_THREADS``, default 1).  With ``threads > 1`` the
-        batch is split into ``min(threads, n_trials, os.cpu_count())``
-        contiguous trial shards along the service's chunk seam, one
-        thread each (requires a policy class/factory — a shared policy
-        *instance* cannot be sharded and runs serially).  Sharding is
-        bit-identical to
-        ``kernel_threads=1``: trials are independent rows, v1 shards
-        slice the per-trial RNG tree, and v2's Philox streams are
-        addressed by global trial index (shard ``lo`` rebases
-        via ``streams.with_offset``), so shard boundaries are invisible
-        in the samples.
+        ``REPRO_KERNEL_THREADS``, default 1; a bad value raises on every
+        route).  Only a vectorized policy, given as a class or factory,
+        that steps against a threshold matrix runs in trial shards
+        (module docstring, "Trial shards"); every other batch runs
+        serially.  Samples are bit-identical either way.
 
     Raises
     ------
@@ -308,6 +323,11 @@ def run_policy_batch(
         n_trials = len(trial_rngs)
     if n_trials is None or n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
+    if trial_rngs is None and (rng is None or isinstance(rng, numbers.Integral)):
+        # One root for the trial tree and the v2 streams; the trial
+        # generators are built on first use.
+        rng = run_seed_sequence(rng)
+        trial_rngs = SpawnedRngs(rng, n_trials)
     if discipline == "v2" and streams is None:
         if trial_rngs is not None and rng is None:
             # Fresh OS entropy here would make v2 silently
@@ -339,93 +359,37 @@ def run_policy_batch(
     else:
         factory = policy
         probe = factory()
-
-    # The threads axis: shard trials across a thread pool, along the
-    # service's chunk seam.  Imported here: the repro.api package, which
-    # holds the unified knob chain, imports this module.
+    # Imported here: the repro.api package, which holds the unified knob
+    # chain, imports this module.
     from repro.api.config import resolve_kernel_threads
 
-    # ``kernel_threads`` is bounded only from below (a served request sets
-    # it), so the shard count is capped at the trial and CPU counts.
-    n_shards = min(
-        resolve_kernel_threads(kernel_threads), n_trials, os.cpu_count() or 1
-    )
-    if n_shards > 1 and factory is not None:
-        return _run_sharded(
-            instance, factory, trial_rngs, n_shards,
-            semantics=semantics, max_steps=max_steps, thresholds=thresholds,
-            discipline=discipline, streams=streams,
-        )
-
+    threads = resolve_kernel_threads(kernel_threads)
     if supports_batch(probe):
-        return _run_vectorized(
+        result = _run_vectorized(
+            instance, probe, factory, threads, trial_rngs, semantics,
+            max_steps, thresholds, discipline, streams,
+        )
+    elif supports_phased(probe, discipline):
+        result = _run_phased(
             instance, probe, trial_rngs, semantics, max_steps, thresholds,
             discipline, streams,
         )
-    if supports_phased(probe, discipline):
-        return _run_phased(
-            instance, probe, trial_rngs, semantics, max_steps, thresholds,
-            discipline, streams,
+    else:
+        result = _run_per_trial(
+            instance, probe, factory, trial_rngs, semantics, max_steps,
+            thresholds, discipline,
         )
-    return _run_per_trial(
-        instance, probe, factory, trial_rngs, semantics, max_steps,
-        thresholds, discipline,
-    )
-
-
-def _run_sharded(
-    instance, factory, trial_rngs, n_shards, *, semantics, max_steps,
-    thresholds, discipline, streams,
-) -> BatchSimResult:
-    """Split one batch into ``n_shards`` contiguous trial shards, one
-    thread each.
-
-    The ``kernel_threads > 1`` route: each shard is a full recursive
-    :func:`run_policy_batch` run (fresh policy from ``factory``,
-    ``kernel_threads=1``) over its span of the already-built per-trial
-    RNG list (v1) and the offset-rebased batch streams (v2) — exactly
-    the seam ``api.service`` chunks batches across worker processes on,
-    which is bit-identical to the unsplit run by construction.  Results
-    concatenate in trial order, so shard boundaries are invisible in the
-    samples.
-    """
-    B = len(trial_rngs)
-    cuts = np.linspace(0, B, n_shards + 1).astype(int)
-    spans = [
-        (int(lo), int(hi)) for lo, hi in zip(cuts[:-1], cuts[1:]) if hi > lo
-    ]
-
-    def run_span(span):
-        lo, hi = span
-        return run_policy_batch(
-            instance, factory, hi - lo,
-            semantics=semantics, max_steps=max_steps,
-            thresholds=None if thresholds is None else thresholds[lo:hi],
-            trial_rngs=trial_rngs[lo:hi], discipline=discipline,
-            # Rebase relative to this batch's own base: the service may
-            # already have offset the streams for a worker chunk.
-            streams=None
-            if streams is None
-            else streams.with_offset(streams.offset + lo),
-            kernel_threads=1,
+    # Every route stops at the horizon; an unfinished trial has a job
+    # without a completion step.  Counted here, over the whole batch, so
+    # trial shards raise what one serial batch would.
+    live = int(np.count_nonzero((result.completion_times == 0).any(axis=1)))
+    if live:
+        raise SimulationHorizonError(
+            f"{probe.name!r} exceeded max_steps={max_steps} with "
+            f"{live} of {n_trials} trials unfinished",
+            steps=max(max_steps, 0),
         )
-
-    with ThreadPoolExecutor(max_workers=len(spans)) as pool:
-        parts = list(pool.map(run_span, spans))
-    first = parts[0]
-    return BatchSimResult(
-        makespans=np.concatenate([p.makespans for p in parts]),
-        completion_times=np.concatenate(
-            [p.completion_times for p in parts], axis=0
-        ),
-        busy_machine_steps=np.concatenate(
-            [p.busy_machine_steps for p in parts]
-        ),
-        semantics=first.semantics,
-        policy_name=first.policy_name,
-        vectorized=all(p.vectorized for p in parts),
-        discipline=first.discipline,
-    )
+    return result
 
 
 def _run_per_trial(
@@ -448,7 +412,9 @@ def _run_per_trial(
     ]
     for policy, (policy_rng, _) in zip(policies, pairs):
         policy.start(instance, policy_rng)
-    theta, outcome_rngs = _v1_outcomes(pairs, semantics, thresholds, n)
+    theta, outcome_rngs = _v1_outcomes(
+        [outcome for _, outcome in pairs], semantics, thresholds, n
+    )
     dispatch = _PerTrialDispatch(policies, probe.name, B, instance.n_machines)
     return _drive_batch(
         instance, probe.name, dispatch, B, semantics, max_steps, theta,
@@ -497,49 +463,62 @@ class _PerTrialDispatch:
         return out
 
 
-def _v1_outcomes(pairs, semantics, thresholds, n):
+def _v1_outcomes(outcome_rngs, semantics, thresholds, n):
     """``(theta, outcome_rngs)`` replaying the scalar engine's outcome draws.
 
-    ``pairs`` holds each trial's ``spawn(2) -> (policy_rng, outcome_rng)``
-    split.  Under ``suu_star`` the thresholds are the given matrix, else
-    one ``draw_thresholds`` row per trial's ``outcome_rng``; under ``suu``
-    the ``outcome_rngs`` feed the per-step coin flips."""
+    ``outcome_rngs`` holds each trial's ``outcome_rng`` of the engine's
+    ``spawn(2) -> (policy_rng, outcome_rng)`` split.  Under ``suu_star``
+    the thresholds are the given matrix, else one ``draw_thresholds`` row
+    per trial's ``outcome_rng``; under ``suu`` the ``outcome_rngs`` feed
+    the per-step coin flips."""
     if semantics != "suu_star":
-        return None, [outcome for _, outcome in pairs]
+        return None, outcome_rngs
     if thresholds is not None:
         return thresholds, None
-    theta = np.empty((len(pairs), n), dtype=np.float64)
-    for k, (_, outcome_rng) in enumerate(pairs):
+    theta = np.empty((len(outcome_rngs), n), dtype=np.float64)
+    for k, outcome_rng in enumerate(outcome_rngs):
         theta[k] = draw_thresholds(n, outcome_rng)
     return theta, None
 
 
+def _shared_thresholds(semantics, thresholds, streams, B, n):
+    """The batch's threshold matrix when no trial draws its own: the
+    caller's under ``suu_star``, else v2's whole-batch draw (Theorem 10:
+    under v2 either semantics samples SUU* thresholds).  ``None`` under
+    v1 otherwise, where every trial draws from its ``outcome_rng``."""
+    if semantics == "suu_star" and thresholds is not None:
+        return thresholds
+    if streams is not None:
+        return streams.thresholds(B, n)
+    return None
+
+
 def _run_vectorized(
-    instance, policy, trial_rngs, semantics, max_steps, thresholds,
-    discipline, streams,
+    instance, policy, factory, threads, trial_rngs, semantics, max_steps,
+    thresholds, discipline, streams,
 ) -> BatchSimResult:
-    """The broadcast path: one ``assign_batch`` call drives all trials,
-    or the closed form computes a declared repeated schedule's batch."""
+    """The broadcast path: one ``assign_batch`` call drives all trials
+    (in trial shards on up to ``threads`` threads when it steps against
+    thresholds), or the closed form computes a declared repeated
+    schedule's batch."""
     B, n = len(trial_rngs), instance.n_jobs
 
     # v1 mirrors run_policy's per-trial ``spawn(2) -> (policy_rng,
-    # outcome_rng)`` split.  When thresholds are supplied (the
-    # common-random-number path), no outcome randomness is consumed at all
-    # — exactly like the scalar engine — so only the lead trial's
-    # policy_rng needs spawning.  v2 replaces the per-trial outcome draws
-    # with whole-batch stream draws.
+    # outcome_rng)`` split.  When the thresholds come from the caller (the
+    # common-random-number path) or the v2 streams, no per-trial outcome
+    # randomness is consumed at all, so only the lead trial's policy_rng
+    # needs spawning.
     outcome_rngs = None
-    if semantics == "suu_star" and thresholds is not None:
-        theta = thresholds
-        policy.start_batch(instance, trial_rngs[0].spawn(2)[0], B)
-    elif streams is not None:
-        # Theorem 10: under v2 either semantics samples SUU* thresholds.
-        theta = streams.thresholds(B, n)
-        policy.start_batch(instance, trial_rngs[0].spawn(2)[0], B)
+    theta = _shared_thresholds(semantics, thresholds, streams, B, n)
+    if theta is not None:
+        policy_rng = trial_rngs[0].spawn(2)[0]
     else:
         pairs = [r.spawn(2) for r in trial_rngs]
-        policy.start_batch(instance, pairs[0][0], B)
-        theta, outcome_rngs = _v1_outcomes(pairs, semantics, None, n)
+        policy_rng = pairs[0][0]
+        theta, outcome_rngs = _v1_outcomes(
+            [outcome for _, outcome in pairs], semantics, None, n
+        )
+    policy.start_batch(instance, policy_rng, B)
     schedule = getattr(policy, "repeated_schedule", None)
     if (
         theta is not None
@@ -550,9 +529,55 @@ def _run_vectorized(
             instance, policy.name, schedule, theta, semantics, max_steps,
             discipline,
         )
+    n_shards = min(threads, B, os.cpu_count() or 1)
+    if theta is not None and factory is not None and n_shards > 1:
+        return _run_shards(
+            instance, policy.name, factory, policy_rng, n_shards, semantics,
+            max_steps, theta, discipline,
+        )
     return _drive_batch(
         instance, policy.name, policy.assign_batch, B, semantics, max_steps,
         theta, outcome_rngs, discipline,
+    )
+
+
+def _run_shards(
+    instance, policy_name, factory, policy_rng, n_shards, semantics,
+    max_steps, theta, discipline,
+) -> BatchSimResult:
+    """Step contiguous spans of ``theta``'s rows on ``n_shards`` threads,
+    each with its own policy from ``factory``, started as the unsharded
+    batch starts its one (the lead trial's ``policy_rng``, the whole
+    batch's trial count)."""
+    B = len(theta)
+    cuts = np.linspace(0, B, n_shards + 1).astype(int)
+    spans = [
+        (int(lo), int(hi)) for lo, hi in zip(cuts[:-1], cuts[1:]) if hi > lo
+    ]
+
+    def run_span(span):
+        lo, hi = span
+        shard_policy = factory()
+        shard_policy.start_batch(instance, policy_rng, B)
+        return _drive_batch(
+            instance, policy_name, shard_policy.assign_batch, hi - lo,
+            semantics, max_steps, theta[lo:hi], None, discipline, first=lo,
+        )
+
+    with ThreadPoolExecutor(max_workers=len(spans)) as pool:
+        parts = list(pool.map(run_span, spans))
+    return BatchSimResult(
+        makespans=np.concatenate([p.makespans for p in parts]),
+        completion_times=np.concatenate(
+            [p.completion_times for p in parts], axis=0
+        ),
+        busy_machine_steps=np.concatenate(
+            [p.busy_machine_steps for p in parts]
+        ),
+        semantics=semantics,
+        policy_name=policy_name,
+        vectorized=True,
+        discipline=discipline,
     )
 
 
@@ -560,7 +585,7 @@ def _run_closed_form(
     instance, policy_name, schedule, theta, semantics, max_steps, discipline,
 ) -> BatchSimResult:
     """The closed-form route: a repeated schedule's completions by
-    threshold lookup (see module docstring), raising what stepping would.
+    threshold lookup (see module docstring), up to ``max_steps`` steps.
 
     The whole table is range-checked up front, so a bad row raises even
     when no trial would have reached it."""
@@ -571,9 +596,6 @@ def _run_closed_form(
     completion_times, busy = schedule.repeat_completions(
         instance.ell, theta, max_steps
     )
-    live = int(np.count_nonzero((completion_times == 0).any(axis=1)))
-    if live:
-        raise _horizon_error(policy_name, max_steps, live, len(theta))
     return BatchSimResult(
         makespans=completion_times.max(axis=1),
         completion_times=completion_times,
@@ -582,16 +604,6 @@ def _run_closed_form(
         policy_name=policy_name,
         vectorized=True,
         discipline=discipline,
-    )
-
-
-def _horizon_error(policy_name, max_steps, live, B) -> SimulationHorizonError:
-    """The error of a batch with ``live`` of its ``B`` trials unfinished
-    after ``max_steps`` steps (the step count stepping stopped at)."""
-    return SimulationHorizonError(
-        f"{policy_name!r} exceeded max_steps={max_steps} with "
-        f"{live} of {B} trials unfinished",
-        steps=max(max_steps, 0),
     )
 
 
@@ -643,37 +655,27 @@ def _run_phased(
     instance, policy, trial_rngs, semantics, max_steps, thresholds,
     discipline, streams,
 ) -> BatchSimResult:
-    """The grouped-dispatch path for :class:`PhasedPolicy` implementations."""
+    """The grouped-dispatch path for :class:`PhasedPolicy` implementations.
+
+    Under v2 a policy that defines ``start_phased_v2`` is started by it
+    with the batch streams (its internal randomness is matrix-valued and
+    chunk-invariant); any other is started from the trial count.  Only v1
+    ``suu`` coin flips and v1 ``suu_star`` without given thresholds read
+    per-trial generators, so only those batches spawn them."""
     B, n = len(trial_rngs), instance.n_jobs
-
-    # Under v2, a policy implementing start_phased_v2 draws its internal
-    # randomness from the batch streams (matrix-valued, chunk-invariant)
-    # and needs no per-trial generators at all; it may decline (False),
-    # in which case the v1-style per-trial path below runs.
-    started = False
-    if streams is not None:
-        start_v2 = getattr(policy, "start_phased_v2", None)
-        if callable(start_v2):
-            started = bool(start_v2(instance, streams, B))
-
-    outcome_rngs = None
-    if streams is not None:
-        # Theorem 10: under v2 either semantics samples SUU* thresholds;
-        # a caller's matrix wins under suu_star only.
-        if semantics == "suu_star" and thresholds is not None:
-            theta = thresholds
-        else:
-            theta = streams.thresholds(B, n)
-        if not started:
-            pairs = [r.spawn(2) for r in trial_rngs]
-            policy.start_phased(instance, [p for p, _ in pairs])
+    start_v2 = (
+        getattr(policy, "start_phased_v2", None) if streams is not None else None
+    )
+    if start_v2 is not None:
+        start_v2(instance, streams, B)
     else:
-        # v1: phased policies may consume per-trial policy randomness, so
-        # the engine's per-trial spawn(2) split is replayed even on the
-        # common-random-number path where thresholds are given.
-        pairs = [r.spawn(2) for r in trial_rngs]
-        theta, outcome_rngs = _v1_outcomes(pairs, semantics, thresholds, n)
-        policy.start_phased(instance, [p for p, _ in pairs])
+        policy.start_phased(instance, B)
+    outcome_rngs = None
+    theta = _shared_thresholds(semantics, thresholds, streams, B, n)
+    if theta is None:
+        theta, outcome_rngs = _v1_outcomes(
+            [r.spawn(2)[1] for r in trial_rngs], semantics, None, n
+        )
     dispatch = _GroupedDispatch(policy, B, instance.n_machines)
     # Phased policies index their per-trial state by trial id, so grouped
     # dispatch keeps every row.
@@ -685,7 +687,7 @@ def _run_phased(
 
 def _drive_batch(
     instance, policy_name, assign, B, semantics, max_steps, theta,
-    outcome_rngs, discipline="v1", vectorized=True, compact=True,
+    outcome_rngs, discipline="v1", vectorized=True, compact=True, first=0,
 ) -> BatchSimResult:
     """The lock-stepped all-trials engine (see module docstring).
 
@@ -705,7 +707,11 @@ def _drive_batch(
     log2(B) and their total work to under two copies of the initial state.
     Every trial keeps its own thresholds or generator, so samples do not
     change.  Grouped dispatch passes ``compact=False``: phased policies
-    index their per-trial state by trial id.
+    index their per-trial state by trial id.  ``first`` is the batch trial
+    id of row 0 (a trial shard's span start): ``trials`` and the
+    precedence error name batch trials, not rows of the span.  Stepping
+    stops after ``max_steps`` steps; an unfinished trial keeps zero
+    completion steps, and :func:`run_policy_batch` raises for it.
 
     The step body itself lives in :mod:`repro.kernels`: one
     ``drive_step`` call per step on the threshold path, which touches only
@@ -726,7 +732,7 @@ def _drive_batch(
     completion_times = np.zeros((B, n), dtype=np.int64)
     busy = np.zeros(B, dtype=np.int64)
     active = np.ones(B, dtype=bool)
-    trials = np.arange(B, dtype=np.int64)
+    trials = np.arange(first, first + B, dtype=np.int64)
     # The full-size results; the working arrays above are these until the
     # first compaction.
     all_completion_times, all_busy = completion_times, busy
@@ -753,13 +759,12 @@ def _drive_batch(
 
     t = 0
     live = B
-    while live:
-        if t >= max_steps:
-            raise _horizon_error(policy_name, max_steps, live, B)
+    while live and t < max_steps:
         if compact and live * 2 < trials.size:
             done = ~active
-            all_completion_times[trials[done]] = completion_times[done]
-            all_busy[trials[done]] = busy[done]
+            finished = trials[done] - first
+            all_completion_times[finished] = completion_times[done]
+            all_busy[finished] = busy[done]
             keep = np.flatnonzero(active)
             trials, active = trials[keep], active[keep]
             remaining, eligible = remaining[keep], eligible[keep]
@@ -819,8 +824,8 @@ def _drive_batch(
         live = int(np.count_nonzero(active))
 
     if trials.size < B:
-        all_completion_times[trials] = completion_times
-        all_busy[trials] = busy
+        all_completion_times[trials - first] = completion_times
+        all_busy[trials - first] = busy
     return BatchSimResult(
         makespans=all_completion_times.max(axis=1),
         completion_times=all_completion_times,

@@ -78,9 +78,11 @@ def estimate_expected_makespan(
         historical per-trial loop; under v2 they are statistically
         equivalent batch-native draws.
     kernel_threads:
-        Trial-parallel worker count (``None`` resolves through
-        ``REPRO_KERNEL_THREADS``; default 1).  Bit-identical to serial —
-        the batch is sharded onto threads.
+        Trial-parallel thread cap (``None`` resolves through
+        ``REPRO_KERNEL_THREADS``; default 1).  Only a vectorized policy
+        stepping against thresholds shards onto threads (see
+        :func:`~repro.sim.batch.run_policy_batch`); samples are
+        bit-identical to serial either way.
 
     All dispatch lives in :func:`~repro.sim.batch.run_policy_batch`:
     batch-capable policies drive every trial at once, the rest run one

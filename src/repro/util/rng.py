@@ -167,7 +167,7 @@ class SpawnedRngs(Sequence):
         i = self._first + k
         gen = self._built.get(i)
         if gen is None:
-            # setdefault: concurrent shards that race on one index agree.
+            # setdefault: concurrent readers that race on one index agree.
             gen = self._built.setdefault(i, self._child(i))
         return gen
 

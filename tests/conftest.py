@@ -101,14 +101,12 @@ def _chain_crosscheck(inst, cls, kwargs, n_trials, seed, theta_seed=900):
         ]
     )
 
-    # Offset-sliced so the injection survives the kernel_threads trial-shard
-    # route (each shard draws its own span of the batch-global matrix).
     class Injected(cls):
         def _draw_v2_delays(self, streams, n, plan, *key):  # SUU-C's draw
-            return delays[0][streams.offset:streams.offset + n]
+            return delays[0]
 
         def _draw_block_delays(self, streams, n, plan, block, probe):  # SUU-T's
-            return delays[block][streams.offset:streams.offset + n]
+            return delays[block]
 
     def run(factory, discipline):
         return run_policy_batch(

@@ -55,6 +55,31 @@ class TestScenarioValidation:
         sc = Scenario(n_jobs=np.int64(6), n_machines=np.int64(3), seed=np.int64(4))
         assert sc.to_instance().n_jobs == 6
 
+    @pytest.mark.parametrize("field", ["density", "edge_prob"])
+    @pytest.mark.parametrize(
+        "value,needle",
+        [("x", "must be a number"), (True, "must be a number"),
+         (None, "must be a number"), (2.0, r"must be in \[0, 1\]"),
+         (-0.5, r"must be in \[0, 1\]"), (float("nan"), r"must be in \[0, 1\]"),
+         (float("inf"), r"must be in \[0, 1\]")],
+        ids=["str", "bool", "none", "above", "below", "nan", "inf"],
+    )
+    def test_probability_fields_must_be_in_unit_interval(self, field, value,
+                                                         needle):
+        # Checked whatever the shape: a grid may sweep the field.
+        with pytest.raises(InvalidScenarioError, match=f"{field} {needle}"):
+            Scenario(shape="layered", **{field: value})
+        with pytest.raises(InvalidScenarioError, match=field):
+            Scenario(shape="random_dag", **{field: value})
+
+    @pytest.mark.parametrize("value", [0, 1, 0.0, 0.25, 1.0, np.float64(0.5),
+                                       np.float32(0.5), np.int64(1)])
+    def test_probability_fields_accept_real_numbers(self, value):
+        for shape in ("layered", "random_dag"):
+            sc = Scenario(shape=shape, n_jobs=6, n_machines=2, density=value,
+                          edge_prob=value)
+            assert sc.to_instance().n_jobs == 6
+
     def test_all_declared_shapes_and_models_materialize(self):
         for shape in SCENARIO_SHAPES:
             for model in FAILURE_MODELS:

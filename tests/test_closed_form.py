@@ -229,10 +229,9 @@ class TestErrors:
         table = [[0, 1], [2, 2]]
 
         def run(factory):
-            # One shard: the message counts the trials of the whole batch.
             return _outcome(lambda: run_policy_batch(
                 tiny_instance, factory, 2, rng=0, semantics="suu_star",
-                thresholds=theta, max_steps=10, kernel_threads=1,
+                thresholds=theta, max_steps=10,
             ))
 
         got = run(lambda: RepeatingObliviousPolicy(FiniteObliviousSchedule(table)))

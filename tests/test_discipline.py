@@ -387,7 +387,7 @@ class TestChainCursorCrossCheck:
         assert policy._v2 is not None  # array cursors
 
     def test_v2_runs_preludes_on_array_cursors(self):
-        """Plans with ``unit > 1`` no longer decline start_phased_v2."""
+        """Plans with ``unit > 1`` run on the array cursors too."""
         inst = prelude_chain_instance()
         policy = SUUCPolicy()
         assert policy.prepare_plan(inst).unit > 1
@@ -487,11 +487,74 @@ class TestV2Determinism:
 
 
 class TestShardInvariance:
-    """The trial-shard layer (``kernel_threads > 1``) splits a batch
-    along the same seam the process backend chunks on.  Under v2 the
-    Philox streams are addressed by *global* trial index, so shard layout
-    is invisible by construction — assert it across thread counts and
-    chunked runs."""
+    """Trial shards (``kernel_threads > 1``) split the rows of a batch's
+    threshold matrix, drawn once for the whole batch, across threads.
+    They run only where a vectorized policy steps against thresholds (v2,
+    or ``suu_star``); every other route runs serially.  Shard layout must
+    be invisible in the samples: assert it across thread counts and
+    chunked runs, and that no other route opens a pool."""
+
+    #: ``(policy, discipline, semantics, shards)``: the routes that shard,
+    #: then the closed form, grouped, per-trial and v1 coin-flip routes.
+    ROUTES = [
+        ("greedy", "v2", "suu", True),
+        ("greedy", "v1", "suu_star", True),
+        ("round-robin", "v2", "suu", True),
+        ("round-robin", "v1", "suu_star", True),
+        ("obl", "v2", "suu", False),
+        ("sem", "v2", "suu", False),
+        ("layered", "v2", "suu", False),
+        ("adapt", "v2", "suu", False),
+        ("suu-c", "v2", "suu", False),
+        ("suu-t", "v2", "suu", False),
+        ("random", "v2", "suu", False),
+        ("suu-c", "v1", "suu", False),
+        ("greedy", "v1", "suu", False),
+    ]
+
+    @pytest.mark.parametrize(
+        "name,discipline,semantics,shards", ROUTES,
+        ids=[f"{n}-{d}-{s}" for n, d, s, _ in ROUTES],
+    )
+    def test_pool_only_on_threshold_stepped_vectorized(
+        self, name, discipline, semantics, shards, monkeypatch, force_cpus,
+    ):
+        # The stand-in records each pool's width and maps serially, so no
+        # thread starts.
+        import repro.sim.batch as batch
+
+        widths = []
+
+        class RecordingPool:
+            def __init__(self, max_workers=None):
+                widths.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        force_cpus(2)
+        monkeypatch.setattr(batch, "ThreadPoolExecutor", RecordingPool)
+        inst = make_instance(policy_shape(policy_info(name)))
+
+        def run(threads):
+            return run_policy_batch(
+                inst, policy_factory(name), 8, rng=13, semantics=semantics,
+                discipline=discipline, kernel_threads=threads,
+            )
+
+        ref = run(1)
+        assert widths == []
+        got = run(2)
+        assert widths == ([2] if shards else [])
+        assert np.array_equal(ref.makespans, got.makespans)
+        assert np.array_equal(ref.completion_times, got.completion_times)
+        assert np.array_equal(ref.busy_machine_steps, got.busy_machine_steps)
 
     # 12 trials: even shards (2, 4), uneven ones (5 -> 2/2/3/2/3), one
     # trial per shard (12), and more threads than trials (16).  The shard
@@ -502,7 +565,7 @@ class TestShardInvariance:
                                                    force_cpus):
         force_cpus(kernel_threads)
         inst = make_instance("chains")
-        factory = policy_factory("suu-c")
+        factory = policy_factory("greedy")
         ref = run_policy_batch(inst, factory, 12, rng=11, discipline="v2")
         got = run_policy_batch(
             inst, factory, 12, rng=11, discipline="v2",
@@ -515,10 +578,10 @@ class TestShardInvariance:
     def test_chunk_invariance_survives_sharding(self, kernel_threads,
                                                 force_cpus):
         # Chunks arrive with pre-offset streams (the service seam); the
-        # shard layer must rebase on top of that offset, not replace it.
+        # shard layer splits each chunk's own threshold rows.
         force_cpus(kernel_threads)
         inst = make_instance("chains")
-        factory = policy_factory("suu-c")
+        factory = policy_factory("greedy")
         root = run_seed_sequence(5)
         rngs = ensure_rng(5).spawn(20)
         full = run_policy_batch(
@@ -541,24 +604,26 @@ class TestShardInvariance:
         force_cpus(2)
         sc = Scenario(shape="independent", n_jobs=10, n_machines=4,
                       model="specialist", seed=3)
-        serial = SimConfig(n_trials=8, seed=5, discipline=discipline,
-                           substreams="per-policy")
-        sharded = SimConfig(n_trials=8, seed=5, discipline=discipline,
-                            substreams="per-policy", kernel_threads=2)
-        a1, b1 = evaluate_grid([sc], ("sem", "sem"), config=serial)
-        a2, b2 = evaluate_grid([sc], ("sem", "sem"), config=sharded)
+        serial = SimConfig(n_trials=8, seed=5, semantics="suu_star",
+                           discipline=discipline, substreams="per-policy")
+        sharded = SimConfig(n_trials=8, seed=5, semantics="suu_star",
+                            discipline=discipline, substreams="per-policy",
+                            kernel_threads=2)
+        a1, b1 = evaluate_grid([sc], ("greedy", "greedy"), config=serial)
+        a2, b2 = evaluate_grid([sc], ("greedy", "greedy"), config=sharded)
         assert np.array_equal(a1.stats.samples, a2.stats.samples)
         assert np.array_equal(b1.stats.samples, b2.stats.samples)
 
     def test_v1_bit_identical_across_thread_counts(self, force_cpus):
-        # v1 replays the per-trial spawned RNG tree; contiguous shards
-        # slice that tree, so sharding cannot change a sample there either.
+        # v1 suu_star draws every trial's thresholds from its own
+        # generator before the split; shards step rows of that matrix.
         force_cpus(3)
         inst = make_instance("chains")
-        factory = policy_factory("suu-c")
-        ref = run_policy_batch(inst, factory, 12, rng=11, discipline="v1")
+        factory = policy_factory("greedy")
+        ref = run_policy_batch(inst, factory, 12, rng=11, discipline="v1",
+                               semantics="suu_star")
         got = run_policy_batch(inst, factory, 12, rng=11, discipline="v1",
-                               kernel_threads=3)
+                               semantics="suu_star", kernel_threads=3)
         assert np.array_equal(ref.makespans, got.makespans)
 
 

@@ -170,8 +170,7 @@ class TestSemPostKFallbacks:
         :class:`SUUISemPolicy` execution switched into (v1 runs one per
         segment run); ``batch`` maps each segment cursor of a
         :class:`ChainCursorBatch` that left round mode to ``(cursor,
-        mode)``.  Appends and dict stores only, so trial-shard threads
-        cannot lose an entry.
+        mode)``.
         """
         scalar, batch = [], {}
         assign = SUUISemPolicy.assign

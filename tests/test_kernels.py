@@ -13,7 +13,8 @@ Six layers of guarantees:
 * **Validation**: every step of every batch range-checks the assigned
   job ids and, on instances with precedence edges, checks precedence —
   through :func:`run_policy_batch` and through :func:`simulate` by
-  registry name alike, serially and in trial shards.
+  registry name alike, serially and in trial shards, whose errors name
+  the batch trial.
 * **Threading**: the thread count reaches :func:`simulate` /
   ``evaluate_grid`` reports, the request server (``/healthz``), and the
   CLI; stale ``kernel`` inputs fail loudly; per-policy substreams
@@ -21,8 +22,9 @@ Six layers of guarantees:
   without touching single-policy runs.
 * **Trial parallelism** (``REPRO_KERNEL_THREADS``): resolution and
   validation of the thread count, and bit-identity of
-  ``kernel_threads > 1`` runs — the trial-shard layer — against serial
-  runs across a policy × semantics × discipline grid.
+  ``kernel_threads > 1`` runs against serial runs across a policy ×
+  semantics × discipline grid — trial shards where the batch steps a
+  vectorized policy against thresholds, and an ignored knob elsewhere.
 """
 
 import numpy as np
@@ -36,7 +38,11 @@ from repro.baselines.greedy_lr import GreedyLRPolicy
 from repro.core.suu_c import SUUCPolicy
 from repro.core.suu_i_sem import SUUISemPolicy
 from repro.core.suu_t import SUUTPolicy
-from repro.errors import InvalidScenarioError, ScheduleViolationError
+from repro.errors import (
+    InvalidScenarioError,
+    ScheduleViolationError,
+    SimulationHorizonError,
+)
 from repro.instance import (
     PrecedenceGraph,
     SUUInstance,
@@ -741,8 +747,10 @@ class TestLoopOracleAgreement:
 
 
 class TestTrialParallelBitIdentity:
-    """``kernel_threads > 1`` (trial shards on a thread pool) must be
-    byte-identical to serial on every discipline × policy."""
+    """``kernel_threads > 1`` must be byte-identical to serial on every
+    discipline × policy: trial shards on a thread pool where the batch
+    steps a vectorized policy against thresholds, and the serial route
+    (the knob ignored) everywhere else."""
 
     @staticmethod
     def _assert_shards_invisible(factory, shape, semantics, discipline,
@@ -777,23 +785,23 @@ class TestTrialParallelBitIdentity:
 
     def test_shard_count_capped_at_cpu_count(self, monkeypatch, force_cpus):
         # A client-chosen kernel_threads far above the CPU count must not
-        # split the batch into that many recursive batches.
+        # split the batch into that many shards.
         from repro.api.registry import policy_factory
         from repro.sim import batch
 
         force_cpus(2)
         inst = independent_instance(36, 6, "specialist", rng=0)
-        ref = run_policy_batch(inst, policy_factory("obl"), 64, rng=5,
+        ref = run_policy_batch(inst, policy_factory("greedy"), 64, rng=5,
                                discipline="v2", kernel_threads=1)
         shards = []
-        vectorized = batch._run_vectorized
+        drive = batch._drive_batch
 
-        def counted(*args):
-            shards.append(len(args[2]))  # the shard's trial_rngs
-            return vectorized(*args)
+        def counted(*args, **kwargs):
+            shards.append(args[3])  # the shard's row count
+            return drive(*args, **kwargs)
 
-        monkeypatch.setattr(batch, "_run_vectorized", counted)
-        got = run_policy_batch(inst, policy_factory("obl"), 64, rng=5,
+        monkeypatch.setattr(batch, "_drive_batch", counted)
+        got = run_policy_batch(inst, policy_factory("greedy"), 64, rng=5,
                                discipline="v2", kernel_threads=16)
         assert shards == [32, 32]
         assert np.array_equal(ref.makespans, got.makespans)
@@ -920,10 +928,12 @@ def _chain2_instance():
     return SUUInstance(np.full((2, 2), 0.5), graph)
 
 
-#: Serial, and trial shards (each shard checks its own rows and raises
+#: Serial (v1 coin flips under the default discipline), and trial shards
+#: (threshold stepping; each shard checks its own rows and raises
 #: through the thread pool).
 validate_threads = pytest.mark.parametrize(
-    "kernel_threads", [1, 4], ids=["serial", "shards"]
+    "kernel_threads,semantics", [(1, "suu"), (4, "suu_star")],
+    ids=["serial", "shards"],
 )
 
 
@@ -934,29 +944,86 @@ class TestEveryStepChecked:
         force_cpus(4)
 
     @validate_threads
-    def test_first_step_always_validated(self, kernel_threads):
+    def test_first_step_always_validated(self, kernel_threads, semantics):
         # A policy broken from the start fails at the first step.
         with pytest.raises(ScheduleViolationError, match="predecessors"):
             run_policy_batch(
                 _chain2_instance(), lambda: _EagerChainPolicy(early_job=1),
-                3, rng=0, kernel_threads=kernel_threads,
+                3, rng=0, semantics=semantics, kernel_threads=kernel_threads,
             )
 
     @validate_threads
-    def test_range_check_at_first_step(self, kernel_threads):
+    def test_range_check_at_first_step(self, kernel_threads, semantics):
         with pytest.raises(ScheduleViolationError, match="out-of-range"):
             run_policy_batch(
                 _chain2_instance(), _BadJobPolicy, 3, rng=0,
-                kernel_threads=kernel_threads,
+                semantics=semantics, kernel_threads=kernel_threads,
             )
 
     @validate_threads
-    def test_late_violation_caught_when_validating(self, kernel_threads):
+    def test_late_violation_caught_when_validating(self, kernel_threads,
+                                                   semantics):
+        # Under suu_star, job 0 outlives step 0 in the odd trials (mass 2
+        # against a threshold of 3); suu flips coins and ignores theta.
+        theta = np.ones((8, 2))
+        theta[1::2, 0] = 3.0
         with pytest.raises(ScheduleViolationError, match="predecessors"):
             run_policy_batch(
                 _chain2_instance(), _EagerChainPolicy, 8, rng=0,
+                semantics=semantics, thresholds=theta,
                 kernel_threads=kernel_threads,
             )
+
+    @pytest.mark.parametrize("kernel_threads", [1, 2], ids=["serial", "shards"])
+    def test_violation_names_the_batch_trial(self, kernel_threads):
+        # Job 0 is unfinished after step 0 only in trial 5 of 8 (mass 2
+        # against a threshold of 3), which the second of two shards holds
+        # as its row 1.
+        theta = np.ones((8, 2))
+        theta[5, 0] = 3.0
+        with pytest.raises(ScheduleViolationError, match=r"\(t=1, trial=5\)"):
+            run_policy_batch(
+                _chain2_instance(), _EagerChainPolicy, 8, rng=0,
+                semantics="suu_star", thresholds=theta,
+                kernel_threads=kernel_threads,
+            )
+
+    @pytest.mark.parametrize("kernel_threads", [1, 2], ids=["serial", "shards"])
+    def test_horizon_error_counts_the_batch(self, kernel_threads):
+        # Every trial idles through step 0, the only step max_steps allows.
+        with pytest.raises(SimulationHorizonError,
+                           match="max_steps=1 with 8 of 8 trials unfinished"):
+            run_policy_batch(
+                _chain2_instance(), _LateRangePolicy, 8, rng=0,
+                semantics="suu_star", max_steps=1,
+                kernel_threads=kernel_threads,
+            )
+
+    def test_shards_show_batch_trial_ids(self, monkeypatch):
+        from repro.sim import batch
+
+        seen = []
+
+        class Recording(_EagerChainPolicy):
+            def assign_batch(self, state):
+                if state.t == 0:
+                    seen.append(state.trials.tolist())
+                return super().assign_batch(state)
+
+        pools = []
+        pool_class = batch.ThreadPoolExecutor
+
+        def recording_pool(max_workers=None):
+            pools.append(max_workers)
+            return pool_class(max_workers=max_workers)
+
+        monkeypatch.setattr(batch, "ThreadPoolExecutor", recording_pool)
+        run_policy_batch(
+            _chain2_instance(), Recording, 8, rng=0, semantics="suu_star",
+            thresholds=np.ones((8, 2)), kernel_threads=2,
+        )
+        assert pools == [2]
+        assert sorted(seen) == [[0, 1, 2, 3], [4, 5, 6, 7]]
 
     @pytest.mark.parametrize(
         "cls,match",
@@ -964,9 +1031,9 @@ class TestEveryStepChecked:
          (_LatePrecedencePolicy, "predecessors")],
         ids=["range", "precedence"],
     )
-    @pytest.mark.parametrize("kernel_threads", [1, 2], ids=["serial", "shards"])
+    @validate_threads
     def test_registry_policies_checked_at_every_step(self, cls, match,
-                                                     kernel_threads,
+                                                     kernel_threads, semantics,
                                                      monkeypatch):
         # A policy reached by registry name gets the same checks as any
         # other, at every step: here the bad row first appears at step 1.
@@ -977,7 +1044,8 @@ class TestEveryStepChecked:
             registry._REGISTRY, cls.name,
             registry.PolicyInfo(name=cls.name, cls=cls),
         )
-        config = SimConfig(n_trials=8, seed=1, kernel_threads=kernel_threads)
+        config = SimConfig(n_trials=8, seed=1, semantics=semantics,
+                           kernel_threads=kernel_threads)
         with pytest.raises(ScheduleViolationError, match=match):
             simulate(_chain2_instance(), cls.name, config)
 

@@ -190,9 +190,9 @@ class TestCounterSurfacing:
 
 class TestRoundScheduleMemo:
     def test_four_threads_match_serial(self, monkeypatch):
-        """Trial shards fetch round schedules concurrently: every thread
-        gets the table a fresh serial solve builds, and the process cache
-        keeps one entry per (target, survivor set)."""
+        """Request handler threads fetch round schedules concurrently:
+        every thread gets the table a fresh serial solve builds, and the
+        process cache keeps one entry per (target, survivor set)."""
         instance = lpwall_instance(n_jobs=12, n_machines=2, rng=3)
         requests = [
             (target, np.arange(k, 12, dtype=np.int64))

@@ -123,14 +123,64 @@ class TestSpawnedRngs:
 
         monkeypatch.setattr(SpawnedRngs, "_child", counting)
         scenario = repro.Scenario(shape="independent", n_jobs=8, n_machines=3, seed=0)
-        # One shard: each trial shard would read its own first generator.
-        v2 = repro.SimConfig(n_trials=300, seed=0, discipline="v2", kernel_threads=1)
+        v2 = repro.SimConfig(n_trials=300, seed=0, discipline="v2")
         repro.simulate(scenario, "obl", v2)
         assert len(built) <= 1
         del built[:]
         v1 = repro.SimConfig(n_trials=20, seed=0, discipline="v1")
         repro.simulate(scenario, "random", v1)
         assert sorted(built) == list(range(20))
+
+
+class TestRunPolicyBatchSeeds:
+    """``run_policy_batch`` builds an integer seed's trial generators
+    lazily, with the samples of the eager ``rng.spawn(n_trials)`` list; a
+    caller's ``Generator`` or ``SeedSequence`` still spawns them."""
+
+    INSTANCE = repro.Scenario(shape="independent", n_jobs=8, n_machines=3,
+                              seed=0).to_instance()
+
+    def run(self, name, discipline, **kwargs):
+        from repro.api.registry import policy_factory
+
+        return repro.run_policy_batch(
+            self.INSTANCE, policy_factory(name), 12, discipline=discipline,
+            **kwargs,
+        ).makespans
+
+    @pytest.mark.parametrize("discipline", ["v1", "v2"])
+    @pytest.mark.parametrize("name", ["greedy", "sem", "random"])
+    def test_integer_seed_equals_the_eager_list(self, name, discipline):
+        eager = self.run(name, discipline, rng=9,
+                         trial_rngs=list(ensure_rng(9).spawn(12)))
+        assert np.array_equal(self.run(name, discipline, rng=9), eager)
+
+    def test_integer_seed_builds_only_read_generators(self, monkeypatch):
+        built = []
+        child = SpawnedRngs._child
+
+        def counting(self, i):
+            built.append(i)
+            return child(self, i)
+
+        monkeypatch.setattr(SpawnedRngs, "_child", counting)
+        self.run("obl", "v2", rng=9)
+        assert built == [0]  # the lead trial's, for the policy's start
+
+    @pytest.mark.parametrize("discipline", ["v1", "v2"])
+    def test_a_generator_passed_twice_gives_fresh_trials(self, discipline):
+        gen = np.random.default_rng(9)
+        first = self.run("greedy", discipline, rng=gen)
+        second = self.run("greedy", discipline, rng=gen)
+        assert not np.array_equal(first, second)
+        fresh = self.run("greedy", discipline, rng=np.random.default_rng(9))
+        assert np.array_equal(first, fresh)
+
+    def test_a_seed_sequence_still_spawns_its_children(self):
+        root = np.random.SeedSequence(9)
+        first = self.run("greedy", "v1", rng=root)
+        assert root.n_children_spawned == 12
+        assert not np.array_equal(first, self.run("greedy", "v1", rng=root))
 
 
 class TestErrorHierarchy:

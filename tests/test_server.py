@@ -108,7 +108,8 @@ class TestSchedulingServiceRouting:
         monkeypatch.setattr(batch, "ThreadPoolExecutor", RecordingPool)
         cpus = os.cpu_count() or 1
         wide = 4 * cpus
-        config = {"n_trials": wide, "seed": 3}
+        # v2 greedy steps against a threshold matrix: the sharded route.
+        config = {"n_trials": wide, "seed": 3, "discipline": "v2"}
         _status, serial = service.handle("POST", "/simulate", _simulate_body(
             config={**config, "kernel_threads": 1}, include_samples=True,
         ))
@@ -205,6 +206,17 @@ class TestSchedulingServiceRouting:
             ("POST", "/simulate",
              _simulate_body(scenario={**SCENARIO, "seed": True}),
              "invalid scenario: seed must be an integer"),
+            ("POST", "/simulate",
+             _simulate_body(scenario={**SCENARIO, "shape": "layered",
+                                      "density": "x"}),
+             "invalid scenario: density must be a number, got 'x'"),
+            ("POST", "/simulate",
+             _simulate_body(scenario={**SCENARIO, "shape": "random_dag",
+                                      "edge_prob": 2.0}),
+             "invalid scenario: edge_prob must be in [0, 1], got 2.0"),
+            ("POST", "/simulate",
+             _simulate_body(scenario={**SCENARIO, "edge_prob": "x"}),
+             "invalid scenario: edge_prob must be a number, got 'x'"),
             ("POST", "/simulate",
              _simulate_body(config={**CONFIG, "lp_reuse": "subset"}),
              "invalid config: unknown SimConfig fields ['lp_reuse']"),
