@@ -104,10 +104,11 @@ bench-parallel-check: bench-parallel
 smoke:
 	$(PYTHON) benchmarks/smoke_service.py
 
-# End-to-end suite-runner smoke: run the committed 2-cell suite twice
-# through the CLI — first run executes everything, the rerun must be
-# 100% content-address cache hits, and deleting one artifact re-executes
-# exactly that cell (with --jobs 2, on a worker pool, to an equal result).
+# End-to-end suite-runner smoke: run the committed 2-cell suite through
+# the CLI — first run executes everything, the reruns (plain, then under
+# REPRO_KERNEL_THREADS=2) must be 100% content-address cache hits, and
+# deleting one artifact re-executes exactly that cell (with --jobs 2, on
+# a worker pool, to an equal result).
 suite-smoke:
 	$(PYTHON) benchmarks/smoke_suite.py
 

@@ -13,13 +13,16 @@ What it checks, in order:
    consolidated ``report.json`` / ``report.md``.
 2. A second identical invocation performs **zero executions** — every
    cell is a content-address cache hit (``executed=0 cached=N``).
-3. Deleting one cell artifact and re-running with ``--jobs 2`` re-executes
+3. A third invocation under ``REPRO_KERNEL_THREADS=2`` performs zero
+   executions too: trial shards never change a sample, so a cell's
+   digest commits to the RNG discipline alone, not the thread count.
+4. Deleting one cell artifact and re-running with ``--jobs 2`` re-executes
    exactly that one cell (``executed=1``) on a worker pool, leaving the
    rest cached, and the re-executed cell's ``result`` equals the deleted
    artifact's (the pool path is bit-identical to serial).
-4. ``repro suite status`` agrees that all cells are done.
+5. ``repro suite status`` agrees that all cells are done.
 
-Exit code 0 only if all four hold — this is the CI suite-smoke leg.
+Exit code 0 only if all five hold — this is the CI suite-smoke leg.
 """
 
 from __future__ import annotations
@@ -84,6 +87,14 @@ def main(argv=None) -> int:
                 f"second run: expected all {n_cells} cells cached; got "
                 f"executed={executed} cached={cached}")
 
+        executed, cached = counts(run_cli(
+            ["suite", "run", args.suite, "--out", out],
+            {**env, "REPRO_KERNEL_THREADS": "2"}))
+        if executed != 0 or cached != n_cells:
+            failures.append(
+                f"run under REPRO_KERNEL_THREADS=2: expected all {n_cells} "
+                f"cells cached; got executed={executed} cached={cached}")
+
         artifacts = sorted(glob.glob(os.path.join(out, "cells", "*.json")))
         if len(artifacts) != n_cells:
             failures.append(f"{len(artifacts)} artifacts for {n_cells} cells")
@@ -114,9 +125,10 @@ def main(argv=None) -> int:
         for failure in failures:
             print(f"  - {failure}", file=sys.stderr)
         return 1
-    print(f"\nsuite smoke ok: {n_cells} cells executed once, rerun fully "
-          "cached, single-cell delta re-executed on a --jobs 2 pool with an "
-          "equal result, status consistent")
+    print(f"\nsuite smoke ok: {n_cells} cells executed once, reruns fully "
+          "cached (also under REPRO_KERNEL_THREADS=2), single-cell delta "
+          "re-executed on a --jobs 2 pool with an equal result, status "
+          "consistent")
     return 0
 
 

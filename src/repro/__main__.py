@@ -38,6 +38,7 @@ from repro.api.registry import (
 )
 from repro.api.scenario import FAILURE_MODELS, SCENARIO_SHAPES, Scenario, SimConfig
 from repro.api.service import evaluate_grid, simulate
+from repro.errors import InvalidScenarioError
 from repro.instance import load_instance, save_instance
 from repro.sim.engine import run_policy
 from repro.sim.trace import TracingPolicy, render_gantt
@@ -480,7 +481,13 @@ def main(argv=None) -> int:
                and n not in all_policy_names]
         if bad:
             parser.error(f"unknown policies {bad}; see 'repro policies'")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except InvalidScenarioError as exc:
+        # Bad input (a scenario or config value), not a crash: one line
+        # and exit 2, as `suite run` does for a malformed suite.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -6,6 +6,7 @@ from repro.analysis.bounds import (
     lp1_lower_bound,
     lp2_lower_bound,
     single_job_lower_bound,
+    work_lower_bound,
 )
 from repro.analysis.perjob import PerJobStats, per_job_stats
 from repro.analysis.ratios import RatioMeasurement, measure_ratio
@@ -19,6 +20,7 @@ __all__ = [
     "lp2_lower_bound",
     "single_job_lower_bound",
     "critical_path_lower_bound",
+    "work_lower_bound",
     "RatioMeasurement",
     "measure_ratio",
     "format_table",

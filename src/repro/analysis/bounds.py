@@ -23,6 +23,12 @@ Bounds implemented:
 * **Critical-path bound**: along any precedence path the jobs run in
   disjoint time intervals, each at least its geometric above, so
   ``E[T_OPT] >= max over paths of the path's sum of geometric means``.
+* **Work bound** (valid for every precedence structure): a machine-step
+  on job ``j`` succeeds with probability at most ``p_j = max_i (1 -
+  q_ij)``, and the attempts are chosen before their outcomes, so by
+  Wald's identity the expected machine-steps spent on ``j`` are at least
+  ``1 / p_j``.  ``m`` machines deliver ``m`` machine-steps per step, so
+  ``E[T_OPT] >= sum_j (1 / p_j) / m``.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ __all__ = [
     "lp2_lower_bound",
     "single_job_lower_bound",
     "critical_path_lower_bound",
+    "work_lower_bound",
     "lower_bound",
 ]
 
@@ -78,9 +85,21 @@ def critical_path_lower_bound(instance: SUUInstance) -> float:
     return float(best.max())
 
 
+def work_lower_bound(instance: SUUInstance) -> float:
+    """``sum_j (1 / p_j) / m`` with ``p_j = max_i (1 - q_ij)``: every job's
+    expected machine-steps, spread over all ``m`` machines."""
+    p = 1.0 - instance.q.min(axis=0)
+    return float((1.0 / p).sum() / instance.n_machines)
+
+
 def lower_bound(instance: SUUInstance) -> float:
     """Best applicable lower bound on ``E[T_OPT]`` (always >= 1)."""
-    candidates = [1.0, lp1_lower_bound(instance), critical_path_lower_bound(instance)]
+    candidates = [
+        1.0,
+        lp1_lower_bound(instance),
+        critical_path_lower_bound(instance),
+        work_lower_bound(instance),
+    ]
     if instance.precedence_class in (
         PrecedenceClass.CHAINS,
         PrecedenceClass.INDEPENDENT,

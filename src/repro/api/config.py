@@ -1,13 +1,13 @@
 """One config-resolution chain for every run-time knob.
 
-Three knobs steer how a batch of trials executes without changing *what*
-is measured: the RNG ``discipline``, the trial-parallel
-``kernel_threads`` count, and the grid-sweep ``substreams`` mode.
-This module is the **only** place their environment variables are read,
-and every consumer — ``SimConfig``, :func:`repro.api.simulate` /
-:func:`repro.api.evaluate_grid`, :func:`repro.sim.batch.
-run_policy_batch`, and the request server — resolves through it
-(``repro.util.rng.resolve_discipline`` remains as a thin delegate).
+Two knobs steer how a batch of trials executes without changing *what*
+is measured: the RNG ``discipline`` and the trial-parallel
+``kernel_threads`` count.  This module is the **only** place their
+environment variables are read, and every consumer — ``SimConfig``,
+:func:`repro.api.simulate` / :func:`repro.api.evaluate_grid`,
+:func:`repro.sim.batch.run_policy_batch`, and the request server —
+resolves through it (``repro.util.rng.resolve_discipline`` remains as a
+thin delegate).
 
 The chain, identical for every knob::
 
@@ -18,16 +18,16 @@ knob                      environment variable       default
 ========================  =========================  ==========
 ``discipline``            ``REPRO_DISCIPLINE``       ``"v1"``
 ``kernel_threads``        ``REPRO_KERNEL_THREADS``   ``1``
-``substreams``            ``REPRO_SUBSTREAMS``       ``"shared"``
 ========================  =========================  ==========
 
 Unknown values raise ``ValueError`` **including when they arrive via the
 environment**, so typos fail loudly instead of silently running the
-default.  :func:`resolve_knobs` resolves all three at once into a frozen
-:class:`ResolvedKnobs` snapshot — the value that feeds suite-cell
-digests (:mod:`repro.suite.digest`): a cell's content address commits to
-the knobs it actually ran under, not to however the environment happened
-to be set.
+default.  :func:`resolve_knobs` resolves both at once into a frozen
+:class:`ResolvedKnobs` snapshot, which a run (and every worker chunk of
+it) executes under.  Only the discipline can change a sample, so a
+suite cell's digest (:mod:`repro.suite.digest`) commits to the resolved
+discipline alone: cells run under different ``kernel_threads`` share
+their artifacts.
 
 One auxiliary setting rides the same single-reader rule (it tunes
 machinery rather than selecting a knob, and is consulted at its use site
@@ -41,7 +41,6 @@ from any layer without cycles.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 from dataclasses import dataclass
 
@@ -51,33 +50,23 @@ __all__ = [
     "DISCIPLINES",
     "DISCIPLINE_ENV_VAR",
     "KERNEL_THREADS_ENV_VAR",
-    "SUBSTREAMS_MODES",
-    "SUBSTREAMS_ENV_VAR",
     "SOLVE_CACHE_ENV_VAR",
     "KNOB_NAMES",
     "ResolvedKnobs",
     "resolve_knobs",
     "resolve_discipline",
     "resolve_kernel_threads",
-    "resolve_substreams",
     "solve_cache_enabled",
 ]
 
 #: Environment variable supplying the default trial-parallel worker count.
 KERNEL_THREADS_ENV_VAR = "REPRO_KERNEL_THREADS"
 
-#: Recognized grid-sweep substream modes; ``SUBSTREAMS_MODES[0]`` is the
-#: default (common random numbers across a sweep's policy columns).
-SUBSTREAMS_MODES: tuple[str, ...] = ("shared", "per-policy")
-
-#: Environment variable supplying the default substreams mode.
-SUBSTREAMS_ENV_VAR = "REPRO_SUBSTREAMS"
-
 #: Environment variable disabling the process solve cache (``"0"``).
 SOLVE_CACHE_ENV_VAR = "REPRO_SOLVE_CACHE"
 
-#: The three knobs, in the order :class:`ResolvedKnobs` carries them.
-KNOB_NAMES: tuple[str, ...] = ("discipline", "kernel_threads", "substreams")
+#: The two knobs, in the order :class:`ResolvedKnobs` carries them.
+KNOB_NAMES: tuple[str, ...] = ("discipline", "kernel_threads")
 
 
 def resolve_discipline(discipline: str | None = None) -> str:
@@ -116,19 +105,6 @@ def resolve_kernel_threads(threads: int | None = None) -> int:
     return count
 
 
-def resolve_substreams(mode: str | None = None) -> str:
-    """The grid-sweep substream mode: argument → ``REPRO_SUBSTREAMS`` →
-    ``"shared"``; unknown modes (env included) raise ``ValueError``."""
-    if mode is None:
-        mode = os.environ.get(SUBSTREAMS_ENV_VAR) or SUBSTREAMS_MODES[0]
-    if mode not in SUBSTREAMS_MODES:
-        raise ValueError(
-            f"unknown substreams mode {mode!r}; expected "
-            f"'shared' or 'per-policy'"
-        )
-    return mode
-
-
 def solve_cache_enabled() -> bool:
     """Whether the process solve cache is enabled (``REPRO_SOLVE_CACHE``
     anything-but-``"0"``; the size bound is the cache's own concern)."""
@@ -137,28 +113,20 @@ def solve_cache_enabled() -> bool:
 
 @dataclass(frozen=True)
 class ResolvedKnobs:
-    """A frozen snapshot of all three knobs after resolution.
+    """A frozen snapshot of both knobs after resolution.
 
     Every field holds the concrete value trials will run under — no
-    ``None`` placeholders left.  The snapshot is JSON-ready via
-    :meth:`as_dict`, which is what suite-cell digests hash: re-running a
-    suite under a different ``REPRO_*`` environment addresses different
-    cells, so cached results are never served across a knob change.
+    ``None`` placeholders left — so a worker's own environment never
+    changes a run.
     """
 
     discipline: str = DISCIPLINES[0]
     kernel_threads: int = 1
-    substreams: str = SUBSTREAMS_MODES[0]
-
-    def as_dict(self) -> dict:
-        """JSON-compatible representation (insertion-ordered fields)."""
-        return dataclasses.asdict(self)
 
 
 _RESOLVERS = {
     "discipline": resolve_discipline,
     "kernel_threads": resolve_kernel_threads,
-    "substreams": resolve_substreams,
 }
 
 
@@ -167,9 +135,8 @@ def resolve_knobs(
     *,
     discipline: str | None = None,
     kernel_threads: int | None = None,
-    substreams: str | None = None,
 ) -> ResolvedKnobs:
-    """Resolve all three knobs through the one documented chain.
+    """Resolve both knobs through the one documented chain.
 
     Per knob: the explicit keyword wins, then the same-named field of
     ``config`` (anything with the attribute — normally a
@@ -181,7 +148,6 @@ def resolve_knobs(
     explicit = {
         "discipline": discipline,
         "kernel_threads": kernel_threads,
-        "substreams": substreams,
     }
     resolved = {}
     for name, value in explicit.items():

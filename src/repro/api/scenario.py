@@ -21,12 +21,7 @@ import numbers
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
-from repro.api.config import (
-    DISCIPLINES,
-    SUBSTREAMS_MODES,
-    ResolvedKnobs,
-    resolve_knobs,
-)
+from repro.api.config import DISCIPLINES, ResolvedKnobs, resolve_knobs
 from repro.errors import InvalidScenarioError
 from repro.instance.generators import (
     chain_instance,
@@ -122,21 +117,15 @@ class SimConfig:
         batch runs serially (see :mod:`repro.sim.batch`, "Trial
         shards").  ``None`` resolves through ``REPRO_KERNEL_THREADS`` at
         run time (default 1 — serial).
-    substreams:
-        How sweep cells consume the seed's randomness: ``"shared"``
-        (every policy sees the same trial RNG tree / batch
-        streams — common-random-numbers pairing, minimum-variance policy
-        *differences*) or ``"per-policy"`` (each policy in an
-        ``evaluate_grid`` sweep draws from its own
-        ``BatchStreams.child`` substream — independent estimates per
-        cell, minimum-variance cell *means*).  ``None`` (the default)
-        resolves through ``REPRO_SUBSTREAMS`` at run time (default
-        shared).  Single-policy ``simulate()`` calls are unaffected.
 
-    Every knob resolves through the one documented chain in
+    Both knobs resolve through the one documented chain in
     :mod:`repro.api.config` — explicit argument → this config's field →
-    environment variable → default; :meth:`resolved` snapshots all three
-    at once.
+    environment variable → default; :meth:`resolved` snapshots both at
+    once.  A run roots its trial tree and its v2 streams at ``seed``
+    alone, so every policy of an ``evaluate_grid`` sweep sees the same
+    randomness (common random numbers); independent per-policy
+    estimates come from separate ``simulate()`` calls with their own
+    seeds.
     """
 
     n_trials: int = 30
@@ -145,7 +134,6 @@ class SimConfig:
     max_steps: int = DEFAULT_MAX_STEPS
     discipline: str | None = None
     kernel_threads: int | None = None
-    substreams: str | None = None
 
     def __post_init__(self):
         _check_int("n_trials", self.n_trials, 1)
@@ -160,17 +148,11 @@ class SimConfig:
             )
         if self.kernel_threads is not None:
             _check_int("kernel_threads", self.kernel_threads, 1)
-        if self.substreams is not None and self.substreams not in SUBSTREAMS_MODES:
-            raise InvalidScenarioError(
-                f"unknown substreams mode {self.substreams!r}; expected "
-                f"'shared' or 'per-policy' (or None for the environment "
-                f"default)"
-            )
 
     def resolved(self) -> ResolvedKnobs:
-        """All three knobs resolved through the one chain in
+        """Both knobs resolved through the one chain in
         :mod:`repro.api.config` (explicit field → environment variable →
-        default) — the snapshot that feeds suite-cell digests."""
+        default) — the snapshot a run executes under."""
         return resolve_knobs(config=self)
 
     def to_dict(self) -> dict:

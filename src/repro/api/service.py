@@ -53,7 +53,6 @@ from repro.sim.results import MakespanStats
 from repro.util.rng import (
     BatchStreams,
     SpawnedRngs,
-    ensure_rng,
     run_seed_sequence,
     spawn_rngs,  # noqa: F401 - perfbench's tracer wraps this name (rng.spawn)
 )
@@ -305,7 +304,7 @@ def _fast_path_eligible(factory, discipline: str = "v1") -> bool:
 
 
 def _run_batched(instance, factory, config: SimConfig, knobs, executor=None,
-                 want_completions=False, substream=None):
+                 want_completions=False):
     """Run the trials in-process (``executor`` ``None`` or serial) or as
     trial chunks on ``executor``'s worker pool.
 
@@ -319,26 +318,15 @@ def _run_batched(instance, factory, config: SimConfig, knobs, executor=None,
     bit-identical across backends, worker counts, and chunk layouts.
     That also makes a chunk map a dying worker broke safe to re-run: it
     runs once more on the executor's rebuilt, re-warmed pool, and a
-    second break propagates.
-    ``substream`` (``config.substreams == "per-policy"`` in grid sweeps)
-    re-roots *all* the run's randomness — the v1 trial tree and the v2
-    batch streams alike — at :meth:`BatchStreams.child` of that index, so
-    the same seed gives each compared policy statistically independent
-    draws instead of common random numbers.
+    second break propagates.  The trial tree and the v2 streams hang off
+    one root, ``config.seed``'s sequence.
     """
+    root = run_seed_sequence(config.seed)
     # Under v2 the whole run shares one stream root addressed by global
     # trial index (chunk-layout invariant).
-    sub_root = None
-    if substream is not None:
-        sub_root = BatchStreams(run_seed_sequence(config.seed)).child(substream).root
-    streams = None
-    if knobs.discipline == "v2":
-        streams = BatchStreams(sub_root if sub_root is not None else
-                               run_seed_sequence(config.seed))
+    streams = BatchStreams(root) if knobs.discipline == "v2" else None
     # The trial generators are built on first use: the vectorized v2
     # path reads only trial 0's, and chunks ship spans, not states.
-    root = (ensure_rng(config.seed).bit_generator.seed_seq if sub_root is None
-            else sub_root)
     rngs = SpawnedRngs(root, config.n_trials)
     if executor is None or executor.backend == "serial":
         return run_trial_batch(
@@ -445,7 +433,6 @@ def _simulate_instance(
     fast_path,
     bound=None,
     per_job=False,
-    substream=None,
 ):
     """Shared core of :func:`simulate` / :func:`evaluate_grid`.
 
@@ -457,8 +444,7 @@ def _simulate_instance(
     for injected executors, which own the transport decision (their warm
     workers, not this process, are where cache reuse should accumulate).
     ``bound`` lets grid sweeps reuse one LP lower-bound solve across the
-    cells that share a scenario; ``substream`` is the per-policy stream
-    index grid sweeps pass under ``config.substreams == "per-policy"``.
+    cells that share a scenario.
     """
     label, factory = _resolve_policy(policy, instance, policy_kwargs)
     if (fast_path and executor is not None
@@ -466,8 +452,7 @@ def _simulate_instance(
             and _fast_path_eligible(factory, knobs.discipline)):
         executor = None
     samples, completions, lp_stats = _run_batched(
-        instance, factory, config, knobs, executor,
-        want_completions=per_job, substream=substream,
+        instance, factory, config, knobs, executor, want_completions=per_job,
     )
     job_stats = None
     if per_job:
@@ -521,7 +506,9 @@ def evaluate_grid(
 
     Returns reports ordered scenario-major (all policies of the first
     scenario, then the second, ...), matching the grid's declaration
-    order; each (scenario, policy) cell runs under the same ``config``.
+    order; each (scenario, policy) cell runs under the same ``config``,
+    so the policies of one scenario see the same randomness (common
+    random numbers: minimum-variance policy *differences*).
 
     Per-scenario work is shared across the policy cells: the instance is
     materialized and its LP lower bound solved once, and under
@@ -536,21 +523,17 @@ def evaluate_grid(
         policies = (policies,)
     config = config or SimConfig()
     knobs = config.resolved()
-    # Per-policy substreams: under "per-policy" every policy column gets
-    # its own child of the run's stream root (independent estimates);
-    # the "shared" default keeps common random numbers across policies.
-    per_policy = knobs.substreams == "per-policy"
     reports = []
     with _open_executor(executor, backend, n_workers, config.n_trials) as ex:
         for scenario in grid:
             instance = scenario.to_instance()
             bound = _lower_bound(instance)
-            for k, policy in enumerate(policies):
+            for policy in policies:
                 reports.append(
                     _simulate_instance(
                         scenario, instance, policy, config, knobs, ex, {},
                         fast_path=executor is None, bound=bound,
-                        per_job=per_job, substream=k if per_policy else None,
+                        per_job=per_job,
                     )
                 )
     return reports

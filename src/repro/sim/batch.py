@@ -102,16 +102,17 @@ and the Monte Carlo front ends route every policy through this kernel.
 Under **v2** (a documented break: different streams, same distributions)
 outcome randomness is drawn in whole-batch blocks from the per-run
 :class:`~repro.util.rng.BatchStreams` spawn tree instead of replaying the
-serial tree trial by trial: one ``(n_trials, n_jobs)`` threshold matrix
-per batch under *either* semantics (Theorem 10; so v2 ``suu`` and v2
-``suu_star`` are one stream, and v2 ``suu`` samples drawn before this
-sampler cannot be reproduced), and a phased policy that defines
+serial tree trial by trial: :func:`run_policy_batch` draws one
+``(n_trials, n_jobs)`` threshold matrix per batch under *either*
+semantics (Theorem 10; so v2 ``suu`` and v2 ``suu_star`` are one stream)
+and every route steps against it, and a phased policy that defines
 ``start_phased_v2`` (SUU-C, SUU-T) is started by it with the streams, to
 draw matrix-valued internal randomness (SUU-C's chain-delay matrix).
 Rows are addressed by global trial index, so v2 samples are
 deterministic in the seed and invariant under backend and chunk layout —
 they just differ from v1's.  The per-trial ``Generator.random(k)`` loop in
-``_draw_suu_completions`` is what this removes; it is the reason v2 exists.
+``_draw_suu_completions`` runs under v1 only; removing it from the hot
+path is the reason v2 exists.
 
 Per-trial dispatch
 ------------------
@@ -120,9 +121,11 @@ per-step ones), and phased policies under a discipline their grouped
 dispatch does not cover (SUU-C/SUU-T under v1, whose rows depend on each
 trial's own chain delays), run one scalar policy per trial, lock-stepped
 through the same engine: each step every live trial's policy is asked for
-its row.  Trials share no rows on this path, so it consumes the v1 RNG
-tree under either discipline — ``suu`` keeps its per-trial coin flips
-even under v2 — and :func:`run_policy_batch` is safe to call with any
+its row.  Each trial's policy is started with its v1 ``policy_rng`` under
+either discipline; the outcome side follows the discipline like every
+other route, so under v2 row ``k`` steps against row ``k`` of the batch's
+threshold matrix and equals the scalar engine run with ``suu_star`` on
+that row.  :func:`run_policy_batch` is therefore safe to call with any
 policy.
 
 Trial shards
@@ -266,11 +269,10 @@ def run_policy_batch(
         ``SeedSequence`` spawns them, advancing its spawn counter.
     semantics:
         ``"suu"`` or ``"suu_star"``, with the same meaning as
-        :func:`~repro.sim.engine.run_policy`.  Under discipline v2,
-        vectorized and phased policies sample ``"suu"`` as SUU*
-        thresholds (Theorem 10), so the two semantics give byte-equal
-        samples from one seed; per-trial dispatch and v1 flip each
-        trial's coins step by step.
+        :func:`~repro.sim.engine.run_policy`.  Under discipline v2 every
+        route samples ``"suu"`` as SUU* thresholds (Theorem 10), so the
+        two semantics give byte-equal samples from one seed; v1 ``"suu"``
+        flips each trial's coins step by step.
     thresholds:
         Optional pre-drawn SUU* threshold matrix, shape
         ``(n_trials, n_jobs)`` (ignored under ``"suu"``); row ``k`` plays
@@ -353,6 +355,13 @@ def run_policy_batch(
                 f"thresholds must have shape ({n_trials}, {n}), "
                 f"got {thresholds.shape}"
             )
+    # The batch's one threshold matrix, which every route steps against:
+    # the caller's under suu_star, else v2's whole-batch draw (Theorem 10:
+    # under v2 either semantics samples SUU* thresholds).  None under v1
+    # otherwise, where every trial draws from its own outcome_rng.
+    theta = thresholds if semantics == "suu_star" else None
+    if theta is None and streams is not None:
+        theta = streams.thresholds(n_trials, n)
 
     if isinstance(policy, Policy):
         probe, factory = policy, None
@@ -367,17 +376,17 @@ def run_policy_batch(
     if supports_batch(probe):
         result = _run_vectorized(
             instance, probe, factory, threads, trial_rngs, semantics,
-            max_steps, thresholds, discipline, streams,
+            max_steps, theta, discipline,
         )
     elif supports_phased(probe, discipline):
         result = _run_phased(
-            instance, probe, trial_rngs, semantics, max_steps, thresholds,
+            instance, probe, trial_rngs, semantics, max_steps, theta,
             discipline, streams,
         )
     else:
         result = _run_per_trial(
             instance, probe, factory, trial_rngs, semantics, max_steps,
-            thresholds, discipline,
+            theta, discipline,
         )
     # Every route stops at the horizon; an unfinished trial has a job
     # without a completion step.  Counted here, over the whole batch, so
@@ -393,17 +402,15 @@ def run_policy_batch(
 
 
 def _run_per_trial(
-    instance, probe, factory, trial_rngs, semantics, max_steps, thresholds,
+    instance, probe, factory, trial_rngs, semantics, max_steps, theta,
     discipline,
 ) -> BatchSimResult:
     """Per-trial dispatch: one scalar policy per trial, lock-stepped.
 
     Each trial's policy is started with the ``policy_rng`` of the engine's
-    ``spawn(2)`` split, exactly like a scalar run, and outcome randomness
-    replays the v1 tree under either discipline (trials share no rows, so
-    the scalar streams are the only ones to draw from): ``suu`` flips each
-    trial's coins step by step also under v2, and ``suu_star`` draws each
-    trial's thresholds from its own generator."""
+    ``spawn(2)`` split, exactly like a scalar run.  Trials step against
+    the batch's threshold matrix ``theta`` when there is one; otherwise
+    (v1) each replays its own ``outcome_rng``."""
     B, n = len(trial_rngs), instance.n_jobs
     pairs = [r.spawn(2) for r in trial_rngs]
     policies = [
@@ -412,9 +419,11 @@ def _run_per_trial(
     ]
     for policy, (policy_rng, _) in zip(policies, pairs):
         policy.start(instance, policy_rng)
-    theta, outcome_rngs = _v1_outcomes(
-        [outcome for _, outcome in pairs], semantics, thresholds, n
-    )
+    outcome_rngs = None
+    if theta is None:
+        theta, outcome_rngs = _v1_outcomes(
+            [outcome for _, outcome in pairs], semantics, n
+        )
     dispatch = _PerTrialDispatch(policies, probe.name, B, instance.n_machines)
     return _drive_batch(
         instance, probe.name, dispatch, B, semantics, max_steps, theta,
@@ -463,39 +472,25 @@ class _PerTrialDispatch:
         return out
 
 
-def _v1_outcomes(outcome_rngs, semantics, thresholds, n):
-    """``(theta, outcome_rngs)`` replaying the scalar engine's outcome draws.
+def _v1_outcomes(outcome_rngs, semantics, n):
+    """``(theta, outcome_rngs)`` replaying the scalar engine's outcome draws
+    for a v1 batch without a threshold matrix.
 
     ``outcome_rngs`` holds each trial's ``outcome_rng`` of the engine's
     ``spawn(2) -> (policy_rng, outcome_rng)`` split.  Under ``suu_star``
-    the thresholds are the given matrix, else one ``draw_thresholds`` row
-    per trial's ``outcome_rng``; under ``suu`` the ``outcome_rngs`` feed
-    the per-step coin flips."""
+    each trial draws one ``draw_thresholds`` row from its ``outcome_rng``;
+    under ``suu`` the ``outcome_rngs`` feed the per-step coin flips."""
     if semantics != "suu_star":
         return None, outcome_rngs
-    if thresholds is not None:
-        return thresholds, None
     theta = np.empty((len(outcome_rngs), n), dtype=np.float64)
     for k, outcome_rng in enumerate(outcome_rngs):
         theta[k] = draw_thresholds(n, outcome_rng)
     return theta, None
 
 
-def _shared_thresholds(semantics, thresholds, streams, B, n):
-    """The batch's threshold matrix when no trial draws its own: the
-    caller's under ``suu_star``, else v2's whole-batch draw (Theorem 10:
-    under v2 either semantics samples SUU* thresholds).  ``None`` under
-    v1 otherwise, where every trial draws from its ``outcome_rng``."""
-    if semantics == "suu_star" and thresholds is not None:
-        return thresholds
-    if streams is not None:
-        return streams.thresholds(B, n)
-    return None
-
-
 def _run_vectorized(
     instance, policy, factory, threads, trial_rngs, semantics, max_steps,
-    thresholds, discipline, streams,
+    theta, discipline,
 ) -> BatchSimResult:
     """The broadcast path: one ``assign_batch`` call drives all trials
     (in trial shards on up to ``threads`` threads when it steps against
@@ -504,19 +499,17 @@ def _run_vectorized(
     B, n = len(trial_rngs), instance.n_jobs
 
     # v1 mirrors run_policy's per-trial ``spawn(2) -> (policy_rng,
-    # outcome_rng)`` split.  When the thresholds come from the caller (the
-    # common-random-number path) or the v2 streams, no per-trial outcome
-    # randomness is consumed at all, so only the lead trial's policy_rng
-    # needs spawning.
+    # outcome_rng)`` split.  With a threshold matrix (the caller's, or the
+    # v2 streams') no per-trial outcome randomness is consumed at all, so
+    # only the lead trial's policy_rng needs spawning.
     outcome_rngs = None
-    theta = _shared_thresholds(semantics, thresholds, streams, B, n)
     if theta is not None:
         policy_rng = trial_rngs[0].spawn(2)[0]
     else:
         pairs = [r.spawn(2) for r in trial_rngs]
         policy_rng = pairs[0][0]
         theta, outcome_rngs = _v1_outcomes(
-            [outcome for _, outcome in pairs], semantics, None, n
+            [outcome for _, outcome in pairs], semantics, n
         )
     policy.start_batch(instance, policy_rng, B)
     schedule = getattr(policy, "repeated_schedule", None)
@@ -548,7 +541,12 @@ def _run_shards(
     """Step contiguous spans of ``theta``'s rows on ``n_shards`` threads,
     each with its own policy from ``factory``, started as the unsharded
     batch starts its one (the lead trial's ``policy_rng``, the whole
-    batch's trial count)."""
+    batch's trial count).
+
+    A violation raises exactly the serial batch's error: the first
+    span's error need not be it (a later span can fail at an earlier
+    step), so on any span's ``ScheduleViolationError`` the whole batch
+    is stepped once more serially, with a fresh policy, to raise it."""
     B = len(theta)
     cuts = np.linspace(0, B, n_shards + 1).astype(int)
     spans = [
@@ -564,8 +562,17 @@ def _run_shards(
             semantics, max_steps, theta[lo:hi], None, discipline, first=lo,
         )
 
-    with ThreadPoolExecutor(max_workers=len(spans)) as pool:
-        parts = list(pool.map(run_span, spans))
+    try:
+        with ThreadPoolExecutor(max_workers=len(spans)) as pool:
+            parts = list(pool.map(run_span, spans))
+    except ScheduleViolationError:
+        serial = factory()
+        serial.start_batch(instance, policy_rng, B)
+        _drive_batch(
+            instance, policy_name, serial.assign_batch, B, semantics,
+            max_steps, theta, None, discipline,
+        )
+        raise
     return BatchSimResult(
         makespans=np.concatenate([p.makespans for p in parts]),
         completion_times=np.concatenate(
@@ -652,7 +659,7 @@ class _GroupedDispatch:
 
 
 def _run_phased(
-    instance, policy, trial_rngs, semantics, max_steps, thresholds,
+    instance, policy, trial_rngs, semantics, max_steps, theta,
     discipline, streams,
 ) -> BatchSimResult:
     """The grouped-dispatch path for :class:`PhasedPolicy` implementations.
@@ -671,10 +678,9 @@ def _run_phased(
     else:
         policy.start_phased(instance, B)
     outcome_rngs = None
-    theta = _shared_thresholds(semantics, thresholds, streams, B, n)
     if theta is None:
         theta, outcome_rngs = _v1_outcomes(
-            [r.spawn(2)[1] for r in trial_rngs], semantics, None, n
+            [r.spawn(2)[1] for r in trial_rngs], semantics, n
         )
     dispatch = _GroupedDispatch(policy, B, instance.n_machines)
     # Phased policies index their per-trial state by trial id, so grouped

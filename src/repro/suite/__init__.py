@@ -5,10 +5,10 @@ policies × a :class:`~repro.api.scenario.SimConfig` sweep (seeds,
 disciplines, thread counts, ...) plus optional registered experiments.  The
 spec expands into *cells*; each cell is content-addressed by a sha256
 digest over the materialized instance, the scenario recipe, the policy,
-the config core, and the resolved knob snapshot
-(:func:`repro.api.config.resolve_knobs`).  Artifacts persist under
-``out_dir/cells/<digest>.json``, so re-running a suite computes only the
-delta and resuming after an interrupt is free.
+the config core, and the resolved RNG discipline (the one knob that can
+change a sample; :func:`repro.api.config.resolve_knobs`).  Artifacts
+persist under ``out_dir/cells/<digest>.json``, so re-running a suite
+computes only the delta and resuming after an interrupt is free.
 
 Quick start::
 

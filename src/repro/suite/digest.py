@@ -9,9 +9,11 @@ everything that determines its result:
 * the policy name,
 * the :class:`~repro.api.scenario.SimConfig` core (trials, seed,
   semantics, horizon), and
-* the *resolved* knob snapshot (:meth:`SimConfig.resolved` — explicit →
+* the *resolved* RNG discipline (:meth:`SimConfig.resolved` — explicit →
   config → environment → default), so a sweep run under
-  ``REPRO_DISCIPLINE=v2`` is addressed separately from a v1 run.
+  ``REPRO_DISCIPLINE=v2`` is addressed separately from a v1 run.  It is
+  the only knob that can change a sample: ``kernel_threads`` is left
+  out, so a suite re-run under another thread count finds its cells.
 
 Experiment cells hash their id plus canonical args.  Anything with the
 same digest is the same measurement: re-running a suite only computes the
@@ -29,9 +31,11 @@ __all__ = ["CELL_FORMAT", "canonical_json", "cell_payload", "cell_digest"]
 
 #: Bumped whenever the digest payload layout changes (invalidates every
 #: previously stored cell, which is exactly what a layout change means),
-#: and whenever stored samples stop matching what the code computes for
-#: the same payload (2: v2 ``suu`` cells sample SUU* thresholds).
-CELL_FORMAT = 2
+#: and whenever stored results stop matching what the code computes for
+#: the same payload (2: v2 ``suu`` cells sample SUU* thresholds; 3: the
+#: knob part is the discipline alone, and the lower bound gained the
+#: work term).
+CELL_FORMAT = 3
 
 
 def canonical_json(obj) -> str:
@@ -55,7 +59,7 @@ def cell_payload(cell) -> dict:
                 "semantics": config.semantics,
                 "max_steps": config.max_steps,
             },
-            "knobs": config.resolved().as_dict(),
+            "knobs": {"discipline": config.resolved().discipline},
         }
     if isinstance(cell, ExperimentCell):
         return {

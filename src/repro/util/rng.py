@@ -22,12 +22,13 @@ the batch kernel consumes randomness:
     one ``(n_trials, n_jobs)`` matrix of SUU* thresholds per batch, and
     matrix-valued policy randomness (SUU-C's chain delays).  By the
     paper's Theorem 10 the thresholds serve ``suu`` as well as
-    ``suu_star``, so the two semantics are one v2 stream (per-trial
-    dispatch excepted, which replays v1's coin flips).  Makespan *streams*
-    differ from v1, but every draw has the same distribution, so all
-    estimates are statistically equivalent; results remain deterministic
-    in the seed and independent of chunking (streams are addressed by
-    global trial index, not chunk-local position).
+    ``suu_star``, so the two semantics are one v2 stream on every
+    dispatch route (per-trial dispatch included; only its policies keep
+    their v1 generators).  Makespan *streams* differ from v1, but every
+    draw has the same distribution, so all estimates are statistically
+    equivalent; results remain deterministic in the seed and independent
+    of chunking (streams are addressed by global trial index, not
+    chunk-local position).
 
 The active discipline is resolved by :func:`resolve_discipline`: an
 explicit argument wins, then the ``REPRO_DISCIPLINE`` environment
@@ -48,7 +49,8 @@ hands out from the same seed:
   ``perfbench``'s tracer, which wraps that method.
 * ``(marker, 2, *key)`` — policy randomness (e.g. SUU-C chain delays,
   keyed by block for SUU-T).
-* ``(marker, 3, i)`` — per-policy substreams (``compare_policies``).
+* ``(marker, 3, i)`` — per-policy stream families
+  (:meth:`BatchStreams.child`; ``compare_policies``).
 
 Rows are addressed by *global* trial index: a chunk simulating trials
 ``[lo, hi)`` of a larger run reads rows ``lo..hi-1`` of each conceptual

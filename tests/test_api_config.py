@@ -1,5 +1,6 @@
 """Tests for the unified knob-resolution chain (repro.api.config)."""
 
+import dataclasses
 import pathlib
 
 import pytest
@@ -10,7 +11,6 @@ from repro.api.config import (
     resolve_discipline,
     resolve_kernel_threads,
     resolve_knobs,
-    resolve_substreams,
     solve_cache_enabled,
 )
 from repro.api.scenario import SimConfig
@@ -20,7 +20,6 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
 ENV_BY_KNOB = {
     "discipline": "REPRO_DISCIPLINE",
     "kernel_threads": "REPRO_KERNEL_THREADS",
-    "substreams": "REPRO_SUBSTREAMS",
 }
 
 
@@ -30,12 +29,10 @@ class TestPrecedence:
     DEFAULTS = {
         "discipline": "v1",
         "kernel_threads": 1,
-        "substreams": "shared",
     }
     NON_DEFAULT = {
         "discipline": "v2",
         "kernel_threads": 3,
-        "substreams": "per-policy",
     }
 
     def test_defaults(self, monkeypatch):
@@ -44,6 +41,8 @@ class TestPrecedence:
         # Variables of the deleted lp_reuse knob are no longer read.
         monkeypatch.setenv("REPRO_LP_REUSE", "subset")
         monkeypatch.setenv("REPRO_LP_REUSE_EPS", "2")
+        # Nor is the deleted substreams knob's.
+        monkeypatch.setenv("REPRO_SUBSTREAMS", "per-policy")
         assert resolve_knobs() == ResolvedKnobs(**self.DEFAULTS)
 
     def test_env_beats_default(self, monkeypatch):
@@ -69,13 +68,14 @@ class TestPrecedence:
         assert knobs.kernel_threads == 3
 
     def test_simconfig_resolved_matches(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SUBSTREAMS", "per-policy")
+        monkeypatch.setenv("REPRO_DISCIPLINE", "v2")
         config = SimConfig(kernel_threads=2)
         assert config.resolved() == resolve_knobs(config=config)
-        assert config.resolved().substreams == "per-policy"
+        assert config.resolved().discipline == "v2"
 
-    def test_as_dict_covers_all_knobs(self):
-        assert set(ResolvedKnobs().as_dict()) == set(KNOB_NAMES)
+    def test_fields_are_the_knobs(self):
+        fields = [f.name for f in dataclasses.fields(ResolvedKnobs)]
+        assert fields == list(KNOB_NAMES) == ["discipline", "kernel_threads"]
 
 
 class TestLoudEnvErrors:
@@ -85,7 +85,6 @@ class TestLoudEnvErrors:
         (resolve_discipline, "REPRO_DISCIPLINE", "v3", "discipline"),
         (resolve_kernel_threads, "REPRO_KERNEL_THREADS", "many", "integer"),
         (resolve_kernel_threads, "REPRO_KERNEL_THREADS", "0", ">= 1"),
-        (resolve_substreams, "REPRO_SUBSTREAMS", "independent", "substreams"),
     ]
 
     @pytest.mark.parametrize("resolver,var,value,needle", CASES)

@@ -14,6 +14,7 @@ from repro.analysis import (
     lp2_lower_bound,
     measure_ratio,
     single_job_lower_bound,
+    work_lower_bound,
 )
 from repro.baselines import optimal_expected_makespan
 from repro.baselines.greedy_lr import GreedyLRPolicy
@@ -54,6 +55,29 @@ class TestCriticalPathBound:
         assert critical_path_lower_bound(inst) == pytest.approx(14.0)
 
 
+class TestWorkBound:
+    def test_sum_over_machines(self):
+        # p = (0.5, 0.9, 0.75): 2 + 1/0.9 + 4/3 machine-steps over 2 machines.
+        inst = SUUInstance(np.array([[0.5, 0.1, 0.25], [0.9, 0.2, 0.5]]))
+        assert work_lower_bound(inst) == pytest.approx(
+            (2.0 + 1 / 0.9 + 4 / 3) / 2
+        )
+
+    def test_best_machine_counts(self):
+        # A job a machine finishes for sure still costs one machine-step.
+        inst = SUUInstance(np.array([[0.0, 0.5], [1.0, 0.5]]))
+        assert work_lower_bound(inst) == pytest.approx((1.0 + 2.0) / 2)
+
+    def test_work_beats_the_other_terms(self):
+        # Many independent jobs on few machines: 12.62 against the
+        # critical path's 4.79 and LP1's 3.31.
+        inst = independent_instance(36, 6, "specialist", rng=0)
+        work = work_lower_bound(inst)
+        assert work > max(lp1_lower_bound(inst),
+                          critical_path_lower_bound(inst))
+        assert lower_bound(inst) == work
+
+
 class TestLPBounds:
     def test_lp1_positive(self, small_independent):
         assert lp1_lower_bound(small_independent) > 0
@@ -68,6 +92,7 @@ class TestLPBounds:
         lb = lower_bound(small_chains)
         assert lb >= lp1_lower_bound(small_chains) - 1e-9
         assert lb >= critical_path_lower_bound(small_chains) - 1e-9
+        assert lb >= work_lower_bound(small_chains) - 1e-9
         assert lb >= 1.0
 
 
@@ -92,6 +117,18 @@ class TestBoundSoundness:
         z = int(rng.integers(1, 3))
         inst = chain_instance(n, 2, z, "uniform", rng=rng)
         opt = optimal_expected_makespan(inst).value
+        assert lower_bound(inst) <= opt * (1 + 1e-9)
+
+    @given(st.integers(0, 10**6), st.booleans())
+    @settings(max_examples=12, deadline=None)
+    def test_specialist(self, seed, chains):
+        # The specialist model is where the work term is tightest (each
+        # job has one good machine): it must still stay below OPT.
+        rng = np.random.default_rng(seed)
+        inst = (chain_instance(4, 2, 2, "specialist", rng=rng) if chains
+                else independent_instance(4, 2, "specialist", rng=rng))
+        opt = optimal_expected_makespan(inst).value
+        assert work_lower_bound(inst) <= opt * (1 + 1e-9)
         assert lower_bound(inst) <= opt * (1 + 1e-9)
 
 

@@ -10,9 +10,9 @@ Four layers of guarantees:
   name).
 * **v2 statistical equivalence**: v2 samples are *different* streams but
   the same distributions — matched makespan means within combined 95% CI
-  half-widths, matched medians within a step.  Vectorized and phased v2
-  batches sample ``suu`` as SUU* thresholds (Theorem 10), so their two
-  semantics are one stream.
+  half-widths, matched medians within a step.  Every v2 batch samples
+  ``suu`` as SUU* thresholds (Theorem 10), so its two semantics are one
+  stream.
 * **Chain-cursor cross-checks**: SUU-C/SUU-T's v2 array cursors replay the
   v1 object cursors *bit-for-bit* when fed the same delays and thresholds
   — the array refactor changes layout, not semantics.
@@ -247,16 +247,15 @@ class TestV2StatisticalEquivalence:
 
 
 class TestV2OneStream:
-    """Under v2, vectorized and phased dispatch sample ``suu`` from SUU*
-    thresholds drawn once per batch (Theorem 10), so ``suu`` and
-    ``suu_star`` give byte-equal samples from one seed — serially, in
-    trial shards and across worker processes.  Per-trial dispatch keeps
-    its per-trial coin flips."""
+    """Under v2, every dispatch route samples ``suu`` from SUU* thresholds
+    drawn once per batch (Theorem 10), so ``suu`` and ``suu_star`` give
+    byte-equal samples from one seed — serially, in trial shards and
+    across worker processes."""
 
-    #: Every registry policy on vectorized or phased dispatch: obl, greedy,
-    #: best-machine, round-robin, serial, sem, adapt, layered, suu-c, suu-t.
-    NAMES = [info.name for info in list_policies()
-             if info.dispatch_detail != "fallback"]
+    #: Every registry policy: obl, greedy, best-machine, round-robin,
+    #: serial (vectorized); sem, adapt, layered, suu-c, suu-t (phased);
+    #: random (per-trial dispatch).
+    NAMES = [info.name for info in list_policies()]
 
     @staticmethod
     def both(name, **kwargs):
@@ -279,7 +278,7 @@ class TestV2OneStream:
 
     def test_suu_equals_suu_star_across_worker_processes(self):
         """Both semantics through a two-worker process pool, the batch in
-        two chunks: one pool spawned for all ten policies (the
+        two chunks: one pool spawned for all eleven policies (the
         executor's transport is the ``backend="process"`` chunk path)."""
         from repro.api.service import MIN_CHUNK_TRIALS
         from repro.server import WarmPoolExecutor
@@ -300,11 +299,6 @@ class TestV2OneStream:
                                       star.per_job.completion_times)
         finally:
             executor.close()
-
-    def test_per_trial_dispatch_keeps_coin_flips(self):
-        suu, star = self.both("random")
-        assert not suu.vectorized
-        assert not np.array_equal(suu.completion_times, star.completion_times)
 
 
 # ----------------------------------------------------------------------
@@ -597,22 +591,6 @@ class TestShardInvariance:
             for lo, hi in [(0, 7), (7, 20)]
         ]
         assert np.array_equal(full.makespans, np.concatenate(parts))
-
-    @pytest.mark.parametrize("discipline", ["v1", "v2"])
-    def test_per_policy_substreams_unaffected_by_sharding(self, discipline,
-                                                          force_cpus):
-        force_cpus(2)
-        sc = Scenario(shape="independent", n_jobs=10, n_machines=4,
-                      model="specialist", seed=3)
-        serial = SimConfig(n_trials=8, seed=5, semantics="suu_star",
-                           discipline=discipline, substreams="per-policy")
-        sharded = SimConfig(n_trials=8, seed=5, semantics="suu_star",
-                            discipline=discipline, substreams="per-policy",
-                            kernel_threads=2)
-        a1, b1 = evaluate_grid([sc], ("greedy", "greedy"), config=serial)
-        a2, b2 = evaluate_grid([sc], ("greedy", "greedy"), config=sharded)
-        assert np.array_equal(a1.stats.samples, a2.stats.samples)
-        assert np.array_equal(b1.stats.samples, b2.stats.samples)
 
     def test_v1_bit_identical_across_thread_counts(self, force_cpus):
         # v1 suu_star draws every trial's thresholds from its own

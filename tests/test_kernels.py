@@ -17,9 +17,8 @@ Six layers of guarantees:
   the batch trial.
 * **Threading**: the thread count reaches :func:`simulate` /
   ``evaluate_grid`` reports, the request server (``/healthz``), and the
-  CLI; stale ``kernel`` inputs fail loudly; per-policy substreams
-  (``SimConfig.substreams``) break common random numbers in grid sweeps
-  without touching single-policy runs.
+  CLI; stale ``kernel`` inputs fail loudly; the policies of a grid sweep
+  share common random numbers.
 * **Trial parallelism** (``REPRO_KERNEL_THREADS``): resolution and
   validation of the thread count, and bit-identity of
   ``kernel_threads > 1`` runs against serial runs across a policy ×
@@ -66,18 +65,6 @@ def make_instance(kind):
     if kind == "chains":
         return chain_instance(12, 4, 3, "uniform", rng=7)
     raise ValueError(kind)
-
-
-class TestResolution:
-    def test_simconfig_validates_substreams(self):
-        SimConfig(substreams="per-policy")  # accepted
-        with pytest.raises(InvalidScenarioError, match="substreams"):
-            SimConfig(substreams="independent")
-
-    def test_simconfig_round_trips_substreams(self):
-        config = SimConfig(substreams="per-policy")
-        clone = SimConfig.from_dict(config.to_dict())
-        assert clone.substreams == "per-policy"
 
 
 class TestThreadsResolution:
@@ -923,6 +910,26 @@ class _LatePrecedencePolicy(_LateBadPolicy):
     late_job = 1
 
 
+class _SplitLatePolicy(VectorizedPolicy):
+    """Both machines work job 0, except that machine 1 works job 1 while
+    job 0 is unfinished: at step 3 in trials 0-3 and at step 1 in trials
+    4-7 (read from ``state.trials``, so the same in any shard)."""
+
+    name = "split-late"
+
+    def start(self, instance, rng):
+        pass
+
+    def assign(self, state):  # pragma: no cover - scalar path unused
+        raise NotImplementedError
+
+    def assign_batch(self, state):
+        out = np.zeros((state.n_trials, 2), dtype=np.int64)
+        late = np.where(state.trials < 4, 3, 1)
+        out[late == state.t, 1] = 1
+        return out
+
+
 def _chain2_instance():
     graph = PrecedenceGraph(2, [(0, 1)])
     return SUUInstance(np.full((2, 2), 0.5), graph)
@@ -989,6 +996,18 @@ class TestEveryStepChecked:
             )
 
     @pytest.mark.parametrize("kernel_threads", [1, 2], ids=["serial", "shards"])
+    def test_shards_raise_the_serial_error(self, kernel_threads):
+        # The first of two shards (trials 0-3) fails at step 3 and the
+        # second (trials 4-7) at step 1; a serial batch meets the step-1
+        # violation first, so the sharded batch must raise that one too.
+        with pytest.raises(ScheduleViolationError, match=r"\(t=1, trial=4\)"):
+            run_policy_batch(
+                _chain2_instance(), _SplitLatePolicy, 8, rng=0,
+                semantics="suu_star", thresholds=np.full((8, 2), 50.0),
+                kernel_threads=kernel_threads,
+            )
+
+    @pytest.mark.parametrize("kernel_threads", [1, 2], ids=["serial", "shards"])
     def test_horizon_error_counts_the_batch(self, kernel_threads):
         # Every trial idles through step 0, the only step max_steps allows.
         with pytest.raises(SimulationHorizonError,
@@ -1050,34 +1069,17 @@ class TestEveryStepChecked:
             simulate(_chain2_instance(), cls.name, config)
 
 
-class TestSubstreams:
+class TestCommonRandomNumbers:
     @pytest.mark.parametrize("discipline", ["v1", "v2"])
-    def test_shared_default_keeps_common_random_numbers(self, discipline):
+    def test_grid_policies_share_the_run_randomness(self, discipline):
         sc = Scenario(shape="independent", n_jobs=10, n_machines=4,
                       model="specialist", seed=3)
         config = SimConfig(n_trials=8, seed=5, discipline=discipline)
         a, b = evaluate_grid([sc], ("sem", "sem"), config=config)
         assert np.array_equal(a.stats.samples, b.stats.samples)
-
-    @pytest.mark.parametrize("discipline", ["v1", "v2"])
-    def test_per_policy_substreams_are_independent(self, discipline):
-        sc = Scenario(shape="independent", n_jobs=10, n_machines=4,
-                      model="specialist", seed=3)
-        config = SimConfig(n_trials=8, seed=5, discipline=discipline,
-                           substreams="per-policy")
-        a, b = evaluate_grid([sc], ("sem", "sem"), config=config)
-        assert not np.array_equal(a.stats.samples, b.stats.samples)
-        # Deterministic in the seed: a second sweep reproduces both cells.
-        a2, b2 = evaluate_grid([sc], ("sem", "sem"), config=config)
-        assert np.array_equal(a.stats.samples, a2.stats.samples)
-        assert np.array_equal(b.stats.samples, b2.stats.samples)
-
-    def test_single_policy_simulate_unaffected(self, small_independent):
-        shared = simulate(small_independent, "greedy-lr",
-                          SimConfig(n_trials=6, seed=2))
-        per = simulate(small_independent, "greedy-lr",
-                       SimConfig(n_trials=6, seed=2, substreams="per-policy"))
-        assert np.array_equal(shared.stats.samples, per.stats.samples)
+        # Each grid cell is the simulate() call of its own policy.
+        alone = simulate(sc, "sem", config)
+        assert np.array_equal(a.stats.samples, alone.stats.samples)
 
 
 class TestThreading:

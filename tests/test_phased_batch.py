@@ -53,7 +53,7 @@ from repro.schedule.base import (
 )
 from repro.sim import compare_policies, run_policy, run_policy_batch
 from repro.sim.engine import draw_thresholds
-from repro.util.rng import ensure_rng
+from repro.util.rng import BatchStreams, ensure_rng, run_seed_sequence
 
 
 @pytest.fixture(autouse=True)
@@ -313,7 +313,9 @@ class FloatRow(UnphasedAdaptive):
 class TestPerTrialDispatch:
     """Policies with neither protocol run one scalar policy per trial,
     lock-stepped through the batch engine: trial for trial the same
-    execution as ``run_policy`` on that trial's generator."""
+    execution as ``run_policy`` on that trial's generator — under v1 with
+    its own outcome draws, under v2 on its row of the batch's threshold
+    matrix."""
 
     @pytest.mark.parametrize("cls", [RandomAssignmentPolicy, UnphasedAdaptive])
     @pytest.mark.parametrize(
@@ -321,8 +323,10 @@ class TestPerTrialDispatch:
         [("suu", False), ("suu_star", False), ("suu_star", True)],
     )
     @pytest.mark.parametrize("as_instance", [False, True])
+    @pytest.mark.parametrize("discipline", ["v1", "v2"])
     def test_bit_identical_to_run_policy(self, cls, semantics,
-                                         given_thresholds, as_instance):
+                                         given_thresholds, as_instance,
+                                         discipline):
         inst = make_instance("random_dag")
         B, seed = 9, 13
         theta = None
@@ -331,27 +335,36 @@ class TestPerTrialDispatch:
                 draw_thresholds(inst.n_jobs, ensure_rng(300 + k))
                 for k in range(B)
             ])
+        # The scalar oracle: v1 replays each trial's own outcome draws;
+        # v2 steps every trial against its row of the batch's one
+        # threshold matrix, under either semantics.  Thresholds the
+        # caller gives under suu_star win in both.
+        rows, oracle_semantics = theta, semantics
+        if discipline == "v2" and theta is None:
+            rows = BatchStreams(run_seed_sequence(seed)).thresholds(
+                B, inst.n_jobs
+            )
+            oracle_semantics = "suu_star"
         expect = [
-            run_policy(inst, cls(), r, semantics=semantics,
-                       thresholds=None if theta is None else theta[k])
+            run_policy(inst, cls(), r, semantics=oracle_semantics,
+                       thresholds=None if rows is None else rows[k])
             for k, r in enumerate(ensure_rng(seed).spawn(B))
         ]
         policy = cls() if as_instance else cls
-        # Trials share no rows, so the v1 tree is replayed under v2 too.
-        for discipline in ("v1", "v2"):
-            got = run_policy_batch(
-                inst, policy, B, rng=seed, semantics=semantics,
-                thresholds=theta, discipline=discipline,
-            )
-            assert not got.vectorized and got.discipline == discipline
-            assert np.array_equal(got.makespans, [r.makespan for r in expect])
-            assert np.array_equal(
-                got.completion_times,
-                np.vstack([r.completion_times for r in expect]),
-            )
-            assert np.array_equal(
-                got.busy_machine_steps, [r.busy_machine_steps for r in expect]
-            )
+        got = run_policy_batch(
+            inst, policy, B, rng=seed, semantics=semantics,
+            thresholds=theta, discipline=discipline,
+        )
+        assert not got.vectorized
+        assert (got.semantics, got.discipline) == (semantics, discipline)
+        assert np.array_equal(got.makespans, [r.makespan for r in expect])
+        assert np.array_equal(
+            got.completion_times,
+            np.vstack([r.completion_times for r in expect]),
+        )
+        assert np.array_equal(
+            got.busy_machine_steps, [r.busy_machine_steps for r in expect]
+        )
 
     @pytest.mark.parametrize("cls,match", [(ShortRow, "shape"),
                                            (FloatRow, "non-integer")])

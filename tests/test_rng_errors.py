@@ -55,8 +55,8 @@ def _states(gens):
     return [g.bit_generator.state for g in gens]
 
 
-def _substream_root():
-    """The ``per-policy`` substream root grid sweeps spawn trials from."""
+def _child_root():
+    """A root with a longer spawn key: a :meth:`BatchStreams.child` root."""
     return BatchStreams(run_seed_sequence(11)).child(2).root
 
 
@@ -67,10 +67,10 @@ class TestSpawnedRngs:
             (ensure_rng(0).bit_generator.seed_seq, lambda n: ensure_rng(0).spawn(n)),
             (ensure_rng(2**40).bit_generator.seed_seq,
              lambda n: ensure_rng(2**40).spawn(n)),
-            (_substream_root(),
-             lambda n: np.random.default_rng(_substream_root()).spawn(n)),
+            (_child_root(),
+             lambda n: np.random.default_rng(_child_root()).spawn(n)),
         ],
-        ids=["seed0", "seed2**40", "per-policy"],
+        ids=["seed0", "seed2**40", "child-root"],
     )
     def test_elements_equal_the_eager_spawn(self, root, eager):
         n = 7

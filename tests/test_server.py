@@ -220,6 +220,10 @@ class TestSchedulingServiceRouting:
             ("POST", "/simulate",
              _simulate_body(config={**CONFIG, "lp_reuse": "subset"}),
              "invalid config: unknown SimConfig fields ['lp_reuse']"),
+            ("POST", "/grid",
+             {"scenarios": [SCENARIO],
+              "config": {**CONFIG, "substreams": "per-policy"}},
+             "invalid config: unknown SimConfig fields ['substreams']"),
             # Malformed grid shapes name the field that is wrong.
             ("POST", "/grid", {"grid": {"base": 5}, "config": CONFIG},
              "invalid grid: grid 'base' must be a mapping, got 5"),

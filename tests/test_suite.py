@@ -11,11 +11,7 @@ import sys
 
 import pytest
 
-from repro.api.config import (
-    DISCIPLINE_ENV_VAR,
-    KERNEL_THREADS_ENV_VAR,
-    SUBSTREAMS_ENV_VAR,
-)
+from repro.api.config import DISCIPLINE_ENV_VAR, KERNEL_THREADS_ENV_VAR
 from repro.api.scenario import Scenario, ScenarioGrid, SimConfig
 from repro.errors import InvalidScenarioError
 from repro.suite import (
@@ -43,7 +39,7 @@ SMALL = {
 def clear_knob_env(monkeypatch):
     """Unset every knob environment variable, so a test's assertions see
     the default knobs however the surrounding environment is set."""
-    for var in (DISCIPLINE_ENV_VAR, KERNEL_THREADS_ENV_VAR, SUBSTREAMS_ENV_VAR):
+    for var in (DISCIPLINE_ENV_VAR, KERNEL_THREADS_ENV_VAR):
         monkeypatch.delenv(var, raising=False)
 
 
@@ -84,6 +80,10 @@ class TestSpecLoading:
             small_spec(sweep={"kernel": ["numpy"]})
         with pytest.raises(SuiteError, match="lp_reuse"):
             small_spec(sweep={"lp_reuse": ["subset"]})
+        with pytest.raises(SuiteError, match="substreams"):
+            small_spec(sweep={"substreams": ["per-policy"]})
+        with pytest.raises(SuiteError, match="substreams"):
+            small_spec(config={**SMALL["config"], "substreams": "shared"})
 
     def test_bad_sweep_value(self):
         with pytest.raises(SuiteError, match="sweep value"):
@@ -156,6 +156,8 @@ class TestStrictRoundTrip:
             SimConfig.from_dict({"n_trials": 10, "lp_reuse": "subset"})
         with pytest.raises(TypeError, match="lp_reuse"):
             SimConfig(lp_reuse="exact")
+        with pytest.raises(InvalidScenarioError, match="'substreams'"):
+            SimConfig.from_dict({"n_trials": 10, "substreams": "per-policy"})
 
     def test_grid_rejects_unknown_top_level(self):
         grid = ScenarioGrid(Scenario(), n_jobs=[4, 8])
@@ -208,7 +210,6 @@ class TestDigest:
     @pytest.mark.parametrize("field,value", [
         ("n_trials", 41), ("seed", 5), ("semantics", "suu_star"),
         ("max_steps", 39999), ("discipline", "v2"),
-        ("kernel_threads", 2), ("substreams", "per-policy"),
     ])
     def test_config_field_changes_digest(self, field, value, monkeypatch):
         clear_knob_env(monkeypatch)
@@ -232,11 +233,25 @@ class TestDigest:
         assert cell_digest(dataclasses.replace(cell, policy="greedy")) != (
             cell_digest(cell))
 
-    def test_env_knob_changes_digest(self, monkeypatch):
+    @pytest.mark.parametrize("kernel_threads", [2, None])
+    def test_kernel_threads_leaves_digest(self, kernel_threads, monkeypatch):
+        # Trial shards never change a sample, so a suite re-run under
+        # another thread count finds its cells.
         clear_knob_env(monkeypatch)
         cell = demo_cell()
         base = cell_digest(cell)
-        monkeypatch.setenv(SUBSTREAMS_ENV_VAR, "per-policy")
+        monkeypatch.setenv(KERNEL_THREADS_ENV_VAR, "3")
+        changed = dataclasses.replace(cell, config=dataclasses.replace(
+            cell.config, kernel_threads=kernel_threads))
+        assert cell_digest(changed) == base
+
+    def test_env_knob_changes_digest(self, monkeypatch):
+        clear_knob_env(monkeypatch)
+        cell = demo_cell()
+        cell = dataclasses.replace(cell, config=dataclasses.replace(
+            cell.config, discipline=None))
+        base = cell_digest(cell)
+        monkeypatch.setenv(DISCIPLINE_ENV_VAR, "v2")
         assert cell_digest(cell) != base
 
     def test_experiment_digest_insensitive_to_arg_order(self):

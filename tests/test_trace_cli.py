@@ -128,3 +128,34 @@ class TestCLI:
     @pytest.mark.parametrize("shape", ["tree", "forest", "layered"])
     def test_generate_other_shapes(self, tmp_path, shape):
         self._gen(tmp_path, shape=shape)
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["generate", "--shape", "random_dag", "--jobs", "6",
+              "--machines", "2", "--edge-prob", "2.0", "--out", "{out}"],
+             "edge_prob must be in [0, 1], got 2.0"),
+            (["generate", "--jobs", "0", "--out", "{out}"],
+             "n_jobs must be >= 1, got 0"),
+            (["run", "{inst}", "--trials", "0"],
+             "n_trials must be >= 1, got 0"),
+            (["run", "{inst}", "--kernel-threads", "0"],
+             "kernel_threads must be >= 1, got 0"),
+            (["sweep", "--jobs", "0"], "n_jobs must be >= 1, got 0"),
+        ],
+        ids=["edge-prob", "generate-jobs", "trials", "kernel-threads",
+             "sweep-jobs"],
+    )
+    def test_input_errors_exit_2_with_one_line(self, tmp_path, capsys, argv,
+                                               message):
+        from repro.__main__ import main
+
+        inst = self._gen(tmp_path)
+        capsys.readouterr()
+        out = tmp_path / "out.json"
+        argv = [arg.format(out=out, inst=inst) for arg in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert not out.exists()
