@@ -40,7 +40,7 @@ test:
 # process solve cache off (scalar and batch sides solve their own LPs),
 # and two kernel threads (vectorized batches that step against a
 # threshold matrix run thread-sharded, bit-identical to serial; every
-# other batch ignores the knob).
+# other batch ignores the host setting).
 test-legs:
 	PYTHONPATH=src REPRO_DISCIPLINE=v2 $(PYTHON) -m pytest -x -q
 	PYTHONPATH=src REPRO_SOLVE_CACHE=0 $(PYTHON) -m pytest -x -q
@@ -87,7 +87,7 @@ bench-kernels:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_kernels.py \
 		--benchmark-json=$(KERNELS_JSON) -q
 
-# Trial-parallelism benchmarks: serial vs kernel_threads pairs at 10k
+# Trial-parallelism benchmarks: serial vs REPRO_KERNEL_THREADS pairs at 10k
 # trials — the GIL-bound v2 greedy trial-shard row (the one route that
 # shards); the threaded side hard-asserts bit-identity against serial
 # in-bench.

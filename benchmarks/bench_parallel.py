@@ -5,7 +5,8 @@ Monte Carlo scale.  Naming convention (what ``benchmarks/
 check_regression.py --mode ratio`` pairs up):
 
 - ``test_par_serial_<key>`` / ``test_par_threads_<key>`` — the same
-  workload with ``kernel_threads=1`` vs ``kernel_threads=THREADS``.  The
+  workload with ``REPRO_KERNEL_THREADS`` set to 1 vs ``THREADS`` for the
+  row (the thread cap is a host setting, read at each call).  The
   threaded side *hard-asserts* bit-identical makespan samples (threads
   never change results, only wall-clock time).
 
@@ -23,9 +24,11 @@ trajectory.
 
 import os
 import time
+from unittest import mock
 
 import numpy as np
 
+from repro.api.config import KERNEL_THREADS_ENV_VAR
 from repro.baselines.greedy_lr import GreedyLRPolicy
 from repro.core.phased import clear_solve_cache
 from repro.instance import independent_instance
@@ -56,12 +59,14 @@ _SERIAL_SIDE: dict[str, tuple[np.ndarray, float]] = {}
 def _run_row(key: str, threads: int):
     instance, factory, kwargs = PARALLEL_CONFIGS[key]()
     clear_solve_cache()
-    start = time.perf_counter()
-    result = run_policy_batch(
-        instance, factory, N_TRIALS, rng=SEED, max_steps=100_000,
-        discipline="v2", kernel_threads=threads, **kwargs,
-    )
-    return result.makespans, time.perf_counter() - start
+    with mock.patch.dict(os.environ, {KERNEL_THREADS_ENV_VAR: str(threads)}):
+        start = time.perf_counter()
+        result = run_policy_batch(
+            instance, factory, N_TRIALS, rng=SEED, max_steps=100_000,
+            discipline="v2", **kwargs,
+        )
+        seconds = time.perf_counter() - start
+    return result.makespans, seconds
 
 
 def _serial_side(benchmark, key: str):
@@ -83,7 +88,7 @@ def _threaded_side(benchmark, key: str):
         return
     base_samples, base_seconds = base
     assert np.array_equal(samples, base_samples), (
-        f"{key}: kernel_threads={THREADS} samples diverged from serial"
+        f"{key}: {THREADS} threads' samples diverged from serial"
     )
     print(f"\n{key}: serial {base_seconds:.2f}s -> {THREADS} threads "
           f"{seconds:.2f}s ({base_seconds / seconds:.2f}x)")

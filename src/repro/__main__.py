@@ -30,6 +30,7 @@ import sys
 
 from repro.analysis.bounds import lower_bound
 from repro.analysis.tables import format_table
+from repro.api.config import resolve_discipline, resolve_kernel_threads
 from repro.api.registry import (
     default_policy_for,
     get_policy,
@@ -69,7 +70,7 @@ def _cmd_run(args) -> int:
         inst,
         name,
         SimConfig(n_trials=args.trials, seed=args.seed, max_steps=args.max_steps,
-                  discipline=args.discipline, kernel_threads=args.kernel_threads),
+                  discipline=args.discipline),
         backend=args.backend,
         n_workers=args.workers,
     )
@@ -136,8 +137,7 @@ def _cmd_sweep(args) -> int:
         seed=args.seed_instance,
     )
     config = SimConfig(n_trials=args.trials, seed=args.seed,
-                       max_steps=args.max_steps, discipline=args.discipline,
-                       kernel_threads=args.kernel_threads)
+                       max_steps=args.max_steps, discipline=args.discipline)
     reports = evaluate_grid(
         grid,
         args.policy or ("auto",),
@@ -170,17 +170,10 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_serve(args) -> int:
     import asyncio
-    import os
     import signal
 
-    from repro.api.config import KERNEL_THREADS_ENV_VAR
     from repro.server import SchedulingServer, make_executor
 
-    if args.kernel_threads is not None:
-        # The serve knob is process-wide: exporting it makes request-time
-        # resolution and /healthz agree, and every request sends its
-        # resolved count to warm-pool workers with its trial chunks.
-        os.environ[KERNEL_THREADS_ENV_VAR] = str(args.kernel_threads)
     executor = make_executor(args.executor, args.workers,
                              solve_cache_entries=args.solve_cache)
 
@@ -328,9 +321,6 @@ def main(argv=None) -> int:
     r.add_argument("--discipline", choices=["v1", "v2"], default=None,
                    help="RNG discipline (default: $REPRO_DISCIPLINE or v1; "
                         "v2 = batch-native draws, statistically equivalent)")
-    r.add_argument("--kernel-threads", type=int, default=None,
-                   help="trial-parallel workers per batch (default: "
-                        "$REPRO_KERNEL_THREADS or 1; bit-identical samples)")
     r.set_defaults(func=_cmd_run)
 
     ga = sub.add_parser("gantt", help="render one execution as ASCII")
@@ -369,9 +359,6 @@ def main(argv=None) -> int:
     s.add_argument("--workers", type=int, default=None)
     s.add_argument("--discipline", choices=["v1", "v2"], default=None,
                    help="RNG discipline (default: $REPRO_DISCIPLINE or v1)")
-    s.add_argument("--kernel-threads", type=int, default=None,
-                   help="trial-parallel workers per batch (default: "
-                        "$REPRO_KERNEL_THREADS or 1)")
     s.add_argument("--json", default=None, help="also dump reports to this file")
     s.set_defaults(func=_cmd_sweep)
 
@@ -397,9 +384,6 @@ def main(argv=None) -> int:
                     help="max concurrently executing requests (default 8)")
     sv.add_argument("--drain-timeout", type=float, default=10.0,
                     help="seconds to wait for in-flight requests at shutdown")
-    sv.add_argument("--kernel-threads", type=int, default=None,
-                    help="trial-parallel workers per batch, service-wide "
-                         "(default: $REPRO_KERNEL_THREADS or 1)")
     sv.add_argument("--no-prewarm", dest="prewarm", action="store_false",
                     help="skip building the worker pool before accepting "
                          "traffic (first request then pays the spawn cost)")
@@ -481,6 +465,16 @@ def main(argv=None) -> int:
                and n not in all_policy_names]
         if bad:
             parser.error(f"unknown policies {bad}; see 'repro policies'")
+    if args.command in ("run", "sweep", "serve", "suite"):
+        # The host settings are read before any work: a bad value stops
+        # the command here, not in a traceback mid-run (or, under serve,
+        # in a 500 on every request).
+        try:
+            resolve_discipline(getattr(args, "discipline", None))
+            resolve_kernel_threads()
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     try:
         return args.func(args)
     except InvalidScenarioError as exc:

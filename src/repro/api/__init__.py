@@ -2,10 +2,11 @@
 
 Five layers, each usable on its own:
 
-* :mod:`repro.api.config` — the one documented knob-resolution chain
-  (explicit argument → :class:`SimConfig` field → ``REPRO_*`` environment
-  variable → default) behind :func:`resolve_knobs`; every env-sensitive
-  knob in the library resolves here and nowhere else.
+* :mod:`repro.api.config` — the one reader of the ``REPRO_*``
+  environment variables: the RNG discipline (explicit argument →
+  :class:`SimConfig` field → ``REPRO_DISCIPLINE`` → default, snapshotted
+  in :class:`ResolvedKnobs`) and the host's trial-shard thread cap
+  (``REPRO_KERNEL_THREADS`` alone).
 * :mod:`repro.api.registry` — every policy class registers itself with
   :func:`register_policy`; consumers resolve names (and aliases, and
   per-precedence-class defaults) with :func:`get_policy`,
@@ -33,7 +34,7 @@ Quick start::
     print(report.mean, report.ratio)
 """
 
-from repro.api.config import KNOB_NAMES, ResolvedKnobs, resolve_knobs
+from repro.api.config import ResolvedKnobs
 from repro.api.registry import (
     PolicyInfo,
     default_policy_for,
@@ -56,9 +57,7 @@ from repro.api.service import Report, evaluate_grid, simulate
 
 __all__ = [
     # Config resolution
-    "KNOB_NAMES",
     "ResolvedKnobs",
-    "resolve_knobs",
     # Registry
     "PolicyInfo",
     "register_policy",

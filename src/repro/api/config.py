@@ -1,37 +1,33 @@
-"""One config-resolution chain for every run-time knob.
+"""One reader for every ``REPRO_*`` setting.
 
-Two knobs steer how a batch of trials executes without changing *what*
-is measured: the RNG ``discipline`` and the trial-parallel
-``kernel_threads`` count.  This module is the **only** place their
-environment variables are read, and every consumer — ``SimConfig``,
-:func:`repro.api.simulate` / :func:`repro.api.evaluate_grid`,
-:func:`repro.sim.batch.run_policy_batch`, and the request server —
-resolves through it (``repro.util.rng.resolve_discipline`` remains as a
-thin delegate).
+Two settings steer how a batch of trials executes, and this module is
+the **only** place their environment variables are read:
 
-The chain, identical for every knob::
+===================  ========================  ========  ====================
+setting              environment variable      default   ``SimConfig`` field
+===================  ========================  ========  ====================
+RNG discipline       ``REPRO_DISCIPLINE``      ``"v1"``  ``discipline``
+trial-shard threads  ``REPRO_KERNEL_THREADS``  ``1``     —
+===================  ========================  ========  ====================
 
-    explicit argument  →  SimConfig field  →  environment variable  →  default
-
-========================  =========================  ==========
-knob                      environment variable       default
-========================  =========================  ==========
-``discipline``            ``REPRO_DISCIPLINE``       ``"v1"``
-``kernel_threads``        ``REPRO_KERNEL_THREADS``   ``1``
-========================  =========================  ==========
+The discipline chooses which samples a run draws, so it is part of the
+measurement recipe: it resolves as explicit argument → ``SimConfig``
+field → environment variable → default, and :meth:`SimConfig.resolved
+<repro.api.scenario.SimConfig.resolved>` snapshots it into a frozen
+:class:`ResolvedKnobs`, which a run (and every worker chunk of it)
+executes under.  The trial-shard thread count changes wall time only
+(every trial is a deterministic function of its own thresholds, Theorem
+10), so it is a property of the host process:
+:func:`resolve_kernel_threads` reads ``REPRO_KERNEL_THREADS``, and
+nothing else sets it.  A suite cell's digest (:mod:`repro.suite.digest`)
+commits to the resolved discipline alone.
 
 Unknown values raise ``ValueError`` **including when they arrive via the
 environment**, so typos fail loudly instead of silently running the
-default.  :func:`resolve_knobs` resolves both at once into a frozen
-:class:`ResolvedKnobs` snapshot, which a run (and every worker chunk of
-it) executes under.  Only the discipline can change a sample, so a
-suite cell's digest (:mod:`repro.suite.digest`) commits to the resolved
-discipline alone: cells run under different ``kernel_threads`` share
-their artifacts.
+default; the CLI resolves both before a command does any work.
 
 One auxiliary setting rides the same single-reader rule (it tunes
-machinery rather than selecting a knob, and is consulted at its use site
-rather than snapshotted): ``REPRO_SOLVE_CACHE``
+machinery, and is consulted at its use site): ``REPRO_SOLVE_CACHE``
 (:func:`solve_cache_enabled`).
 
 This module deliberately imports only the *constant tables* of the
@@ -51,22 +47,17 @@ __all__ = [
     "DISCIPLINE_ENV_VAR",
     "KERNEL_THREADS_ENV_VAR",
     "SOLVE_CACHE_ENV_VAR",
-    "KNOB_NAMES",
     "ResolvedKnobs",
-    "resolve_knobs",
     "resolve_discipline",
     "resolve_kernel_threads",
     "solve_cache_enabled",
 ]
 
-#: Environment variable supplying the default trial-parallel worker count.
+#: Environment variable setting the host's trial-shard thread cap.
 KERNEL_THREADS_ENV_VAR = "REPRO_KERNEL_THREADS"
 
 #: Environment variable disabling the process solve cache (``"0"``).
 SOLVE_CACHE_ENV_VAR = "REPRO_SOLVE_CACHE"
-
-#: The two knobs, in the order :class:`ResolvedKnobs` carries them.
-KNOB_NAMES: tuple[str, ...] = ("discipline", "kernel_threads")
 
 
 def resolve_discipline(discipline: str | None = None) -> str:
@@ -85,23 +76,21 @@ def resolve_discipline(discipline: str | None = None) -> str:
     return discipline
 
 
-def resolve_kernel_threads(threads: int | None = None) -> int:
-    """The trial-parallel worker count: argument →
-    ``REPRO_KERNEL_THREADS`` → 1; non-integer or < 1 values (env
-    included) raise ``ValueError``."""
-    if threads is None:
-        raw = os.environ.get(KERNEL_THREADS_ENV_VAR)
-        if not raw:
-            return 1
-        threads = raw  # type: ignore[assignment]
+def resolve_kernel_threads() -> int:
+    """The host's trial-shard thread cap: ``REPRO_KERNEL_THREADS``, else
+    1.  A non-integer or < 1 value raises ``ValueError`` naming the
+    variable."""
+    raw = os.environ.get(KERNEL_THREADS_ENV_VAR)
+    if not raw:
+        return 1
     try:
-        count = int(threads)
-    except (TypeError, ValueError):
+        count = int(raw)
+    except ValueError:
         raise ValueError(
-            f"kernel_threads must be an integer >= 1, got {threads!r}"
+            f"{KERNEL_THREADS_ENV_VAR} must be an integer >= 1, got {raw!r}"
         ) from None
     if count < 1:
-        raise ValueError(f"kernel_threads must be >= 1, got {count}")
+        raise ValueError(f"{KERNEL_THREADS_ENV_VAR} must be >= 1, got {count}")
     return count
 
 
@@ -113,45 +102,11 @@ def solve_cache_enabled() -> bool:
 
 @dataclass(frozen=True)
 class ResolvedKnobs:
-    """A frozen snapshot of both knobs after resolution.
+    """A frozen snapshot of the resolved discipline.
 
-    Every field holds the concrete value trials will run under — no
-    ``None`` placeholders left — so a worker's own environment never
-    changes a run.
+    It holds the concrete value trials will run under — no ``None``
+    placeholder left — so a worker's own environment never changes a
+    run's samples.
     """
 
     discipline: str = DISCIPLINES[0]
-    kernel_threads: int = 1
-
-
-_RESOLVERS = {
-    "discipline": resolve_discipline,
-    "kernel_threads": resolve_kernel_threads,
-}
-
-
-def resolve_knobs(
-    config=None,
-    *,
-    discipline: str | None = None,
-    kernel_threads: int | None = None,
-) -> ResolvedKnobs:
-    """Resolve both knobs through the one documented chain.
-
-    Per knob: the explicit keyword wins, then the same-named field of
-    ``config`` (anything with the attribute — normally a
-    :class:`~repro.api.scenario.SimConfig`; duck-typed so this module
-    stays import-cycle-free), then the knob's environment variable, then
-    its default.  Unknown values raise ``ValueError`` wherever they came
-    from.
-    """
-    explicit = {
-        "discipline": discipline,
-        "kernel_threads": kernel_threads,
-    }
-    resolved = {}
-    for name, value in explicit.items():
-        if value is None and config is not None:
-            value = getattr(config, name, None)
-        resolved[name] = _RESOLVERS[name](value)
-    return ResolvedKnobs(**resolved)

@@ -148,8 +148,9 @@ class WarmPoolExecutor(RequestExecutor):
     solve_cache_entries:
         Capacity installed into each worker's process solve cache.
 
-    Each request's resolved ``kernel_threads`` reaches the workers with
-    its trial chunks, so one pool serves requests with any thread count.
+    Workers inherit the host's ``REPRO_KERNEL_THREADS`` when the pool
+    spawns them, and each chunk reads it there; a request carries only
+    its resolved discipline.
     """
 
     kind = "warm-pool"

@@ -21,7 +21,7 @@ import numbers
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
-from repro.api.config import DISCIPLINES, ResolvedKnobs, resolve_knobs
+from repro.api.config import DISCIPLINES, ResolvedKnobs, resolve_discipline
 from repro.errors import InvalidScenarioError
 from repro.instance.generators import (
     chain_instance,
@@ -109,23 +109,17 @@ class SimConfig:
         statistically equivalent), or ``None`` to resolve through the
         ``REPRO_DISCIPLINE`` environment variable at run time (default
         v1).  See :mod:`repro.util.rng`.
-    kernel_threads:
-        Trial-parallel thread cap for one batch.  Only a vectorized
-        policy that steps against a threshold matrix (v2, or
-        ``suu_star``) uses it: its batch splits into contiguous trial
-        shards on a thread pool (bit-identical to serial).  Every other
-        batch runs serially (see :mod:`repro.sim.batch`, "Trial
-        shards").  ``None`` resolves through ``REPRO_KERNEL_THREADS`` at
-        run time (default 1 — serial).
 
-    Both knobs resolve through the one documented chain in
-    :mod:`repro.api.config` — explicit argument → this config's field →
-    environment variable → default; :meth:`resolved` snapshots both at
-    once.  A run roots its trial tree and its v2 streams at ``seed``
-    alone, so every policy of an ``evaluate_grid`` sweep sees the same
-    randomness (common random numbers); independent per-policy
-    estimates come from separate ``simulate()`` calls with their own
-    seeds.
+    Every field can change a sample.  The discipline resolves through
+    the chain in :mod:`repro.api.config` — explicit argument → this
+    config's field → environment variable → default; :meth:`resolved`
+    snapshots it.  The trial-shard thread count is not a field: it is
+    the host's ``REPRO_KERNEL_THREADS`` setting, and shards never change
+    a sample (see :mod:`repro.sim.batch`, "Trial shards").  A run roots
+    its trial tree and its v2 streams at ``seed`` alone, so every policy
+    of an ``evaluate_grid`` sweep sees the same randomness (common
+    random numbers); independent per-policy estimates come from separate
+    ``simulate()`` calls with their own seeds.
     """
 
     n_trials: int = 30
@@ -133,7 +127,6 @@ class SimConfig:
     semantics: str = "suu"
     max_steps: int = DEFAULT_MAX_STEPS
     discipline: str | None = None
-    kernel_threads: int | None = None
 
     def __post_init__(self):
         _check_int("n_trials", self.n_trials, 1)
@@ -146,14 +139,12 @@ class SimConfig:
                 f"unknown discipline {self.discipline!r}; expected one of "
                 f"{DISCIPLINES} (or None for the environment default)"
             )
-        if self.kernel_threads is not None:
-            _check_int("kernel_threads", self.kernel_threads, 1)
 
     def resolved(self) -> ResolvedKnobs:
-        """Both knobs resolved through the one chain in
-        :mod:`repro.api.config` (explicit field → environment variable →
+        """The discipline resolved through the chain in
+        :mod:`repro.api.config` (this field → environment variable →
         default) — the snapshot a run executes under."""
-        return resolve_knobs(config=self)
+        return ResolvedKnobs(discipline=resolve_discipline(self.discipline))
 
     def to_dict(self) -> dict:
         """JSON-compatible representation."""

@@ -42,6 +42,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.api.config import resolve_kernel_threads
 from repro.api.executors import WarmPoolExecutor
 from repro.api.registry import default_policy_for, policy_factory, policy_info
 from repro.api.scenario import Scenario, ScenarioGrid, SimConfig
@@ -96,8 +97,8 @@ class Report:
         ``lp_solves`` and ``assembly_seconds``), summed across worker
         chunks.  ``None`` on legacy paths that did not collect it.
     kernel:
-        ``{"threads": n}``: the resolved ``kernel_threads`` cap, not the
-        thread count that ran — only threshold-stepped vectorized
+        ``{"threads": n}``: the host's ``REPRO_KERNEL_THREADS`` cap, not
+        the thread count that ran — only threshold-stepped vectorized
         batches shard (see :mod:`repro.sim.batch`, "Trial shards").
         ``None`` on legacy paths.
     """
@@ -147,7 +148,7 @@ class Report:
         )
 
 
-def run_trial_batch(instance, factory, rngs, config, knobs, streams,
+def run_trial_batch(instance, factory, rngs, config, discipline, streams,
                     want_completions):
     """Run one chunk of Monte Carlo trials.
 
@@ -171,17 +172,16 @@ def run_trial_batch(instance, factory, rngs, config, knobs, streams,
     v2 the chunk reads its global rows of the run's batch streams
     (``streams`` arrives offset-rebased), so samples are still invariant
     to chunk layout — they are just v2 samples.  ``config`` supplies the
-    semantics and the horizon; ``knobs`` is the caller's frozen
-    :class:`~repro.api.config.ResolvedKnobs` snapshot, which supplies the
-    discipline and the ``kernel_threads`` count, so a worker's own
-    environment never changes a run.  Every step of every trial is
-    checked (see :func:`repro.sim.batch.run_policy_batch`).
+    semantics and the horizon; ``discipline`` is the caller's resolved
+    discipline, so a worker's own environment never changes a sample
+    (its ``REPRO_KERNEL_THREADS`` sets only how the chunk shards).  Every
+    step of every trial is checked (see
+    :func:`repro.sim.batch.run_policy_batch`).
     """
     before = lp_stats_snapshot()
     batch = run_policy_batch(
         instance, factory, trial_rngs=rngs, semantics=config.semantics,
-        max_steps=config.max_steps, discipline=knobs.discipline,
-        streams=streams, kernel_threads=knobs.kernel_threads,
+        max_steps=config.max_steps, discipline=discipline, streams=streams,
     )
     completions = batch.completion_times if want_completions else None
     return batch.makespans, completions, lp_stats_delta(before)
@@ -251,13 +251,13 @@ def _sum_lp_deltas(deltas) -> dict:
     return total
 
 
-def _map_chunks(pool, n_workers, instance, factory, rngs, config, knobs,
-                streams, want_completions):
+def _map_chunks(pool, n_workers, instance, factory, rngs, config,
+                discipline, streams, want_completions):
     """Fan trial chunks out over ``pool`` and reassemble them in order.
 
     Each chunk receives its span of ``rngs`` (from :func:`_run_batched`, a
     lazy :class:`~repro.util.rng.SpawnedRngs` slice that pickles as a few
-    ints) and the caller's ``config`` and ``knobs``.  Under discipline v2
+    ints) and the caller's ``config`` and ``discipline``.  Under v2
     every chunk receives the run's streams re-based at its global start
     index, so a chunk computes exactly the rows of the whole-run draw it
     covers — chunk layout stays invisible in the samples.
@@ -270,7 +270,7 @@ def _map_chunks(pool, n_workers, instance, factory, rngs, config, knobs,
         run_trial_batch,
         *zip(
             *[
-                (instance, factory, rngs[lo:hi], config, knobs,
+                (instance, factory, rngs[lo:hi], config, discipline,
                  None if streams is None else streams.with_offset(lo),
                  want_completions)
                 for lo, hi in bounds
@@ -303,15 +303,15 @@ def _fast_path_eligible(factory, discipline: str = "v1") -> bool:
     return supports_batch(probe) or supports_phased(probe, discipline)
 
 
-def _run_batched(instance, factory, config: SimConfig, knobs, executor=None,
-                 want_completions=False):
+def _run_batched(instance, factory, config: SimConfig, discipline,
+                 executor=None, want_completions=False):
     """Run the trials in-process (``executor`` ``None`` or serial) or as
     trial chunks on ``executor``'s worker pool.
 
     Returns :func:`run_trial_batch`'s ``(makespans, completions,
-    lp_delta)`` triple for the whole run.  ``knobs`` is the frozen
-    :class:`~repro.api.config.ResolvedKnobs` snapshot the caller resolved
-    once; every chunk runs under it.
+    lp_delta)`` triple for the whole run.  ``discipline`` is the one the
+    caller resolved (``config.resolved().discipline``); every chunk runs
+    under it.
     Trial ``k`` reads child ``k`` of the run's spawn tree
     (:class:`~repro.util.rng.SpawnedRngs`, built on first use; chunks
     ship spans of it, not generator states), so the samples are
@@ -324,16 +324,18 @@ def _run_batched(instance, factory, config: SimConfig, knobs, executor=None,
     root = run_seed_sequence(config.seed)
     # Under v2 the whole run shares one stream root addressed by global
     # trial index (chunk-layout invariant).
-    streams = BatchStreams(root) if knobs.discipline == "v2" else None
+    streams = BatchStreams(root) if discipline == "v2" else None
     # The trial generators are built on first use: the vectorized v2
     # path reads only trial 0's, and chunks ship spans, not states.
     rngs = SpawnedRngs(root, config.n_trials)
     if executor is None or executor.backend == "serial":
         return run_trial_batch(
-            instance, factory, rngs, config, knobs, streams, want_completions
+            instance, factory, rngs, config, discipline, streams,
+            want_completions,
         )
     args = (executor.n_workers or min(os.cpu_count() or 1, config.n_trials),
-            instance, factory, rngs, config, knobs, streams, want_completions)
+            instance, factory, rngs, config, discipline, streams,
+            want_completions)
     try:
         return _map_chunks(executor.pool(), *args)
     except BrokenProcessPool:
@@ -417,8 +419,9 @@ def simulate(
         else:
             declarative, instance = scenario, scenario.to_instance()
         return _simulate_instance(
-            declarative, instance, policy, config, config.resolved(), ex,
-            policy_kwargs, fast_path=executor is None, per_job=per_job,
+            declarative, instance, policy, config,
+            config.resolved().discipline, ex, policy_kwargs,
+            fast_path=executor is None, per_job=per_job,
         )
 
 
@@ -427,7 +430,7 @@ def _simulate_instance(
     instance,
     policy,
     config,
-    knobs,
+    discipline,
     executor,
     policy_kwargs,
     fast_path,
@@ -436,8 +439,8 @@ def _simulate_instance(
 ):
     """Shared core of :func:`simulate` / :func:`evaluate_grid`.
 
-    ``knobs`` is the caller's one ``config.resolved()`` snapshot and
-    ``executor`` the one :func:`_open_executor` opened.  ``fast_path``
+    ``discipline`` is the caller's one ``config.resolved().discipline``
+    and ``executor`` the one :func:`_open_executor` opened.  ``fast_path``
     lets a small batch of a fast-path-eligible policy run in-process
     whatever the executor: for vectorized and phased policies that beats
     worker dispatch + pickling, with identical samples.  Callers clear it
@@ -449,10 +452,11 @@ def _simulate_instance(
     label, factory = _resolve_policy(policy, instance, policy_kwargs)
     if (fast_path and executor is not None
             and config.n_trials < SERIAL_BATCH_THRESHOLD
-            and _fast_path_eligible(factory, knobs.discipline)):
+            and _fast_path_eligible(factory, discipline)):
         executor = None
     samples, completions, lp_stats = _run_batched(
-        instance, factory, config, knobs, executor, want_completions=per_job,
+        instance, factory, config, discipline, executor,
+        want_completions=per_job,
     )
     job_stats = None
     if per_job:
@@ -471,7 +475,7 @@ def _simulate_instance(
         config=config,
         per_job=job_stats,
         lp_stats=lp_stats,
-        kernel={"threads": knobs.kernel_threads},
+        kernel={"threads": resolve_kernel_threads()},
     )
 
 
@@ -522,7 +526,7 @@ def evaluate_grid(
     if isinstance(policies, str):
         policies = (policies,)
     config = config or SimConfig()
-    knobs = config.resolved()
+    discipline = config.resolved().discipline
     reports = []
     with _open_executor(executor, backend, n_workers, config.n_trials) as ex:
         for scenario in grid:
@@ -531,7 +535,7 @@ def evaluate_grid(
             for policy in policies:
                 reports.append(
                     _simulate_instance(
-                        scenario, instance, policy, config, knobs, ex, {},
+                        scenario, instance, policy, config, discipline, ex, {},
                         fast_path=executor is None, bound=bound,
                         per_job=per_job,
                     )

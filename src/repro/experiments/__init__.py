@@ -7,9 +7,10 @@ suite files (:mod:`repro.suite`) dispatch through one id → runner table
 (:func:`get_experiment` / :func:`experiment_ids`).
 
 ``python -m repro.experiments`` executes every experiment at its default
-(full) configuration and rewrites the measured-results section of
-EXPERIMENTS.md; the benchmark suite runs the same functions at reduced
-sizes and prints their tables.
+(full) configuration and prints the tables; with ``--markdown
+EXPERIMENTS.md`` it also writes them to that file (the committed
+``EXPERIMENTS.md`` is this output).  The benchmark suite runs the same
+functions at reduced sizes and prints their tables.
 """
 
 from repro.experiments.adaptive_exp import run_adaptive

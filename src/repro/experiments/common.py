@@ -7,8 +7,8 @@ decorated with :func:`register_experiment` so the CLI
 (``python -m repro.experiments``), the benchmark suite, and declarative
 suite files (:mod:`repro.suite`) all share one id → runner table.
 The benchmark suite times the *quick* configurations and prints the rows;
-``python -m repro.experiments`` runs the *full* configurations and rewrites
-the results section of EXPERIMENTS.md.
+``python -m repro.experiments`` runs the *full* configurations and, with
+``--markdown EXPERIMENTS.md``, writes the tables to that file.
 """
 
 from __future__ import annotations

@@ -126,8 +126,9 @@ def run_sem_scaling(
             sem_ratio / loglog(min(m, n)),
         )
     res.notes.append(
-        "SEM's ratio should stay roughly flat in n while greedy/OBL grow; "
-        "each row averages over independent instance draws."
+        "At fixed m, SEM's ratio stays in a band across n and OBL's grows "
+        "(Theorems 4 and 3); greedy's falls on these random specialist "
+        "instances; each row averages over independent instance draws."
     )
     return res
 

@@ -17,8 +17,12 @@ paper's algorithm.  Comparators:
   skeleton) vs **SUU-C** with the SEM inner loop;
 * forests — the same pair lifted through the chain-block decomposition.
 
-The reproduction claim is about *shape*: the paper's column should win on
-every row, by a factor that grows with ``n`` in the independent case.
+Table 1 compares worst-case *guarantees*; this table measures random
+specialist instances, which are easy for greedy.  At the default sizes
+greedy beats SEM on every independent row (improvement 0.48 / 0.44 /
+0.37 at n = 20 / 40 / 80; SEM pays Lemma 2's rounding blow-up in every
+round), and on chains and forests the SEM inner loop comes within
+0.95–1.05 of the oblivious one.  ``EXPERIMENTS.md`` records the run.
 """
 
 from __future__ import annotations
@@ -115,11 +119,16 @@ def run_table1(
         )
         res.add("forests", n, m, bound, r["lr"], r["ours"], r["lr"] / r["ours"])
     res.notes.append(
-        "LB = max(LP1/2, LP2/2, critical path); ratios are upper estimates "
-        "of the true approximation ratios."
+        "LB = max(1, LP1/2, LP2/2 on chains, critical path, work bound); "
+        "ratios are upper estimates of the true approximation ratios."
     )
     res.notes.append(
         "independent LR-style = Lin-Rajaraman greedy; chains/forests "
         "LR-style = same skeleton with O(log n) oblivious inner loop."
+    )
+    res.notes.append(
+        "Table 1 compares worst-case guarantees: on these random specialist "
+        "instances greedy beats SEM on every independent row, and the SEM "
+        "inner loop matches the oblivious one on chains and forests."
     )
     return res

@@ -18,7 +18,7 @@ calls into a request/response service:
 * ``GET /healthz`` — liveness plus served/error counters, in-flight
   depth, the executor's stats (including a warm worker's solve-cache
   counters — how warm-pool reuse is observed from the outside), and the
-  server process's resolved ``kernel_threads`` count.
+  server process's trial-shard cap (``REPRO_KERNEL_THREADS``).
 
 The HTTP layer is deliberately minimal — stdlib ``asyncio`` streams, no
 framework: an HTTP/1.1 parser supporting keep-alive and

@@ -132,17 +132,19 @@ Trial shards
 ------------
 Each trial is a deterministic function of its own thresholds, so
 splitting a batch's rows across threads never changes a sample; it saves
-time only where every step is whole-batch numpy work.  Shards therefore
-run on one route alone: a vectorized batch that steps against a
-threshold matrix (v2, or ``suu_star``), given a policy class or factory,
-with ``kernel_threads`` above 1.  Its rows split into at most
-``min(kernel_threads, n_trials, os.cpu_count())`` contiguous spans, one
-thread each, each stepped by its own policy started as the unsharded
-batch starts its one; every span's rows keep their batch trial ids, and
-the horizon error counts the unfinished trials of the whole batch.  The
+time only where every step is whole-batch numpy work.  The thread cap is
+therefore a host setting, not an argument: each call reads
+``REPRO_KERNEL_THREADS`` (:func:`repro.api.config.resolve_kernel_threads`,
+default 1).  Shards run on one route alone: a vectorized batch that
+steps against a threshold matrix (v2, or ``suu_star``), given a policy
+class or factory, with the cap above 1.  Its rows split into at most
+``min(threads, n_trials, os.cpu_count())`` contiguous spans, one thread
+each, each stepped by its own policy started as the unsharded batch
+starts its one; every span's rows keep their batch trial ids, and the
+horizon error counts the unfinished trials of the whole batch.  The
 closed form, grouped, per-trial and v1 coin-flip batches run serially
-whatever ``kernel_threads`` says: measured on two cores, shards there
-were mostly neutral or slower (README, "Trial parallelism").
+whatever the cap says: measured on two cores, shards there were mostly
+neutral or slower (README, "Trial parallelism").
 """
 
 from __future__ import annotations
@@ -243,9 +245,15 @@ def run_policy_batch(
     trial_rngs=None,
     discipline: str | None = None,
     streams: BatchStreams | None = None,
-    kernel_threads: int | None = None,
 ) -> BatchSimResult:
     """Execute ``n_trials`` independent runs of ``policy``, vectorized.
+
+    Each call reads the host's trial-shard cap, ``REPRO_KERNEL_THREADS``
+    (default 1; a bad value raises on every route).  Only a vectorized
+    policy, given as a class or factory, that steps against a threshold
+    matrix runs in trial shards (module docstring, "Trial shards");
+    every other batch runs serially.  Samples are bit-identical either
+    way.
 
     Parameters
     ----------
@@ -293,13 +301,6 @@ def run_policy_batch(
         Pre-built v2 :class:`~repro.util.rng.BatchStreams` (the service
         passes offset-rebased streams so worker chunks read their global
         rows).  Ignored under v1; built from ``rng`` when omitted under v2.
-    kernel_threads:
-        CPU threads for this one batch (``None`` resolves through
-        ``REPRO_KERNEL_THREADS``, default 1; a bad value raises on every
-        route).  Only a vectorized policy, given as a class or factory,
-        that steps against a threshold matrix runs in trial shards
-        (module docstring, "Trial shards"); every other batch runs
-        serially.  Samples are bit-identical either way.
 
     Raises
     ------
@@ -368,11 +369,11 @@ def run_policy_batch(
     else:
         factory = policy
         probe = factory()
-    # Imported here: the repro.api package, which holds the unified knob
-    # chain, imports this module.
+    # Imported here: the repro.api package, which holds the one settings
+    # reader, imports this module.
     from repro.api.config import resolve_kernel_threads
 
-    threads = resolve_kernel_threads(kernel_threads)
+    threads = resolve_kernel_threads()
     if supports_batch(probe):
         result = _run_vectorized(
             instance, probe, factory, threads, trial_rngs, semantics,
@@ -412,18 +413,23 @@ def _run_per_trial(
     the batch's threshold matrix ``theta`` when there is one; otherwise
     (v1) each replays its own ``outcome_rng``."""
     B, n = len(trial_rngs), instance.n_jobs
-    pairs = [r.spawn(2) for r in trial_rngs]
+    outcome_rngs = None
+    if theta is None:
+        pairs = [r.spawn(2) for r in trial_rngs]
+        policy_rngs = [policy_rng for policy_rng, _ in pairs]
+        theta, outcome_rngs = _v1_outcomes(
+            [outcome for _, outcome in pairs], semantics, n
+        )
+    else:
+        # spawn(1)[0] is the same child as spawn(2)[0]: the policy_rng,
+        # without the outcome_rng a threshold-stepped trial never reads.
+        policy_rngs = [r.spawn(1)[0] for r in trial_rngs]
     policies = [
         factory() if factory is not None else copy.deepcopy(probe)
         for _ in range(B)
     ]
-    for policy, (policy_rng, _) in zip(policies, pairs):
+    for policy, policy_rng in zip(policies, policy_rngs):
         policy.start(instance, policy_rng)
-    outcome_rngs = None
-    if theta is None:
-        theta, outcome_rngs = _v1_outcomes(
-            [outcome for _, outcome in pairs], semantics, n
-        )
     dispatch = _PerTrialDispatch(policies, probe.name, B, instance.n_machines)
     return _drive_batch(
         instance, probe.name, dispatch, B, semantics, max_steps, theta,

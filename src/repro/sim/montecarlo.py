@@ -63,7 +63,6 @@ def estimate_expected_makespan(
     semantics: str = "suu",
     max_steps: int = DEFAULT_MAX_STEPS,
     discipline: str | None = None,
-    kernel_threads: int | None = None,
 ) -> MakespanStats:
     """Estimate ``E[T_policy]`` by simulation.
 
@@ -77,12 +76,6 @@ def estimate_expected_makespan(
         environment).  Under v1 the samples are bit-identical to the
         historical per-trial loop; under v2 they are statistically
         equivalent batch-native draws.
-    kernel_threads:
-        Trial-parallel thread cap (``None`` resolves through
-        ``REPRO_KERNEL_THREADS``; default 1).  Only a vectorized policy
-        stepping against thresholds shards onto threads (see
-        :func:`~repro.sim.batch.run_policy_batch`); samples are
-        bit-identical to serial either way.
 
     All dispatch lives in :func:`~repro.sim.batch.run_policy_batch`:
     batch-capable policies drive every trial at once, the rest run one
@@ -100,7 +93,6 @@ def estimate_expected_makespan(
         semantics=semantics,
         max_steps=max_steps,
         discipline=discipline,
-        kernel_threads=kernel_threads,
     )
     return batch.stats()
 
@@ -113,7 +105,6 @@ def compare_policies(
     *,
     max_steps: int = DEFAULT_MAX_STEPS,
     discipline: str | None = None,
-    kernel_threads: int | None = None,
 ) -> dict[str, MakespanStats]:
     """Paired Monte Carlo comparison with common random numbers.
 
@@ -168,7 +159,6 @@ def compare_policies(
             max_steps=max_steps,
             discipline=discipline,
             streams=None if streams is None else streams.child(k),
-            kernel_threads=kernel_threads,
         ).stats(label)
         for k, label in enumerate(labels)
     }

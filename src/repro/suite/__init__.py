@@ -2,13 +2,15 @@
 
 A *suite file* (JSON; TOML on Python 3.11+) declares a scenario grid ×
 policies × a :class:`~repro.api.scenario.SimConfig` sweep (seeds,
-disciplines, thread counts, ...) plus optional registered experiments.  The
+disciplines, semantics, ...) plus optional registered experiments.  The
 spec expands into *cells*; each cell is content-addressed by a sha256
 digest over the materialized instance, the scenario recipe, the policy,
-the config core, and the resolved RNG discipline (the one knob that can
-change a sample; :func:`repro.api.config.resolve_knobs`).  Artifacts
-persist under ``out_dir/cells/<digest>.json``, so re-running a suite
-computes only the delta and resuming after an interrupt is free.
+the config core, and the resolved RNG discipline
+(:meth:`SimConfig.resolved <repro.api.scenario.SimConfig.resolved>`).
+The host's trial-shard thread count is not part of a cell: it changes
+no sample.  Artifacts persist under ``out_dir/cells/<digest>.json``, so
+re-running a suite computes only the delta and resuming after an
+interrupt is free.
 
 Quick start::
 

@@ -11,9 +11,9 @@ everything that determines its result:
   semantics, horizon), and
 * the *resolved* RNG discipline (:meth:`SimConfig.resolved` — explicit →
   config → environment → default), so a sweep run under
-  ``REPRO_DISCIPLINE=v2`` is addressed separately from a v1 run.  It is
-  the only knob that can change a sample: ``kernel_threads`` is left
-  out, so a suite re-run under another thread count finds its cells.
+  ``REPRO_DISCIPLINE=v2`` is addressed separately from a v1 run.  The
+  host's ``REPRO_KERNEL_THREADS`` changes no sample and is not a config
+  field, so a suite re-run under another thread count finds its cells.
 
 Experiment cells hash their id plus canonical args.  Anything with the
 same digest is the same measurement: re-running a suite only computes the

@@ -15,7 +15,7 @@ optional registered-experiment entries::
     }
 
 ``sweep`` axes are :class:`~repro.api.scenario.SimConfig` fields (seeds,
-disciplines, kernel_threads, ...); every combination multiplies
+disciplines, semantics, ...); every combination multiplies
 the grid × policies product.  Loading is *strict*: unknown top-level
 keys, unknown sweep fields, unknown policies, unknown experiment ids, and
 malformed shapes (a sweep axis or ``experiments`` that is not a list, a

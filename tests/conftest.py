@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
+import os
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from repro.api.config import KERNEL_THREADS_ENV_VAR
 from repro.core.suu_c import SUUCPolicy
 from repro.core.suu_t import SUUTPolicy
 from repro.instance import (
@@ -65,6 +70,28 @@ def force_cpus(monkeypatch):
         monkeypatch.setattr("repro.sim.batch.os.cpu_count", lambda: count)
 
     return force
+
+
+@contextlib.contextmanager
+def _kernel_threads_env(count):
+    # patch.dict restores the whole environment on exit.
+    with mock.patch.dict(os.environ):
+        if count is None:
+            os.environ.pop(KERNEL_THREADS_ENV_VAR, None)
+        else:
+            os.environ[KERNEL_THREADS_ENV_VAR] = str(count)
+        yield
+
+
+@pytest.fixture(scope="session")
+def threads_env():
+    """``with threads_env(count):`` runs a block with the host's
+    trial-shard cap ``REPRO_KERNEL_THREADS`` set to ``count`` (``None``:
+    unset) and restores the environment after it.  Built on
+    ``unittest.mock.patch.dict`` rather than ``monkeypatch``, so it also
+    scopes a block inside one hypothesis example (which is also why the
+    fixture lives for the whole test run)."""
+    return _kernel_threads_env
 
 
 def _chain_crosscheck(inst, cls, kwargs, n_trials, seed, theta_seed=900):

@@ -1,4 +1,4 @@
-"""Tests for the unified knob-resolution chain (repro.api.config)."""
+"""Tests for the one reader of the ``REPRO_*`` settings (repro.api.config)."""
 
 import dataclasses
 import pathlib
@@ -6,76 +6,66 @@ import pathlib
 import pytest
 
 from repro.api.config import (
-    KNOB_NAMES,
     ResolvedKnobs,
     resolve_discipline,
     resolve_kernel_threads,
-    resolve_knobs,
     solve_cache_enabled,
 )
 from repro.api.scenario import SimConfig
+from repro.errors import InvalidScenarioError
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
 
-ENV_BY_KNOB = {
-    "discipline": "REPRO_DISCIPLINE",
-    "kernel_threads": "REPRO_KERNEL_THREADS",
-}
+ENV_VARS = ("REPRO_DISCIPLINE", "REPRO_KERNEL_THREADS")
 
 
 class TestPrecedence:
-    """Explicit argument → SimConfig field → env var → default."""
-
-    DEFAULTS = {
-        "discipline": "v1",
-        "kernel_threads": 1,
-    }
-    NON_DEFAULT = {
-        "discipline": "v2",
-        "kernel_threads": 3,
-    }
+    """The discipline: explicit argument → SimConfig field → env var →
+    default.  The trial-shard thread cap: env var → default."""
 
     def test_defaults(self, monkeypatch):
-        for var in ENV_BY_KNOB.values():
+        for var in ENV_VARS:
             monkeypatch.delenv(var, raising=False)
         # Variables of the deleted lp_reuse knob are no longer read.
         monkeypatch.setenv("REPRO_LP_REUSE", "subset")
         monkeypatch.setenv("REPRO_LP_REUSE_EPS", "2")
         # Nor is the deleted substreams knob's.
         monkeypatch.setenv("REPRO_SUBSTREAMS", "per-policy")
-        assert resolve_knobs() == ResolvedKnobs(**self.DEFAULTS)
+        assert SimConfig().resolved() == ResolvedKnobs(discipline="v1")
+        assert resolve_kernel_threads() == 1
 
     def test_env_beats_default(self, monkeypatch):
-        for knob, var in ENV_BY_KNOB.items():
-            monkeypatch.setenv(var, str(self.NON_DEFAULT[knob]))
-        knobs = resolve_knobs()
-        for knob in KNOB_NAMES:
-            assert getattr(knobs, knob) == self.NON_DEFAULT[knob]
+        monkeypatch.setenv("REPRO_DISCIPLINE", "v2")
+        monkeypatch.setenv("REPRO_KERNEL_THREADS", "3")
+        assert SimConfig().resolved().discipline == "v2"
+        assert resolve_kernel_threads() == 3
 
     def test_config_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_DISCIPLINE", "v2")
-        monkeypatch.setenv("REPRO_KERNEL_THREADS", "7")
-        knobs = resolve_knobs(config=SimConfig(discipline="v1", kernel_threads=2))
-        assert knobs.discipline == "v1"
-        assert knobs.kernel_threads == 2
+        assert SimConfig(discipline="v1").resolved().discipline == "v1"
+        # The thread cap is the host's alone: no config carries it.
+        with pytest.raises(InvalidScenarioError,
+                           match=r"unknown SimConfig fields \['kernel_threads'\]"):
+            SimConfig.from_dict({"discipline": "v1", "kernel_threads": 2})
 
-    def test_explicit_beats_config(self, monkeypatch):
-        for var in ENV_BY_KNOB.values():
-            monkeypatch.delenv(var, raising=False)
-        config = SimConfig(discipline="v1", kernel_threads=1)
-        knobs = resolve_knobs(config=config, discipline="v2", kernel_threads=3)
-        assert knobs.discipline == "v2"
-        assert knobs.kernel_threads == 3
+    def test_explicit_beats_env(self, monkeypatch):
+        monkeypatch.setenv("REPRO_DISCIPLINE", "v1")
+        assert resolve_discipline("v2") == "v2"
+        # The thread cap takes no argument.
+        with pytest.raises(TypeError):
+            resolve_kernel_threads(3)
 
     def test_simconfig_resolved_matches(self, monkeypatch):
         monkeypatch.setenv("REPRO_DISCIPLINE", "v2")
-        config = SimConfig(kernel_threads=2)
-        assert config.resolved() == resolve_knobs(config=config)
+        config = SimConfig()
+        assert config.resolved() == ResolvedKnobs(discipline=resolve_discipline())
         assert config.resolved().discipline == "v2"
 
     def test_fields_are_the_knobs(self):
-        fields = [f.name for f in dataclasses.fields(ResolvedKnobs)]
-        assert fields == list(KNOB_NAMES) == ["discipline", "kernel_threads"]
+        assert [f.name for f in dataclasses.fields(ResolvedKnobs)] == ["discipline"]
+        assert [f.name for f in dataclasses.fields(SimConfig)] == [
+            "n_trials", "seed", "semantics", "max_steps", "discipline",
+        ]
 
 
 class TestLoudEnvErrors:
@@ -93,11 +83,12 @@ class TestLoudEnvErrors:
         with pytest.raises(ValueError, match=needle):
             resolver()
 
-    def test_bad_explicit_value(self):
+    def test_bad_explicit_value(self, monkeypatch):
         with pytest.raises(ValueError, match="discipline"):
             resolve_discipline("v9")
-        with pytest.raises(ValueError, match="kernel_threads"):
-            resolve_kernel_threads(0)
+        monkeypatch.setenv("REPRO_KERNEL_THREADS", "-2")
+        with pytest.raises(ValueError, match="REPRO_KERNEL_THREADS"):
+            resolve_kernel_threads()
 
     def test_eps_and_solve_cache(self, monkeypatch):
         monkeypatch.delenv("REPRO_SOLVE_CACHE", raising=False)
@@ -117,7 +108,8 @@ class TestDelegation:
 
 
 class TestGrepClean:
-    """repro.api.config is the only module reading the environment."""
+    """repro.api.config is the only module reading the environment, and
+    no module sets it (the thread cap has one setter: the host)."""
 
     def test_no_env_reads_outside_config(self):
         offenders = []
@@ -125,8 +117,8 @@ class TestGrepClean:
             if path.name == "config.py" and path.parent.name == "api":
                 continue
             text = path.read_text()
-            if "environ.get(" in text or "getenv(" in text:
+            if any(use in text for use in ("environ.get(", "getenv(", "environ[")):
                 offenders.append(str(path.relative_to(SRC)))
         assert not offenders, (
-            f"environment reads outside repro/api/config.py: {offenders}"
+            f"environment uses outside repro/api/config.py: {offenders}"
         )

@@ -192,10 +192,13 @@ class TestSimConfig:
             ({"seed": -1}, "seed must be >= 0"),
             ({"seed": 1.5}, "seed must be an integer"),
             ({"max_steps": 10.5}, "max_steps must be an integer"),
-            ({"kernel_threads": True}, "kernel_threads must be an integer"),
         ]:
             with pytest.raises(InvalidScenarioError, match=needle):
                 SimConfig(**kwargs)
+        # The trial-shard thread count is a host setting, not a field.
+        with pytest.raises(InvalidScenarioError,
+                           match=r"unknown SimConfig fields \['kernel_threads'\]"):
+            SimConfig.from_dict({"kernel_threads": 2})
         # numpy integers are integers.
         cfg = SimConfig(n_trials=np.int64(5), seed=np.int64(2),
                         max_steps=np.int64(100))

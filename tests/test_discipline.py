@@ -258,19 +258,21 @@ class TestV2OneStream:
     NAMES = [info.name for info in list_policies()]
 
     @staticmethod
-    def both(name, **kwargs):
+    def both(name):
         inst = make_instance(policy_shape(policy_info(name)))
         return [
             run_policy_batch(inst, policy_factory(name), 12, rng=19,
-                             semantics=semantics, discipline="v2", **kwargs)
+                             semantics=semantics, discipline="v2")
             for semantics in ("suu", "suu_star")
         ]
 
     @pytest.mark.parametrize("kernel_threads", [1, 2])
     @pytest.mark.parametrize("name", NAMES)
-    def test_suu_equals_suu_star(self, name, kernel_threads, force_cpus):
+    def test_suu_equals_suu_star(self, name, kernel_threads, force_cpus,
+                                 threads_env):
         force_cpus(2)
-        suu, star = self.both(name, kernel_threads=kernel_threads)
+        with threads_env(kernel_threads):
+            suu, star = self.both(name)
         assert (suu.semantics, star.semantics) == ("suu", "suu_star")
         assert np.array_equal(suu.makespans, star.makespans)
         assert np.array_equal(suu.completion_times, star.completion_times)
@@ -481,12 +483,13 @@ class TestV2Determinism:
 
 
 class TestShardInvariance:
-    """Trial shards (``kernel_threads > 1``) split the rows of a batch's
-    threshold matrix, drawn once for the whole batch, across threads.
-    They run only where a vectorized policy steps against thresholds (v2,
-    or ``suu_star``); every other route runs serially.  Shard layout must
-    be invisible in the samples: assert it across thread counts and
-    chunked runs, and that no other route opens a pool."""
+    """Trial shards (``REPRO_KERNEL_THREADS`` above 1) split the rows of
+    a batch's threshold matrix, drawn once for the whole batch, across
+    threads.  They run only where a vectorized policy steps against
+    thresholds (v2, or ``suu_star``); every other route runs serially.
+    Shard layout must be invisible in the samples: assert it across
+    thread counts and chunked runs, and that no other route opens a
+    pool."""
 
     #: ``(policy, discipline, semantics, shards)``: the routes that shard,
     #: then the closed form, grouped, per-trial and v1 coin-flip routes.
@@ -512,6 +515,7 @@ class TestShardInvariance:
     )
     def test_pool_only_on_threshold_stepped_vectorized(
         self, name, discipline, semantics, shards, monkeypatch, force_cpus,
+        threads_env,
     ):
         # The stand-in records each pool's width and maps serially, so no
         # thread starts.
@@ -537,10 +541,11 @@ class TestShardInvariance:
         inst = make_instance(policy_shape(policy_info(name)))
 
         def run(threads):
-            return run_policy_batch(
-                inst, policy_factory(name), 8, rng=13, semantics=semantics,
-                discipline=discipline, kernel_threads=threads,
-            )
+            with threads_env(threads):
+                return run_policy_batch(
+                    inst, policy_factory(name), 8, rng=13,
+                    semantics=semantics, discipline=discipline,
+                )
 
         ref = run(1)
         assert widths == []
@@ -556,21 +561,20 @@ class TestShardInvariance:
     # see as many CPUs as it asks threads.
     @pytest.mark.parametrize("kernel_threads", [1, 2, 4, 5, 12, 16])
     def test_v2_bit_identical_across_thread_counts(self, kernel_threads,
-                                                   force_cpus):
+                                                   force_cpus, threads_env):
         force_cpus(kernel_threads)
         inst = make_instance("chains")
         factory = policy_factory("greedy")
-        ref = run_policy_batch(inst, factory, 12, rng=11, discipline="v2")
-        got = run_policy_batch(
-            inst, factory, 12, rng=11, discipline="v2",
-            kernel_threads=kernel_threads,
-        )
+        with threads_env(1):
+            ref = run_policy_batch(inst, factory, 12, rng=11, discipline="v2")
+        with threads_env(kernel_threads):
+            got = run_policy_batch(inst, factory, 12, rng=11, discipline="v2")
         assert np.array_equal(ref.makespans, got.makespans)
         assert np.array_equal(ref.completion_times, got.completion_times)
 
     @pytest.mark.parametrize("kernel_threads", [2, 4])
     def test_chunk_invariance_survives_sharding(self, kernel_threads,
-                                                force_cpus):
+                                                force_cpus, threads_env):
         # Chunks arrive with pre-offset streams (the service seam); the
         # shard layer splits each chunk's own threshold rows.
         force_cpus(kernel_threads)
@@ -578,30 +582,35 @@ class TestShardInvariance:
         factory = policy_factory("greedy")
         root = run_seed_sequence(5)
         rngs = ensure_rng(5).spawn(20)
-        full = run_policy_batch(
-            inst, factory, trial_rngs=rngs, semantics="suu",
-            discipline="v2", streams=BatchStreams(root),
-        )
-        parts = [
-            run_policy_batch(
-                inst, factory, trial_rngs=rngs[lo:hi], semantics="suu",
-                discipline="v2", streams=BatchStreams(root).with_offset(lo),
-                kernel_threads=kernel_threads,
-            ).makespans
-            for lo, hi in [(0, 7), (7, 20)]
-        ]
+        with threads_env(1):
+            full = run_policy_batch(
+                inst, factory, trial_rngs=rngs, semantics="suu",
+                discipline="v2", streams=BatchStreams(root),
+            )
+        with threads_env(kernel_threads):
+            parts = [
+                run_policy_batch(
+                    inst, factory, trial_rngs=rngs[lo:hi], semantics="suu",
+                    discipline="v2",
+                    streams=BatchStreams(root).with_offset(lo),
+                ).makespans
+                for lo, hi in [(0, 7), (7, 20)]
+            ]
         assert np.array_equal(full.makespans, np.concatenate(parts))
 
-    def test_v1_bit_identical_across_thread_counts(self, force_cpus):
+    def test_v1_bit_identical_across_thread_counts(self, force_cpus,
+                                                   threads_env):
         # v1 suu_star draws every trial's thresholds from its own
         # generator before the split; shards step rows of that matrix.
         force_cpus(3)
         inst = make_instance("chains")
         factory = policy_factory("greedy")
-        ref = run_policy_batch(inst, factory, 12, rng=11, discipline="v1",
-                               semantics="suu_star")
-        got = run_policy_batch(inst, factory, 12, rng=11, discipline="v1",
-                               semantics="suu_star", kernel_threads=3)
+        with threads_env(1):
+            ref = run_policy_batch(inst, factory, 12, rng=11, discipline="v1",
+                                   semantics="suu_star")
+        with threads_env(3):
+            got = run_policy_batch(inst, factory, 12, rng=11, discipline="v1",
+                                   semantics="suu_star")
         assert np.array_equal(ref.makespans, got.makespans)
 
 

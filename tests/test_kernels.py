@@ -15,15 +15,17 @@ Six layers of guarantees:
   through :func:`run_policy_batch` and through :func:`simulate` by
   registry name alike, serially and in trial shards, whose errors name
   the batch trial.
-* **Threading**: the thread count reaches :func:`simulate` /
+* **Threading**: the host's thread count reaches :func:`simulate` /
   ``evaluate_grid`` reports, the request server (``/healthz``), and the
   CLI; stale ``kernel`` inputs fail loudly; the policies of a grid sweep
   share common random numbers.
-* **Trial parallelism** (``REPRO_KERNEL_THREADS``): resolution and
-  validation of the thread count, and bit-identity of
-  ``kernel_threads > 1`` runs against serial runs across a policy ×
+* **Trial parallelism** (``REPRO_KERNEL_THREADS``, set per block by the
+  ``threads_env`` fixture): resolution and validation of the thread
+  count, which nothing but the environment sets, and bit-identity of
+  runs on more than one thread against serial runs across a policy ×
   semantics × discipline grid — trial shards where the batch steps a
-  vectorized policy against thresholds, and an ignored knob elsewhere.
+  vectorized policy against thresholds, and an ignored setting
+  elsewhere.
 """
 
 import numpy as np
@@ -70,37 +72,48 @@ def make_instance(kind):
 class TestThreadsResolution:
     def test_default_is_serial(self):
         assert resolve_kernel_threads() == 1
-        assert SimConfig().resolved().kernel_threads == 1
 
-    def test_argument_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_THREADS_ENV_VAR, "8")
-        assert resolve_kernel_threads(2) == 2
+    def test_env_is_the_only_setter(self, threads_env):
+        # No argument can override the host's setting.
+        inst = make_instance("independent")
+        with threads_env(8):
+            assert resolve_kernel_threads() == 8
+            with pytest.raises(TypeError):
+                resolve_kernel_threads(2)
+            with pytest.raises(TypeError):
+                run_policy_batch(inst, GreedyLRPolicy, 4, rng=1,
+                                 kernel_threads=2)
 
-    def test_env_resolution(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_THREADS_ENV_VAR, "3")
-        assert resolve_kernel_threads() == 3
-        assert SimConfig().resolved().kernel_threads == 3
+    def test_env_resolution(self, threads_env):
+        with threads_env(3):
+            assert resolve_kernel_threads() == 3
 
-    @pytest.mark.parametrize("bad", [0, -2, "two", "1.5"])
-    def test_bad_argument_fails_loudly(self, bad):
-        with pytest.raises(ValueError, match="kernel_threads"):
-            resolve_kernel_threads(bad)
-
-    def test_bad_env_fails_loudly(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_THREADS_ENV_VAR, "many")
-        with pytest.raises(ValueError, match="kernel_threads"):
+    @pytest.mark.parametrize("bad", ["0", "-2", "two", "1.5"])
+    def test_bad_value_fails_loudly(self, bad, threads_env):
+        with threads_env(bad), pytest.raises(ValueError,
+                                             match=KERNEL_THREADS_ENV_VAR):
             resolve_kernel_threads()
 
-    def test_simconfig_validates_kernel_threads(self):
-        assert SimConfig(kernel_threads=4).resolved().kernel_threads == 4
-        with pytest.raises(InvalidScenarioError, match="kernel_threads"):
-            SimConfig(kernel_threads=0)
-        with pytest.raises(InvalidScenarioError, match="kernel_threads"):
-            SimConfig(kernel_threads="2")
+    def test_bad_env_fails_loudly(self, threads_env):
+        # A bad value raises on every route, also where nothing shards.
+        with threads_env("many"):
+            with pytest.raises(ValueError, match=KERNEL_THREADS_ENV_VAR):
+                resolve_kernel_threads()
+            with pytest.raises(ValueError, match=KERNEL_THREADS_ENV_VAR):
+                run_policy_batch(make_instance("independent"),
+                                 SUUISemPolicy, 2, rng=0)
 
-    def test_simconfig_round_trips_kernel_threads(self):
-        clone = SimConfig.from_dict(SimConfig(kernel_threads=2).to_dict())
-        assert clone.kernel_threads == 2
+    def test_simconfig_rejects_kernel_threads(self):
+        with pytest.raises(TypeError, match="kernel_threads"):
+            SimConfig(kernel_threads=4)
+        with pytest.raises(InvalidScenarioError,
+                           match=r"unknown SimConfig fields \['kernel_threads'\]"):
+            SimConfig.from_dict({"n_trials": 4, "kernel_threads": 2})
+
+    def test_simconfig_dict_has_no_kernel_threads(self):
+        payload = SimConfig(n_trials=4).to_dict()
+        assert "kernel_threads" not in payload
+        assert SimConfig.from_dict(payload) == SimConfig(n_trials=4)
 
 
 #: Policy x shape x semantics grid the oracle and trial-shard identity
@@ -734,52 +747,55 @@ class TestLoopOracleAgreement:
 
 
 class TestTrialParallelBitIdentity:
-    """``kernel_threads > 1`` must be byte-identical to serial on every
-    discipline × policy: trial shards on a thread pool where the batch
-    steps a vectorized policy against thresholds, and the serial route
-    (the knob ignored) everywhere else."""
+    """``REPRO_KERNEL_THREADS`` above 1 must be byte-identical to serial
+    on every discipline × policy: trial shards on a thread pool where the
+    batch steps a vectorized policy against thresholds, and the serial
+    route (the setting ignored) everywhere else."""
 
     @staticmethod
     def _assert_shards_invisible(factory, shape, semantics, discipline,
-                                 threads, force_cpus):
+                                 threads, force_cpus, threads_env):
         force_cpus(threads)
         inst = make_instance(shape)
-        ref = run_policy_batch(
-            inst, factory, 8, rng=21, semantics=semantics,
-            discipline=discipline, kernel_threads=1,
-        )
-        got = run_policy_batch(
-            inst, factory, 8, rng=21, semantics=semantics,
-            discipline=discipline, kernel_threads=threads,
-        )
+
+        def run(count):
+            with threads_env(count):
+                return run_policy_batch(
+                    inst, factory, 8, rng=21, semantics=semantics,
+                    discipline=discipline,
+                )
+
+        ref, got = run(1), run(threads)
         assert np.array_equal(ref.makespans, got.makespans)
         assert np.array_equal(ref.completion_times, got.completion_times)
         assert np.array_equal(ref.busy_machine_steps, got.busy_machine_steps)
 
     @over_case_grid
     def test_threads_bit_identity(self, factory, shape, semantics, discipline,
-                                  force_cpus):
+                                  force_cpus, threads_env):
         # 8 trials on 4 threads: even shards of 2.
         self._assert_shards_invisible(factory, shape, semantics, discipline,
-                                      4, force_cpus)
+                                      4, force_cpus, threads_env)
 
     @over_case_grid
     def test_uneven_shards_bit_identity(self, factory, shape, semantics,
-                                        discipline, force_cpus):
+                                        discipline, force_cpus, threads_env):
         # 8 trials on 3 threads: shards of 2, 3 and 3.
         self._assert_shards_invisible(factory, shape, semantics, discipline,
-                                      3, force_cpus)
+                                      3, force_cpus, threads_env)
 
-    def test_shard_count_capped_at_cpu_count(self, monkeypatch, force_cpus):
-        # A client-chosen kernel_threads far above the CPU count must not
-        # split the batch into that many shards.
+    def test_shard_count_capped_at_cpu_count(self, monkeypatch, force_cpus,
+                                             threads_env):
+        # A thread cap far above the CPU count must not split the batch
+        # into that many shards.
         from repro.api.registry import policy_factory
         from repro.sim import batch
 
         force_cpus(2)
         inst = independent_instance(36, 6, "specialist", rng=0)
-        ref = run_policy_batch(inst, policy_factory("greedy"), 64, rng=5,
-                               discipline="v2", kernel_threads=1)
+        with threads_env(1):
+            ref = run_policy_batch(inst, policy_factory("greedy"), 64, rng=5,
+                                   discipline="v2")
         shards = []
         drive = batch._drive_batch
 
@@ -788,8 +804,9 @@ class TestTrialParallelBitIdentity:
             return drive(*args, **kwargs)
 
         monkeypatch.setattr(batch, "_drive_batch", counted)
-        got = run_policy_batch(inst, policy_factory("greedy"), 64, rng=5,
-                               discipline="v2", kernel_threads=16)
+        with threads_env(16):
+            got = run_policy_batch(inst, policy_factory("greedy"), 64, rng=5,
+                                   discipline="v2")
         assert shards == [32, 32]
         assert np.array_equal(ref.makespans, got.makespans)
         assert np.array_equal(ref.completion_times, got.completion_times)
@@ -803,29 +820,30 @@ class TestTrialParallelBitIdentity:
         got = run_policy_batch(inst, GreedyLRPolicy, 8, rng=4)
         assert np.array_equal(ref.makespans, got.makespans)
 
-    def test_shared_policy_instance_stays_serial_and_correct(self):
+    def test_shared_policy_instance_stays_serial_and_correct(self,
+                                                              threads_env):
         # A pre-built policy (factory=None) cannot be sharded — one
         # stateful instance cannot serve concurrent shard runs — so the
-        # threads knob quietly degrades to the serial path.
+        # thread cap quietly degrades to the serial path.
         inst = make_instance("independent")
         ref = run_policy_batch(inst, GreedyLRPolicy(), 6, rng=9)
-        got = run_policy_batch(inst, GreedyLRPolicy(), 6, rng=9,
-                               kernel_threads=4)
+        with threads_env(4):
+            got = run_policy_batch(inst, GreedyLRPolicy(), 6, rng=9)
         assert np.array_equal(ref.makespans, got.makespans)
 
-    def test_single_trial_stays_serial(self):
+    def test_single_trial_stays_serial(self, threads_env):
         inst = make_instance("independent")
         ref = run_policy_batch(inst, GreedyLRPolicy, 1, rng=9)
-        got = run_policy_batch(inst, GreedyLRPolicy, 1, rng=9,
-                               kernel_threads=4)
+        with threads_env(4):
+            got = run_policy_batch(inst, GreedyLRPolicy, 1, rng=9)
         assert np.array_equal(ref.makespans, got.makespans)
 
-    def test_more_threads_than_trials(self, force_cpus):
+    def test_more_threads_than_trials(self, force_cpus, threads_env):
         force_cpus(16)
         inst = make_instance("independent")
         ref = run_policy_batch(inst, GreedyLRPolicy, 3, rng=9)
-        got = run_policy_batch(inst, GreedyLRPolicy, 3, rng=9,
-                               kernel_threads=16)
+        with threads_env(16):
+            got = run_policy_batch(inst, GreedyLRPolicy, 3, rng=9)
         assert np.array_equal(ref.makespans, got.makespans)
 
 
@@ -939,7 +957,7 @@ def _chain2_instance():
 #: (threshold stepping; each shard checks its own rows and raises
 #: through the thread pool).
 validate_threads = pytest.mark.parametrize(
-    "kernel_threads,semantics", [(1, "suu"), (4, "suu_star")],
+    "threads,semantics", [(1, "suu"), (4, "suu_star")],
     ids=["serial", "shards"],
 )
 
@@ -951,74 +969,78 @@ class TestEveryStepChecked:
         force_cpus(4)
 
     @validate_threads
-    def test_first_step_always_validated(self, kernel_threads, semantics):
+    def test_first_step_always_validated(self, threads, semantics,
+                                         threads_env):
         # A policy broken from the start fails at the first step.
-        with pytest.raises(ScheduleViolationError, match="predecessors"):
+        with threads_env(threads), pytest.raises(ScheduleViolationError,
+                                                 match="predecessors"):
             run_policy_batch(
                 _chain2_instance(), lambda: _EagerChainPolicy(early_job=1),
-                3, rng=0, semantics=semantics, kernel_threads=kernel_threads,
+                3, rng=0, semantics=semantics,
             )
 
     @validate_threads
-    def test_range_check_at_first_step(self, kernel_threads, semantics):
-        with pytest.raises(ScheduleViolationError, match="out-of-range"):
+    def test_range_check_at_first_step(self, threads, semantics, threads_env):
+        with threads_env(threads), pytest.raises(ScheduleViolationError,
+                                                 match="out-of-range"):
             run_policy_batch(
                 _chain2_instance(), _BadJobPolicy, 3, rng=0,
-                semantics=semantics, kernel_threads=kernel_threads,
+                semantics=semantics,
             )
 
     @validate_threads
-    def test_late_violation_caught_when_validating(self, kernel_threads,
-                                                   semantics):
+    def test_late_violation_caught_when_validating(self, threads, semantics,
+                                                   threads_env):
         # Under suu_star, job 0 outlives step 0 in the odd trials (mass 2
         # against a threshold of 3); suu flips coins and ignores theta.
         theta = np.ones((8, 2))
         theta[1::2, 0] = 3.0
-        with pytest.raises(ScheduleViolationError, match="predecessors"):
+        with threads_env(threads), pytest.raises(ScheduleViolationError,
+                                                 match="predecessors"):
             run_policy_batch(
                 _chain2_instance(), _EagerChainPolicy, 8, rng=0,
                 semantics=semantics, thresholds=theta,
-                kernel_threads=kernel_threads,
             )
 
-    @pytest.mark.parametrize("kernel_threads", [1, 2], ids=["serial", "shards"])
-    def test_violation_names_the_batch_trial(self, kernel_threads):
+    @pytest.mark.parametrize("threads", [1, 2], ids=["serial", "shards"])
+    def test_violation_names_the_batch_trial(self, threads, threads_env):
         # Job 0 is unfinished after step 0 only in trial 5 of 8 (mass 2
         # against a threshold of 3), which the second of two shards holds
         # as its row 1.
         theta = np.ones((8, 2))
         theta[5, 0] = 3.0
-        with pytest.raises(ScheduleViolationError, match=r"\(t=1, trial=5\)"):
+        with threads_env(threads), pytest.raises(ScheduleViolationError,
+                                                 match=r"\(t=1, trial=5\)"):
             run_policy_batch(
                 _chain2_instance(), _EagerChainPolicy, 8, rng=0,
                 semantics="suu_star", thresholds=theta,
-                kernel_threads=kernel_threads,
             )
 
-    @pytest.mark.parametrize("kernel_threads", [1, 2], ids=["serial", "shards"])
-    def test_shards_raise_the_serial_error(self, kernel_threads):
+    @pytest.mark.parametrize("threads", [1, 2], ids=["serial", "shards"])
+    def test_shards_raise_the_serial_error(self, threads, threads_env):
         # The first of two shards (trials 0-3) fails at step 3 and the
         # second (trials 4-7) at step 1; a serial batch meets the step-1
         # violation first, so the sharded batch must raise that one too.
-        with pytest.raises(ScheduleViolationError, match=r"\(t=1, trial=4\)"):
+        with threads_env(threads), pytest.raises(ScheduleViolationError,
+                                                 match=r"\(t=1, trial=4\)"):
             run_policy_batch(
                 _chain2_instance(), _SplitLatePolicy, 8, rng=0,
                 semantics="suu_star", thresholds=np.full((8, 2), 50.0),
-                kernel_threads=kernel_threads,
             )
 
-    @pytest.mark.parametrize("kernel_threads", [1, 2], ids=["serial", "shards"])
-    def test_horizon_error_counts_the_batch(self, kernel_threads):
+    @pytest.mark.parametrize("threads", [1, 2], ids=["serial", "shards"])
+    def test_horizon_error_counts_the_batch(self, threads, threads_env):
         # Every trial idles through step 0, the only step max_steps allows.
-        with pytest.raises(SimulationHorizonError,
-                           match="max_steps=1 with 8 of 8 trials unfinished"):
+        with threads_env(threads), pytest.raises(
+            SimulationHorizonError,
+            match="max_steps=1 with 8 of 8 trials unfinished",
+        ):
             run_policy_batch(
                 _chain2_instance(), _LateRangePolicy, 8, rng=0,
                 semantics="suu_star", max_steps=1,
-                kernel_threads=kernel_threads,
             )
 
-    def test_shards_show_batch_trial_ids(self, monkeypatch):
+    def test_shards_show_batch_trial_ids(self, monkeypatch, threads_env):
         from repro.sim import batch
 
         seen = []
@@ -1037,10 +1059,11 @@ class TestEveryStepChecked:
             return pool_class(max_workers=max_workers)
 
         monkeypatch.setattr(batch, "ThreadPoolExecutor", recording_pool)
-        run_policy_batch(
-            _chain2_instance(), Recording, 8, rng=0, semantics="suu_star",
-            thresholds=np.ones((8, 2)), kernel_threads=2,
-        )
+        with threads_env(2):
+            run_policy_batch(
+                _chain2_instance(), Recording, 8, rng=0, semantics="suu_star",
+                thresholds=np.ones((8, 2)),
+            )
         assert pools == [2]
         assert sorted(seen) == [[0, 1, 2, 3], [4, 5, 6, 7]]
 
@@ -1052,8 +1075,8 @@ class TestEveryStepChecked:
     )
     @validate_threads
     def test_registry_policies_checked_at_every_step(self, cls, match,
-                                                     kernel_threads, semantics,
-                                                     monkeypatch):
+                                                     threads, semantics,
+                                                     monkeypatch, threads_env):
         # A policy reached by registry name gets the same checks as any
         # other, at every step: here the bad row first appears at step 1.
         from repro.api import registry
@@ -1063,9 +1086,9 @@ class TestEveryStepChecked:
             registry._REGISTRY, cls.name,
             registry.PolicyInfo(name=cls.name, cls=cls),
         )
-        config = SimConfig(n_trials=8, seed=1, semantics=semantics,
-                           kernel_threads=kernel_threads)
-        with pytest.raises(ScheduleViolationError, match=match):
+        config = SimConfig(n_trials=8, seed=1, semantics=semantics)
+        with threads_env(threads), pytest.raises(ScheduleViolationError,
+                                                 match=match):
             simulate(_chain2_instance(), cls.name, config)
 
 
@@ -1083,22 +1106,25 @@ class TestCommonRandomNumbers:
 
 
 class TestThreading:
-    def test_report_surfaces_kernel_threads(self, small_independent):
-        report = simulate(
-            small_independent, "greedy-lr",
-            SimConfig(n_trials=4, seed=1, kernel_threads=2),
-        )
+    def test_report_surfaces_kernel_threads(self, small_independent,
+                                            threads_env):
+        with threads_env(2):
+            report = simulate(
+                small_independent, "greedy-lr", SimConfig(n_trials=4, seed=1),
+            )
         assert report.kernel == {"threads": 2}
         payload = report.to_dict()
         assert payload["kernel"] == {"threads": 2}
-        assert payload["config"]["kernel_threads"] == 2
+        assert "kernel_threads" not in payload["config"]
 
     @pytest.mark.parametrize("kernel_threads", [None, 2])
-    def test_grid_reports_surface_kernel_threads(self, kernel_threads):
+    def test_grid_reports_surface_kernel_threads(self, kernel_threads,
+                                                 threads_env):
         sc = Scenario(shape="independent", n_jobs=8, n_machines=3,
                       model="specialist", seed=1)
-        config = SimConfig(n_trials=4, seed=1, kernel_threads=kernel_threads)
-        reports = evaluate_grid([sc], ("sem", "greedy-lr"), config=config)
+        config = SimConfig(n_trials=4, seed=1)
+        with threads_env(kernel_threads):
+            reports = evaluate_grid([sc], ("sem", "greedy-lr"), config=config)
         assert [r.kernel for r in reports] == [
             {"threads": kernel_threads or 1}
         ] * 2
@@ -1125,26 +1151,36 @@ class TestThreading:
         finally:
             executor.close()
 
-    def test_config_kernel_threads_changes_no_sample(self, small_independent):
-        ref = simulate(small_independent, "greedy-lr",
-                       SimConfig(n_trials=6, seed=2))
-        alt = simulate(small_independent, "greedy-lr",
-                       SimConfig(n_trials=6, seed=2, kernel_threads=2))
+    def test_host_kernel_threads_change_no_sample(self, small_independent,
+                                                  threads_env):
+        config = SimConfig(n_trials=6, seed=2, discipline="v2")
+        ref = simulate(small_independent, "greedy-lr", config)
+        with threads_env(2):
+            alt = simulate(small_independent, "greedy-lr", config)
         assert np.array_equal(ref.stats.samples, alt.stats.samples)
 
-    def test_cli_run_accepts_kernel_threads(self, tmp_path, capsys):
+    def test_cli_run_reads_kernel_threads(self, tmp_path, capsys, threads_env):
         from repro.__main__ import main
 
         path = str(tmp_path / "inst.json")
         assert main(["generate", "--shape", "independent", "--jobs", "8",
                      "--machines", "3", "--seed", "1", "--out", path]) == 0
-        assert main(["run", path, "--policy", "greedy-lr", "--trials", "4",
-                     "--kernel-threads", "2"]) == 0
+        with threads_env(2):
+            assert main(["run", path, "--policy", "greedy-lr", "--trials",
+                         "4"]) == 0
         out = capsys.readouterr().out
         assert "threads:  2" in out
 
-    @pytest.mark.parametrize("command", ["run", "sweep", "serve"])
-    def test_cli_rejects_stale_kernel_flag(self, tmp_path, capsys, command):
+    # Not ``serve --kernel-threads``: were the flag accepted, the call
+    # would serve instead of returning.
+    @pytest.mark.parametrize(
+        "command,flag",
+        [(command, ["--kernel", "numpy"]) for command in ("run", "sweep", "serve")]
+        + [(command, ["--kernel-threads", "2"]) for command in ("run", "sweep")],
+        ids=["run", "sweep", "serve", "run-kernel-threads", "sweep-kernel-threads"],
+    )
+    def test_cli_rejects_stale_kernel_flag(self, tmp_path, capsys, command,
+                                           flag):
         from repro.__main__ import main
 
         path = str(tmp_path / "inst.json")
@@ -1157,6 +1193,6 @@ class TestThreading:
         }[command]
         capsys.readouterr()
         with pytest.raises(SystemExit) as exc:
-            main([*argv, "--kernel", "numpy"])
+            main([*argv, *flag])
         assert exc.value.code == 2
-        assert "--kernel" in capsys.readouterr().err
+        assert flag[0] in capsys.readouterr().err

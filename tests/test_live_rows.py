@@ -58,7 +58,7 @@ class TestBatchEqualsOneTrialBatches:
     @settings(max_examples=120, deadline=None)
     def test_samples_match(
         self, seed, n_jobs, n_machines, dag, policy, discipline, semantics,
-        given_thresholds, kernel_threads, n_trials,
+        given_thresholds, kernel_threads, n_trials, threads_env,
     ):
         if dag and policy is SUUIOblPolicy:
             dag = False  # SUU-I-OBL is defined on independent jobs only
@@ -73,12 +73,13 @@ class TestBatchEqualsOneTrialBatches:
         streams = BatchStreams(run_seed_sequence(seed))
 
         def run(trial_rngs, lo, hi, threads):
-            return run_policy_batch(
-                inst, policy, hi - lo, semantics=semantics,
-                thresholds=None if thresholds is None else thresholds[lo:hi],
-                trial_rngs=trial_rngs, discipline=discipline,
-                streams=streams.with_offset(lo), kernel_threads=threads,
-            )
+            with threads_env(threads):
+                return run_policy_batch(
+                    inst, policy, hi - lo, semantics=semantics,
+                    thresholds=None if thresholds is None else thresholds[lo:hi],
+                    trial_rngs=trial_rngs, discipline=discipline,
+                    streams=streams.with_offset(lo),
+                )
 
         whole = run(ensure_rng(seed).spawn(n_trials), 0, n_trials,
                     kernel_threads)

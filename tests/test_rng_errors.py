@@ -167,6 +167,16 @@ class TestRunPolicyBatchSeeds:
         self.run("obl", "v2", rng=9)
         assert built == [0]  # the lead trial's, for the policy's start
 
+    @pytest.mark.parametrize("discipline,children", [("v1", 2), ("v2", 1)])
+    def test_per_trial_spawns_only_read_children(self, discipline, children):
+        # A v1 per-trial batch splits every trial generator into the
+        # engine's (policy_rng, outcome_rng) pair; a v2 one steps against
+        # the batch's threshold matrix and reads the policy_rng alone.
+        rngs = list(ensure_rng(9).spawn(12))
+        self.run("random", discipline, rng=9, trial_rngs=rngs)
+        spawned = [r.bit_generator.seed_seq.n_children_spawned for r in rngs]
+        assert spawned == [children] * 12
+
     @pytest.mark.parametrize("discipline", ["v1", "v2"])
     def test_a_generator_passed_twice_gives_fresh_trials(self, discipline):
         gen = np.random.default_rng(9)

@@ -84,10 +84,10 @@ class TestSchedulingServiceRouting:
         assert payload["per_job"]["n_jobs"] == SCENARIO["n_jobs"]
 
     def test_simulate_shard_pool_capped_at_cpu_count(self, service,
-                                                      monkeypatch):
-        # A client picks kernel_threads; the shard pool must still not
-        # exceed the CPU count.  The stand-in records the requested width
-        # and maps serially, so no thread starts whatever is asked for.
+                                                      monkeypatch, threads_env):
+        # A host setting far above the CPU count must not widen the shard
+        # pool past it.  The stand-in records the requested width and
+        # maps serially, so no thread starts whatever is asked for.
         import repro.sim.batch as batch
 
         widths = []
@@ -109,14 +109,15 @@ class TestSchedulingServiceRouting:
         cpus = os.cpu_count() or 1
         wide = 4 * cpus
         # v2 greedy steps against a threshold matrix: the sharded route.
-        config = {"n_trials": wide, "seed": 3, "discipline": "v2"}
-        _status, serial = service.handle("POST", "/simulate", _simulate_body(
-            config={**config, "kernel_threads": 1}, include_samples=True,
-        ))
+        body = _simulate_body(
+            config={"n_trials": wide, "seed": 3, "discipline": "v2"},
+            include_samples=True,
+        )
+        with threads_env(1):
+            _status, serial = service.handle("POST", "/simulate", body)
         assert widths == []
-        _status, sharded = service.handle("POST", "/simulate", _simulate_body(
-            config={**config, "kernel_threads": wide}, include_samples=True,
-        ))
+        with threads_env(wide):
+            _status, sharded = service.handle("POST", "/simulate", body)
         assert widths and max(widths) <= cpus
         assert sharded["samples"] == serial["samples"]
 
@@ -182,8 +183,11 @@ class TestSchedulingServiceRouting:
             ("POST", "/simulate", _simulate_body(config={"max_steps": 10.5}),
              "invalid config: max_steps must be an integer"),
             ("POST", "/simulate",
-             _simulate_body(config={"kernel_threads": True}),
-             "invalid config: kernel_threads must be an integer"),
+             _simulate_body(config={**CONFIG, "kernel_threads": 2}),
+             "invalid config: unknown SimConfig fields ['kernel_threads']"),
+            ("POST", "/grid",
+             {"scenarios": [SCENARIO], "config": {**CONFIG, "kernel_threads": 2}},
+             "invalid config: unknown SimConfig fields ['kernel_threads']"),
             ("POST", "/simulate",
              _simulate_body(scenario={**SCENARIO, "n_jobs": 2.5}),
              "invalid scenario: n_jobs must be an integer"),

@@ -84,6 +84,12 @@ class TestSpecLoading:
             small_spec(sweep={"substreams": ["per-policy"]})
         with pytest.raises(SuiteError, match="substreams"):
             small_spec(config={**SMALL["config"], "substreams": "shared"})
+        # The thread count is a host setting: neither an axis (whose
+        # cells would share one digest) nor a config field.
+        with pytest.raises(SuiteError, match="kernel_threads"):
+            small_spec(sweep={"kernel_threads": [1, 2]})
+        with pytest.raises(SuiteError, match="kernel_threads"):
+            small_spec(config={**SMALL["config"], "kernel_threads": 2})
 
     def test_bad_sweep_value(self):
         with pytest.raises(SuiteError, match="sweep value"):
@@ -233,17 +239,17 @@ class TestDigest:
         assert cell_digest(dataclasses.replace(cell, policy="greedy")) != (
             cell_digest(cell))
 
-    @pytest.mark.parametrize("kernel_threads", [2, None])
-    def test_kernel_threads_leaves_digest(self, kernel_threads, monkeypatch):
+    @pytest.mark.parametrize("discipline", ["v1", None])
+    def test_kernel_threads_leaves_digest(self, discipline, monkeypatch):
         # Trial shards never change a sample, so a suite re-run under
         # another thread count finds its cells.
         clear_knob_env(monkeypatch)
         cell = demo_cell()
+        cell = dataclasses.replace(cell, config=dataclasses.replace(
+            cell.config, discipline=discipline))
         base = cell_digest(cell)
         monkeypatch.setenv(KERNEL_THREADS_ENV_VAR, "3")
-        changed = dataclasses.replace(cell, config=dataclasses.replace(
-            cell.config, kernel_threads=kernel_threads))
-        assert cell_digest(changed) == base
+        assert cell_digest(cell) == base
 
     def test_env_knob_changes_digest(self, monkeypatch):
         clear_knob_env(monkeypatch)

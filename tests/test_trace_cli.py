@@ -1,5 +1,10 @@
 """Tests for execution traces, the Gantt renderer, and the CLI."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -7,6 +12,8 @@ from repro.baselines.naive import SerialAllMachinesPolicy
 from repro.instance import SUUInstance, independent_instance
 from repro.sim import TracingPolicy, render_gantt, run_policy
 from repro.sim.trace import ExecutionTrace
+
+REPO = pathlib.Path(__file__).resolve().parents[1]
 
 
 class TestTracingPolicy:
@@ -130,32 +137,64 @@ class TestCLI:
         self._gen(tmp_path, shape=shape)
 
     @pytest.mark.parametrize(
-        "argv,message",
+        "argv,env,message",
         [
             (["generate", "--shape", "random_dag", "--jobs", "6",
-              "--machines", "2", "--edge-prob", "2.0", "--out", "{out}"],
+              "--machines", "2", "--edge-prob", "2.0", "--out", "{out}"], {},
              "edge_prob must be in [0, 1], got 2.0"),
-            (["generate", "--jobs", "0", "--out", "{out}"],
+            (["generate", "--jobs", "0", "--out", "{out}"], {},
              "n_jobs must be >= 1, got 0"),
-            (["run", "{inst}", "--trials", "0"],
+            (["run", "{inst}", "--trials", "0"], {},
              "n_trials must be >= 1, got 0"),
-            (["run", "{inst}", "--kernel-threads", "0"],
-             "kernel_threads must be >= 1, got 0"),
-            (["sweep", "--jobs", "0"], "n_jobs must be >= 1, got 0"),
+            # Bad host settings stop the command before it does any work.
+            (["run", "{inst}"], {"REPRO_KERNEL_THREADS": "0"},
+             "REPRO_KERNEL_THREADS must be >= 1, got 0"),
+            (["sweep"], {"REPRO_KERNEL_THREADS": "two"},
+             "REPRO_KERNEL_THREADS must be an integer >= 1, got 'two'"),
+            (["run", "{inst}"], {"REPRO_DISCIPLINE": "v3"},
+             "unknown RNG discipline 'v3'; expected one of ('v1', 'v2')"),
+            (["suite", "status", "{smoke}", "--out", "{out}"],
+             {"REPRO_DISCIPLINE": "v3"},
+             "unknown RNG discipline 'v3'; expected one of ('v1', 'v2')"),
+            (["suite", "run", "{smoke}", "--out", "{out}"],
+             {"REPRO_KERNEL_THREADS": "0"},
+             "REPRO_KERNEL_THREADS must be >= 1, got 0"),
+            (["sweep", "--jobs", "0"], {}, "n_jobs must be >= 1, got 0"),
         ],
-        ids=["edge-prob", "generate-jobs", "trials", "kernel-threads",
+        ids=["edge-prob", "generate-jobs", "trials", "run-threads-env",
+             "sweep-threads-env", "run-discipline-env",
+             "suite-status-discipline-env", "suite-run-threads-env",
              "sweep-jobs"],
     )
-    def test_input_errors_exit_2_with_one_line(self, tmp_path, capsys, argv,
+    def test_input_errors_exit_2_with_one_line(self, tmp_path, capsys,
+                                               monkeypatch, argv, env,
                                                message):
         from repro.__main__ import main
 
         inst = self._gen(tmp_path)
         capsys.readouterr()
         out = tmp_path / "out.json"
-        argv = [arg.format(out=out, inst=inst) for arg in argv]
+        smoke = REPO / "suites" / "smoke.json"
+        argv = [arg.format(out=out, inst=inst, smoke=smoke) for arg in argv]
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
         assert not out.exists()
+
+    def test_bad_host_setting_stops_serve_before_it_binds(self):
+        # Checked before the executor is built or a port bound; a server
+        # that booted anyway would answer every request with a 500, and
+        # this run would time out.
+        env = {**os.environ, "REPRO_KERNEL_THREADS": "0",
+               "PYTHONPATH": str(REPO / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", "--executor", "serial",
+             "--port", "0"],
+            env=env, capture_output=True, text=True, timeout=20,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "error: REPRO_KERNEL_THREADS must be >= 1, got 0\n"
+        assert proc.stdout == ""
